@@ -28,25 +28,25 @@ from .regions import parse_region
 from .reports import (
     SCHEMA_VERSION,
     InequalityReport,
+    _csv_cell,
     dumps_stable,
-    format_float,
     reports_to_csv,
     reports_to_json,
 )
-from .spaces import FiniteGroup, ModelSpace, parse_space
+from .spaces import FiniteGroup, parse_space
 from .spectral import (
+    SpectralSet,
     check_homogeneity,
+    cover_by_unit_intervals,
     local_weyl,
     parse_spectrum,
     sogge_constant_estimate,
+    spectrum_ball,
     weyl_count,
 )
 from . import uncertainty
 
 OUTPUT_DIR_ENV = "SPECON_OUTPUT_DIR"
-
-INEQUALITIES = ["lca", "bourgain", "prop", "homogeneous", "supnorm", "covering",
-                "joint", "random-manifold"]
 
 
 # -- emission -------------------------------------------------------------------
@@ -70,42 +70,39 @@ def _write(text: str, path):
             fh.write(text)
 
 
-def emit_reports(reports, fmt: str, path=None):
+def emit_reports(args, reports) -> int:
     """Serialize inequality reports; stable field order, floats at 17
-    significant digits, no computation at emit time."""
-    _write(reports_to_json(reports) if fmt == "json" else reports_to_csv(reports), path)
+    significant digits, no computation at emit time.  Returns the exit code:
+    0 when every report holds or is vacuous, else 2."""
+    _write(reports_to_json(reports) if args.format == "json" else reports_to_csv(reports),
+           args.output)
+    return 0 if all(r.passed for r in reports) else 2
 
 
-def emit_rows(command: str, header, rows, fmt: str, path=None):
-    if fmt == "json":
-        doc = {"schema_version": SCHEMA_VERSION, "command": command,
+def emit_rows(args, header, rows) -> int:
+    """A table of rows under the command's name, as JSON objects or CSV lines."""
+    if args.format == "json":
+        doc = {"schema_version": SCHEMA_VERSION, "command": args.command,
                "rows": [dict(zip(header, row)) for row in rows]}
-        _write(dumps_stable(doc) + "\n", path)
-        return
+        _write(dumps_stable(doc) + "\n", args.output)
+        return 0
     lines = [",".join(["schema_version"] + list(header))]
-    for row in rows:
-        cells = [str(SCHEMA_VERSION)]
-        for cell in row:
-            if isinstance(cell, float):
-                s = format_float(cell).strip('"')
-            elif isinstance(cell, (list, tuple, dict)):
-                s = dumps_stable(cell).replace("\n", " ")
-                while "  " in s:
-                    s = s.replace("  ", " ")
-            else:
-                s = str(cell)
-            if any(ch in s for ch in ',"\n'):
-                s = '"' + s.replace('"', '""') + '"'
-            cells.append(s)
-        lines.append(",".join(cells))
-    _write("\n".join(lines) + "\n", path)
+    lines += [",".join(_csv_cell(c) for c in (SCHEMA_VERSION, *row)) for row in rows]
+    _write("\n".join(lines) + "\n", args.output)
+    return 0
+
+
+def emit_result(args, doc, header=None, rows=None) -> int:
+    """One result document as JSON; as CSV, the given rows or else one row of
+    the document's values."""
+    if args.format == "csv":
+        return emit_rows(args, header or list(doc), [tuple(doc.values())] if rows is None else rows)
+    _write(dumps_stable({"schema_version": SCHEMA_VERSION, "command": args.command,
+                         "result": doc}) + "\n", args.output)
+    return 0
 
 
 # -- shared construction ----------------------------------------------------------
-
-
-def _space(args) -> ModelSpace:
-    return parse_space(args.space)
 
 
 def _quad_for(space, max_freq, args, factor: float = 1.0):
@@ -122,8 +119,6 @@ def _make_trial_f(space, sset, region, quad, rng, mode):
     """Trial functions for the manifold checks: random coefficients over X_S,
     random coefficients with a spectral tail, or the top concentration
     eigenvector for the region."""
-    from .spectral import spectrum_ball
-
     if mode == "bandlimited":
         return _random_band_function(sset, rng)
     if mode == "tails":
@@ -140,11 +135,26 @@ def _make_trial_f(space, sset, region, quad, rng, mode):
     raise SpeconError(f"unknown f-mode {mode!r}")
 
 
+def _per_trial(args, one):
+    """Reports of ``one(rng)`` over ``--trials`` trials, trial t drawing from
+    trial_rng(seed, t).  ``one`` returns ``(reports, extra)``: each report gets
+    ``inputs["trial"] = t`` and then the ``extra`` inputs; no reports skip
+    the trial."""
+    reports = []
+    for t in range(args.trials):
+        trial_reports, extra = one(trial_rng(args.seed, t))
+        for rep in trial_reports:
+            rep.inputs["trial"] = t
+            rep.inputs.update(extra)
+            reports.append(rep)
+    return reports
+
+
 # -- subcommand handlers ----------------------------------------------------------
 
 
 def cmd_basis(args):
-    space = _space(args)
+    space = parse_space(args.space)
     cutoff = args.cutoff
     if cutoff is None:
         cutoff = space.max_frequency()
@@ -154,13 +164,11 @@ def cmd_basis(args):
         (el.index, str(el.label), el.frequency, list(el.joint))
         for el in space.enumerate_basis(cutoff)
     ]
-    emit_rows("basis", ["index", "label", "frequency", "joint"], rows,
-              args.format, args.output)
-    return 0
+    return emit_rows(args, ["index", "label", "frequency", "joint"], rows)
 
 
 def cmd_weyl(args):
-    space = _space(args)
+    space = parse_space(args.space)
     lams = [args.lam] if args.lam is not None else []
     if args.lam_max is not None:
         lams = np.arange(args.lam_step, args.lam_max + args.lam_step / 2,
@@ -176,13 +184,11 @@ def cmd_weyl(args):
         nx = local_weyl(space, point, lam)
         pred = weyl_const * lam**space.dim
         rows.append((lam, n, nx, pred, n / pred if pred > 0 else math.inf))
-    emit_rows("weyl", ["lambda", "count", "local_count", "weyl_prediction", "ratio"],
-              rows, args.format, args.output)
-    return 0
+    return emit_rows(args, ["lambda", "count", "local_count", "weyl_prediction", "ratio"], rows)
 
 
 def cmd_homogeneity(args):
-    space = _space(args)
+    space = parse_space(args.space)
     sset = parse_spectrum(space, args.spectrum, tol=args.match_tol)
     rng = trial_rng(args.seed, 0)
     pts = np.concatenate([space.extreme_points(), space.sample_points(args.samples, rng)])
@@ -198,12 +204,11 @@ def cmd_homogeneity(args):
                     "samples": int(pts.shape[0])},
             seed=args.seed,
         ))
-    emit_reports(reports, args.format, args.output)
-    return 0 if all(r.passed for r in reports) else 2
+    return emit_reports(args, reports)
 
 
 def cmd_concentrate(args):
-    space = _space(args)
+    space = parse_space(args.space)
     sset = parse_spectrum(space, args.spectrum, tol=args.match_tol)
     region = parse_region(space, args.region)
     quad = _quad_for(space, sset.max_frequency, args)
@@ -217,17 +222,11 @@ def cmd_concentrate(args):
         for i in order[: args.top]
     ]
     doc["indices"] = list(map(int, sset.indices))
-    if args.format == "json":
-        _write(dumps_stable({"schema_version": SCHEMA_VERSION, "command": "concentrate",
-                             "result": doc}) + "\n", args.output)
-    else:
-        rows = [(i, doc["eigenvalues"][i]) for i in range(len(doc["eigenvalues"]))]
-        emit_rows("concentrate", ["rank", "eigenvalue"], rows, args.format, args.output)
-    return 0
+    return emit_result(args, doc, ["rank", "eigenvalue"], list(enumerate(doc["eigenvalues"])))
 
 
 def cmd_lambda_q(args):
-    space = _space(args)
+    space = parse_space(args.space)
     spec = RandomSubsetSpec(args.n, args.q, seed=args.seed)
     subset = generic_subset(spec)
     if not subset:
@@ -240,64 +239,35 @@ def cmd_lambda_q(args):
     doc = est.to_json_dict()
     doc["delta"] = spec.delta
     doc["expected_size"] = spec.expected_size
-    if args.format == "json":
-        _write(dumps_stable({"schema_version": SCHEMA_VERSION, "command": "lambda-q",
-                             "result": doc}) + "\n", args.output)
-    else:
-        emit_rows("lambda-q", list(doc.keys()), [tuple(doc.values())],
-                  args.format, args.output)
-    return 0
+    return emit_result(args, doc)
 
 
 def cmd_gmpt(args):
-    space = _space(args)
+    space = parse_space(args.space)
     elements = space.first_elements(args.n)
     fmax = max(el.frequency for el in elements)
     quad = _quad_for(space, fmax, args)
     split = gmpt_split(space, quad, args.n, c_param=args.c_param,
                        trials=args.trials, subsets=args.subsets, seed=args.seed)
-    doc = split.to_json_dict()
-    if args.format == "json":
-        _write(dumps_stable({"schema_version": SCHEMA_VERSION, "command": "gmpt",
-                             "result": doc}) + "\n", args.output)
-    else:
-        emit_rows("gmpt", list(doc.keys()), [tuple(doc.values())],
-                  args.format, args.output)
-    return 0
+    return emit_result(args, split.to_json_dict())
 
 
 def cmd_donoho_stark(args):
-    space = _space(args)
+    return emit_reports(args, _check_lca(args, parse_space(args.space), "donoho-stark"))
+
+
+def _check_lca(args, space, what="--inequality lca"):
     if not isinstance(space, FiniteGroup):
-        raise SpeconError("donoho-stark runs on finite groups (zn:...)")
+        raise SpeconError(f"{what} runs on finite groups (zn:...)")
     size = int(space.total_measure)
-    reports = []
-    for t in range(args.trials):
-        rng = trial_rng(args.seed, t)
+
+    def one(rng):
         support = rng.choice(size, size=int(rng.integers(1, size + 1)), replace=False)
         f = np.zeros(size, dtype=complex)
         f[support] = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
-        rep = uncertainty.check_group_uncertainty(space, f, seed=args.seed)
-        rep.inputs["trial"] = t
-        reports.append(rep)
-    emit_reports(reports, args.format, args.output)
-    return 0 if all(r.passed for r in reports) else 2
+        return [uncertainty.check_group_uncertainty(space, f, seed=args.seed)], {}
 
-
-def _check_lca(args, space):
-    if not isinstance(space, FiniteGroup):
-        raise SpeconError("--inequality lca runs on finite groups (zn:...)")
-    size = int(space.total_measure)
-    reports = []
-    for t in range(args.trials):
-        rng = trial_rng(args.seed, t)
-        support = rng.choice(size, size=int(rng.integers(1, size + 1)), replace=False)
-        f = np.zeros(size, dtype=complex)
-        f[support] = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
-        rep = uncertainty.check_group_uncertainty(space, f, seed=args.seed)
-        rep.inputs["trial"] = t
-        reports.append(rep)
-    return reports
+    return _per_trial(args, one)
 
 
 def _check_bourgain(args, space):
@@ -316,42 +286,38 @@ def _check_bourgain(args, space):
     v = space.basis_matrix(elements, quad.nodes)
     indicator = region.contains_mask(quad.nodes).astype(complex)
     full_hat = (v.conj().T * quad.weights) @ indicator
-    reports = []
-    for t in range(args.trials):
-        spec = RandomSubsetSpec(n, args.q, seed=int(trial_rng(args.seed, t).integers(2**63)))
-        subset = generic_subset(spec)
-        if not subset:
-            continue
+
+    def one(rng):
+        subset = generic_subset(RandomSubsetSpec(n, args.q, seed=int(rng.integers(2**63))))
         coeffs = full_hat[subset]
         norm = np.linalg.norm(coeffs)
-        if norm < 1e-12:
-            continue
-        from .spectral import SpectralSet
-
+        if norm < 1e-12:  # also an empty subset
+            return [], {}
         sset = SpectralSet(space, [elements[i].joint for i in subset], joint=True,
                            tol=args.match_tol)
-        f = BandlimitedFunction(sset, coeffs / norm) if sset.size == len(subset) else None
-        if f is None:
-            continue
+        if sset.size != len(subset):
+            return [], {}
+        f = BandlimitedFunction(sset, coeffs / norm)
         c_upper = len(subset) ** (0.5 - 1.0 / args.q)
         rep = uncertainty.check_generic_subset_uncertainty(
             f, region, quad, args.q, c_upper, seed=args.seed)
-        rep.inputs["trial"] = t
-        rep.inputs["subset_size"] = len(subset)
-        reports.append(rep)
-    return reports
+        return [rep], {"subset_size": len(subset)}
+
+    return _per_trial(args, one)
 
 
-def _check_manifold(args, space, name):
+def _spectrum(args, space):
+    if args.spectrum is None:
+        raise SpeconError(f"--inequality {args.inequality} needs --spectrum")
+    return parse_spectrum(space, args.spectrum, tol=args.match_tol)
+
+
+def _check_manifold(args, space):
     region = parse_region(space, args.region)
-    sset = parse_spectrum(space, args.spectrum, tol=args.match_tol)
+    sset = _spectrum(args, space)
     pad = 2.0 if args.f_mode == "tails" else 0.0
-    quad = space.build_quadrature(max(sset.max_frequency + pad, 1.0),
-                                  oversample=args.quad_oversample)
-    c_m = c_m_spec = None
-    if name == "covering":
-        from .spectral import cover_by_unit_intervals
-
+    quad = _quad_for(space, sset.max_frequency + pad, args)
+    if args.inequality == "covering":
         covering = cover_by_unit_intervals(sset)
         lam_top = max(sset.values) if sset.values else 1.0
         c_m = sogge_constant_estimate(space, max(1.0, lam_top + 1.0),
@@ -359,47 +325,38 @@ def _check_manifold(args, space, name):
                                       extra_lambdas=covering.starts)
         c_m_spec = (f"grid step 0.5 on [1, {max(1.0, lam_top + 1.0):g}] with covering "
                     f"starts, {args.x_samples} sample points, seed {args.seed}")
-    reports = []
-    for t in range(args.trials):
-        rng = trial_rng(args.seed, t)
+    check = {
+        "prop": lambda f, rng: uncertainty.check_eigenfunction_mass_bound(
+            f, region, sset, quad, seed=args.seed),
+        "homogeneous": lambda f, rng: uncertainty.check_homogeneous_uncertainty(
+            f, region, sset, quad, rng=rng, seed=args.seed),
+        "supnorm": lambda f, rng: uncertainty.check_supnorm_uncertainty(
+            f, region, sset, quad, x_samples=args.x_samples, rng=rng, seed=args.seed),
+        "covering": lambda f, rng: uncertainty.check_covering_uncertainty(
+            f, region, sset, quad, c_m, c_m_spec, seed=args.seed),
+    }[args.inequality]
+
+    def one(rng):
         f = _make_trial_f(space, sset, region, quad, rng, args.f_mode)
-        if name == "prop":
-            rep = uncertainty.check_eigenfunction_mass_bound(f, region, sset, quad,
-                                                             seed=args.seed)
-        elif name == "homogeneous":
-            rep = uncertainty.check_homogeneous_uncertainty(f, region, sset, quad,
-                                                            rng=rng, seed=args.seed)
-        elif name == "supnorm":
-            rep = uncertainty.check_supnorm_uncertainty(f, region, sset, quad,
-                                                        x_samples=args.x_samples,
-                                                        rng=rng, seed=args.seed)
-        elif name == "covering":
-            rep = uncertainty.check_covering_uncertainty(f, region, sset, quad,
-                                                         c_m, c_m_spec, seed=args.seed)
-        else:
-            raise SpeconError(f"unhandled inequality {name}")
-        rep.inputs["trial"] = t
-        reports.append(rep)
-    return reports
+        return [check(f, rng)], {}
+
+    return _per_trial(args, one)
 
 
 def _check_joint(args, space):
     region = parse_region(space, args.region)
-    sset = parse_spectrum(space, args.spectrum, tol=args.match_tol)
+    sset = _spectrum(args, space)
     if not sset.is_joint:
         raise SpeconError("--inequality joint needs a joint:[...] spectrum")
-    quad = space.build_quadrature(max(sset.max_frequency, 1.0),
-                                  oversample=args.quad_oversample)
-    reports = []
-    for t in range(args.trials):
-        rng = trial_rng(args.seed, t)
-        f = _make_trial_f(space, sset, region, quad, rng,
-                          "bandlimited" if args.f_mode == "tails" else args.f_mode)
-        for rep in uncertainty.check_joint_uncertainty(f, region, sset, quad,
-                                                       rng=rng, seed=args.seed):
-            rep.inputs["trial"] = t
-            reports.append(rep)
-    return reports
+    quad = _quad_for(space, sset.max_frequency, args)
+    mode = "bandlimited" if args.f_mode == "tails" else args.f_mode
+
+    def one(rng):
+        f = _make_trial_f(space, sset, region, quad, rng, mode)
+        return uncertainty.check_joint_uncertainty(f, region, sset, quad, rng=rng,
+                                                   seed=args.seed), {}
+
+    return _per_trial(args, one)
 
 
 def _check_random_manifold(args, space):
@@ -409,45 +366,37 @@ def _check_random_manifold(args, space):
     elements = space.first_elements(args.n)
     fmax = max(el.frequency for el in elements)
     quad = _quad_for(space, fmax, args)
-    reports = []
-    for t in range(args.trials):
-        rng = trial_rng(args.seed, t)
+
+    def one(rng):
         split = gmpt_split(space, quad, args.n, c_param=args.c_param,
                            trials=args.gmpt_trials, subsets=args.subsets,
                            seed=int(rng.integers(2**63)))
         side = split.indices or split.complement
-        from .spectral import SpectralSet
-
         sset = SpectralSet(space, [elements[i].joint for i in side], joint=True,
                            tol=args.match_tol)
-        a = rng.normal(size=sset.size) + 1j * rng.normal(size=sset.size)
-        f = BandlimitedFunction(sset, a)
+        f = _random_band_function(sset, rng)
         rep = uncertainty.check_random_half_uncertainty(
             f, region, quad, k_emp=split.k_observed, n=args.n,
             b_sup=split.b_sup, seed=args.seed)
-        rep.inputs["trial"] = t
-        rep.inputs["split_size"] = len(split.indices)
-        reports.append(rep)
-    return reports
+        return [rep], {"split_size": len(split.indices)}
+
+    return _per_trial(args, one)
+
+
+CHECKS = {
+    "lca": _check_lca,
+    "bourgain": _check_bourgain,
+    "prop": _check_manifold,
+    "homogeneous": _check_manifold,
+    "supnorm": _check_manifold,
+    "covering": _check_manifold,
+    "joint": _check_joint,
+    "random-manifold": _check_random_manifold,
+}
 
 
 def cmd_check(args):
-    space = _space(args)
-    name = args.inequality
-    if name == "lca":
-        reports = _check_lca(args, space)
-    elif name == "bourgain":
-        reports = _check_bourgain(args, space)
-    elif name in ("prop", "homogeneous", "supnorm", "covering"):
-        reports = _check_manifold(args, space, name)
-    elif name == "joint":
-        reports = _check_joint(args, space)
-    elif name == "random-manifold":
-        reports = _check_random_manifold(args, space)
-    else:
-        raise SpeconError(f"unknown inequality {name!r}")
-    emit_reports(reports, args.format, args.output)
-    return 0 if all(r.passed for r in reports) else 2
+    return emit_reports(args, CHECKS[args.inequality](args, parse_space(args.space)))
 
 
 # -- parser ----------------------------------------------------------------------
@@ -505,7 +454,7 @@ def build_parser():
 
     p = sub.add_parser("check", help="evaluate one uncertainty inequality")
     _add_common(p)
-    p.add_argument("--inequality", required=True, choices=INEQUALITIES)
+    p.add_argument("--inequality", required=True, choices=list(CHECKS))
     p.add_argument("--region", default="full")
     p.add_argument("--spectrum", default=None)
     p.add_argument("--q", type=float, default=None)
@@ -576,10 +525,7 @@ def main(argv=None) -> int:
         argv = _expand_config(argv)
         args = parser.parse_args(argv)
         return args.handler(args)
-    except SpeconError as exc:
-        print(f"specon: error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (SpeconError, ValueError, OSError) as exc:
         print(f"specon: error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CoarseQuadratureError
+from .errors import CoarseQuadratureError, SpeconError
 from .spaces import FiniteGroup, ModelSpace, Quadrature
 
 DEFAULT_SEED = 12345
@@ -282,7 +282,7 @@ def gmpt_split(space: ModelSpace, quad: Quadrature, n: int, c_param: float = 1.0
         if best is None or k_worst < best[0]:
             best = (k_worst, [int(i) for i in idx])
     if best is None:
-        raise RuntimeError(
+        raise SpeconError(
             f"no subset met |#I - n/2| <= {limit:.3g} in {subsets} draws; "
             "increase c_param or the number of draws"
         )

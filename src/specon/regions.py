@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .errors import DescriptorError
-from .spaces import TWO_PI, FiniteGroup, ModelSpace, ProductSpace, Sphere2, Torus
+from .spaces import TWO_PI, FiniteGroup, ModelSpace, ProductSpace, Sphere2, Torus, split_top
 
 
 class Region:
@@ -54,8 +54,9 @@ class Region:
 
 
 def _disjoint_cells(boxes, lo, hi, dim):
-    """Partition [lo, hi]^dim along all box edges; yield the cells covered by
-    at least one box.  Makes union measures additive regardless of overlap."""
+    """Partition [lo, hi]^dim along all box edges; return the cells covered by
+    at least one box and the cells covered by none.  Makes union measures
+    additive regardless of overlap."""
     edges = []
     for axis in range(dim):
         vals = {lo, hi}
@@ -63,12 +64,14 @@ def _disjoint_cells(boxes, lo, hi, dim):
             vals.add(box[axis][0])
             vals.add(box[axis][1])
         edges.append(sorted(vals))
-    covered = []
+    covered, uncovered = [], []
     for cell in itertools.product(*[zip(e[:-1], e[1:]) for e in edges]):
         center = [0.5 * (a + b) for a, b in cell]
         if any(all(box[i][0] <= center[i] <= box[i][1] for i in range(dim)) for box in boxes):
             covered.append(tuple(cell))
-    return covered
+        else:
+            uncovered.append(tuple(cell))
+    return covered, uncovered
 
 
 class BoxUnion(Region):
@@ -92,10 +95,10 @@ class BoxUnion(Region):
                     raise ValueError(f"interval ({a}, {b}) must satisfy 0 <= a <= b <= 2*pi")
             norm.append(box)
         self.boxes = norm
-        self._cells = _disjoint_cells(norm, 0.0, TWO_PI, space.dim)
+        self._cells, self._gaps = _disjoint_cells(norm, 0.0, TWO_PI, space.dim)
         self.descriptor = descriptor or "+".join(
             "box:" + "x".join(f"({a:.12g},{b:.12g})" for a, b in box) for box in norm
-        )
+        ) or "empty"
 
     @property
     def measure(self):
@@ -113,20 +116,7 @@ class BoxUnion(Region):
         return mask
 
     def complement(self):
-        covered = set(self._cells)
-        edges = []
-        for axis in range(self.space.dim):
-            vals = {0.0, TWO_PI}
-            for box in self.boxes:
-                vals.add(box[axis][0])
-                vals.add(box[axis][1])
-            edges.append(sorted(vals))
-        gaps = [
-            cell
-            for cell in itertools.product(*[zip(e[:-1], e[1:]) for e in edges])
-            if tuple(cell) not in covered
-        ]
-        return BoxUnion(self.space, gaps)
+        return BoxUnion(self.space, self._gaps)
 
 
 def arc(space: Torus, a: float, b: float) -> BoxUnion:
@@ -158,7 +148,8 @@ class BandUnion(Region):
             else:
                 merged.append((a, b))
         self.intervals = merged
-        self.descriptor = descriptor or "+".join(f"band:{a:.12g}:{b:.12g}" for a, b in merged)
+        self.descriptor = (descriptor or "+".join(f"band:{a:.12g}:{b:.12g}" for a, b in merged)
+                           or "empty")
 
     @property
     def measure(self):
@@ -307,29 +298,21 @@ def _parse_one(space, token):
                 raise ValueError("set descriptor must look like set:{...}")
             body = body[1:-1].strip()
             elements = []
-            if body:
-                if body.startswith("("):
-                    for grp in body.replace("),", ");").split(";"):
-                        grp = grp.strip().lstrip("(").rstrip(")")
-                        elements.append(tuple(int(c) for c in grp.split(",") if c.strip()))
+            for e in split_top(body, ",") if body else []:
+                e = e.strip()
+                if e.startswith("("):
+                    elements.append(tuple(int(c) for c in e.strip("()").split(",") if c.strip()))
                 else:
-                    elements = [int(c) for c in body.split(",")]
+                    elements.append(int(e))
             return FiniteSubset(space, elements, descriptor=t)
         if t.startswith("product(") and t.endswith(")"):
-            inner = t[len("product("):-1]
-            depth = 0
-            for i, ch in enumerate(inner):
-                if ch == "(":
-                    depth += 1
-                elif ch == ")":
-                    depth -= 1
-                elif ch == "," and depth == 0:
-                    return ProductRegion(
-                        space,
-                        parse_region(space.first, inner[:i]),
-                        parse_region(space.second, inner[i + 1:]),
-                    )
-            raise ValueError("product region needs two comma-separated parts")
+            if not isinstance(space, ProductSpace):
+                raise ValueError("product regions live on product spaces")
+            parts = split_top(t[len("product("):-1], ",")
+            if len(parts) != 2:
+                raise ValueError("product region needs two comma-separated parts")
+            return ProductRegion(space, parse_region(space.first, parts[0]),
+                                 parse_region(space.second, parts[1]))
     except DescriptorError:
         raise
     except (ValueError, TypeError) as exc:
@@ -341,10 +324,11 @@ def parse_region(space: ModelSpace, text: str) -> Region:
     """Build a region from a descriptor.
 
     Examples: ``arc:0:3.14159``, ``box:(0,1)x(0,2)``, ``cap:0.7853``,
-    ``band:0.5:1.2``, ``set:{0,4,8}``, ``full``; constituents of the same
-    shape family may be joined with ``+``.
+    ``band:0.5:1.2``, ``set:{0,4,8}``, ``full``,
+    ``product(arc:0:1+arc:2:3,cap:1)``; constituents of the same shape family
+    may be joined with ``+``.
     """
-    tokens = [t for t in text.split("+") if t.strip()]
+    tokens = [t for t in split_top(text, "+") if t.strip()]
     if not tokens:
         raise DescriptorError(text, "empty region descriptor")
     parts = [_parse_one(space, t) for t in tokens]

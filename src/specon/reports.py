@@ -15,6 +15,11 @@ SCHEMA_VERSION = 1
 
 CSV_HEADER = ["schema_version", "name", "lhs", "rhs", "holds", "slack", "seed", "inputs", "caveats"]
 
+# every control character below 0x20 as \u00XX, except the short forms of
+# newline, carriage return and tab
+_CONTROL_ESCAPES = str.maketrans({chr(c): f"\\u{c:04x}" for c in range(0x20)}
+                                 | {"\n": "\\n", "\r": "\\r", "\t": "\\t"})
+
 
 @dataclass
 class InequalityReport:
@@ -82,7 +87,8 @@ def dumps_stable(obj, indent: int = 0) -> str:
         return format_float(obj)
     if isinstance(obj, str):
         out = obj.replace("\\", "\\\\").replace('"', '\\"')
-        out = out.replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t")
+        if not out.isprintable():
+            out = out.translate(_CONTROL_ESCAPES)
         return f'"{out}"'
     if isinstance(obj, complex):
         return f"[{format_float(obj.real)}, {format_float(obj.imag)}]"

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,7 +129,9 @@ class ModelSpace:
 
     def count_upto(self, lam: float) -> int:
         """Number of eigenvalues (with multiplicity) of frequency <= lam."""
-        raise NotImplementedError
+        if lam < 0:
+            return 0
+        return len(self._labels_upto(lam))
 
     def max_frequency(self):
         """Largest frequency in the spectrum, or None if unbounded."""
@@ -414,11 +417,6 @@ class FiniteGroup(ModelSpace):
                 out.append((k, math.sqrt(n2), tuple(float(ci) for ci in c)))
         return out
 
-    def count_upto(self, lam):
-        if lam < 0:
-            return 0
-        return len(self._labels_upto(lam))
-
     def max_frequency(self):
         half = self.order // 2
         return math.sqrt(self.dim * half * half)
@@ -501,11 +499,6 @@ class ProductSpace(ModelSpace):
                     out.append(((ea.label, eb.label), freq, ea.joint + eb.joint))
         return out
 
-    def count_upto(self, lam):
-        if lam < 0:
-            return 0
-        return len(self._labels_upto(lam))
-
     def max_frequency(self):
         a, b = self.first.max_frequency(), self.second.max_frequency()
         if a is None or b is None:
@@ -561,11 +554,25 @@ class ProductSpace(ModelSpace):
         return math.hypot(fa, fb)
 
 
+def split_top(text: str, sep: str) -> list[str]:
+    """Split ``text`` at every ``sep`` that lies outside (), {} and []."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        if ch in "({[":
+            depth += 1
+        elif ch in ")}]":
+            depth -= 1
+        elif ch == sep and depth == 0:
+            parts.append(text[start:i])
+            start = i + 1
+    return parts + [text[start:]]
+
+
 def parse_space(text: str) -> ModelSpace:
     """Build a space from a compact descriptor.
 
     Examples: ``torus:d=2``, ``sphere2``, ``zn:N=256,d=1``,
-    ``product(torus:d=1,sphere2)``.
+    ``product(torus:d=1,sphere2)``, ``product(zn:N=4,d=1,sphere2)``.
     """
     s = text.strip()
     if s == "sphere2":
@@ -583,14 +590,14 @@ def parse_space(text: str) -> ModelSpace:
         except (ValueError, KeyError) as exc:
             raise DescriptorError(text, f"bad finite-group descriptor ({exc})") from exc
     if s.startswith("product(") and s.endswith(")"):
-        inner = s[len("product("):-1]
-        depth = 0
-        for i, ch in enumerate(inner):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                return ProductSpace(parse_space(inner[:i]), parse_space(inner[i + 1:]))
-        raise DescriptorError(text, "product descriptor needs two comma-separated factors")
+        factors = []
+        for token in split_top(s[len("product("):-1], ","):
+            # a key=value token such as the "d=1" of "zn:N=4,d=1" continues its factor
+            if factors and re.match(r"\s*\w+=", token):
+                factors[-1] += "," + token
+            else:
+                factors.append(token)
+        if len(factors) != 2:
+            raise DescriptorError(text, "product descriptor needs two comma-separated factors")
+        return ProductSpace(parse_space(factors[0]), parse_space(factors[1]))
     raise DescriptorError(text, "unrecognized space descriptor")

@@ -9,10 +9,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DescriptorError
-from .spaces import ModelSpace, Sphere2
+from .random_spectra import DEFAULT_SEED
+from .spaces import ModelSpace, Sphere2, split_top
 
 DEFAULT_MATCH_TOL = 1e-9
-DEFAULT_SEED = 12345
 
 
 class SpectralSet:
@@ -55,22 +55,15 @@ class SpectralSet:
     def _match(self):
         if not self.values:
             return []
-        if self.is_joint:
-            cutoff = max(self.space.frequency_from_joint(v) for v in self.values) + self.tol
-            targets = np.array(self.values)
-            els = self.space.enumerate_basis(cutoff)
-            out = []
-            for el in els:
-                j = np.asarray(el.joint)
-                if np.any(np.max(np.abs(targets - j), axis=1) <= self.tol):
-                    out.append(el)
-            return out
-        cutoff = max(self.values) + self.tol
         targets = np.array(self.values)
-        return [
-            el for el in self.space.enumerate_basis(cutoff)
-            if np.min(np.abs(targets - el.frequency)) <= self.tol
-        ]
+        if self.is_joint:
+            def distance(el):
+                return np.max(np.abs(targets - np.asarray(el.joint)), axis=1)
+        else:
+            def distance(el):
+                return np.abs(targets - el.frequency)
+        return [el for el in self.space.enumerate_basis(self.max_frequency + self.tol)
+                if np.min(distance(el)) <= self.tol]
 
     @property
     def size(self) -> int:
@@ -136,10 +129,8 @@ def parse_spectrum(space: ModelSpace, text: str, tol=DEFAULT_MATCH_TOL) -> Spect
                 raise ValueError("joint descriptor must look like joint:[(..),..]")
             body = body[1:-1].strip()
             vals = []
-            if body:
-                for grp in body.replace("),", ");").split(";"):
-                    grp = grp.strip().lstrip("(").rstrip(")")
-                    vals.append(tuple(float(c) for c in grp.split(",") if c.strip()))
+            for grp in split_top(body, ",") if body else []:
+                vals.append(tuple(float(c) for c in grp.strip().strip("()").split(",") if c.strip()))
             return SpectralSet(space, vals, joint=True, tol=tol, descriptor=text.strip())
     except DescriptorError:
         raise

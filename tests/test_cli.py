@@ -160,6 +160,24 @@ class TestErrors:
         assert code == 1
         assert "--q" in err
 
+    @pytest.mark.parametrize("name", ["prop", "homogeneous", "supnorm", "covering", "joint"])
+    def test_missing_spectrum(self, capsys, name):
+        code, _, err = run_cli(capsys, "check", "--inequality", name, "--space", "torus:d=1")
+        assert code == 1
+        assert "--spectrum" in err
+
+    def test_gmpt_no_draw_within_size_limit(self, capsys):
+        code, _, err = run_cli(capsys, "gmpt", "--space", "torus:d=1", "--n", "64",
+                               "--c-param", "0", "--subsets", "1")
+        assert code == 1
+        assert "no subset met" in err
+
+    def test_product_region_on_plain_space(self, capsys):
+        code, _, err = run_cli(capsys, "check", "--inequality", "prop", "--space", "torus:d=1",
+                               "--region", "product(arc:0:1,arc:0:2)", "--spectrum", "ball:1")
+        assert code == 1
+        assert "product(arc:0:1,arc:0:2)" in err
+
 
 class TestDeterminismAndFormats:
     def test_byte_identical_json(self, capsys):

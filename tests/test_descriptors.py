@@ -1,0 +1,148 @@
+"""Descriptors parse back: every space kind, region descriptor and spectrum
+descriptor the library emits rebuilds an equivalent object."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from specon import (
+    BandUnion,
+    BoxUnion,
+    DescriptorError,
+    FiniteGroup,
+    FiniteSubset,
+    ProductRegion,
+    ProductSpace,
+    SpectralSet,
+    Sphere2,
+    Torus,
+    arc,
+    cap,
+    empty_region,
+    full_region,
+    parse_region,
+    parse_space,
+    parse_spectrum,
+)
+from specon.spaces import split_top
+
+TWO_PI = 2 * math.pi
+
+
+class TestSplitTop:
+    def test_brackets_protect_separators(self):
+        assert split_top("a,(b,c),{d,e},[f,(g,h)]", ",") == ["a", "(b,c)", "{d,e}", "[f,(g,h)]"]
+        assert split_top("product(arc:0:1+arc:2:3,cap:1)+x", "+") == [
+            "product(arc:0:1+arc:2:3,cap:1)", "x"]
+
+    def test_no_separator(self):
+        assert split_top("", ",") == [""]
+        assert split_top("sphere2", ",") == ["sphere2"]
+
+
+class TestRegressions:
+    def test_group_factor_first(self):
+        space = ProductSpace(FiniteGroup(4), Sphere2())
+        assert space.kind == "product(zn:N=4,d=1,sphere2)"
+        parsed = parse_space(space.kind)
+        assert parsed.kind == space.kind
+        assert isinstance(parsed.first, FiniteGroup) and parsed.first.order == 4
+
+    def test_set_inside_product_region(self):
+        space = ProductSpace(FiniteGroup(4), Sphere2())
+        r = parse_region(space, "product(set:{0,1},cap:1)")
+        assert r.first.elements == {(0,), (1,)}
+        assert r.measure == pytest.approx(2 * TWO_PI * (1 - math.cos(1.0)), rel=1e-14)
+
+    def test_union_inside_product_region(self):
+        space = ProductSpace(Torus(1), Sphere2())
+        emitted = ProductRegion(space, parse_region(space.first, "arc:0:1+arc:2:3"),
+                                cap(space.second, 1.0))
+        assert emitted.descriptor == "product(arc:0:1+arc:2:3,cap:1)"
+        parsed = parse_region(space, emitted.descriptor)
+        assert parsed.measure == emitted.measure
+        assert parsed.measure == pytest.approx(2 * TWO_PI * (1 - math.cos(1.0)), rel=1e-14)
+
+    def test_product_region_needs_product_space(self):
+        with pytest.raises(DescriptorError, match="product spaces"):
+            parse_region(Torus(1), "product(arc:0:1,arc:0:2)")
+
+    def test_complement_of_full_parses_back(self):
+        for space in (Torus(2), Sphere2()):
+            empty = full_region(space).complement()
+            assert empty.descriptor == "empty"
+            assert parse_region(space, empty.descriptor).measure == 0.0
+
+
+# -- round-trip properties ------------------------------------------------------
+
+LEAF_SPACES = st.one_of(
+    st.integers(1, 2).map(Torus),
+    st.builds(Sphere2),
+    st.builds(FiniteGroup, st.integers(2, 5), st.integers(1, 2)),
+)
+SPACES = st.recursive(LEAF_SPACES, lambda inner: st.builds(ProductSpace, inner, inner),
+                      max_leaves=3)
+
+
+def _intervals(top_eighths):
+    """Intervals with ends on multiples of 1/8: exact in the 12-digit
+    descriptors and never on a quadrature node."""
+    ends = st.tuples(st.integers(0, top_eighths), st.integers(0, top_eighths))
+    return ends.map(lambda ab: (min(ab) / 8, max(ab) / 8))
+
+
+def regions(space):
+    """Regions of every constructor family on ``space``, unions included."""
+    if isinstance(space, Torus):
+        box = st.lists(_intervals(50), min_size=space.dim, max_size=space.dim).map(tuple)
+        shapes = st.lists(box, min_size=1, max_size=3).map(lambda bs: BoxUnion(space, bs))
+        if space.dim == 1:
+            shapes |= _intervals(50).map(lambda ab: arc(space, *ab))
+    elif isinstance(space, Sphere2):
+        shapes = st.one_of(
+            st.lists(_intervals(25), min_size=1, max_size=3).map(lambda iv: BandUnion(space, iv)),
+            st.integers(0, 25).map(lambda k: cap(space, k / 8)),
+        )
+    elif isinstance(space, FiniteGroup):
+        point = st.tuples(*[st.integers(0, space.order - 1)] * space.dim)
+        shapes = st.lists(point, max_size=6).map(lambda pts: FiniteSubset(space, pts))
+    else:
+        shapes = st.builds(ProductRegion, st.just(space), regions(space.first),
+                           regions(space.second))
+    return shapes | st.sampled_from([full_region, empty_region]).map(lambda make: make(space))
+
+
+@settings(deadline=None)
+@given(SPACES)
+def test_space_kind_round_trip(space):
+    assert parse_space(space.kind).kind == space.kind
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_region_descriptor_round_trip(data):
+    space = data.draw(SPACES)
+    region = data.draw(regions(space))
+    parsed = parse_region(space, region.descriptor)
+    assert parsed.measure == region.measure
+    nodes = space.build_quadrature(2.0).nodes
+    assert np.array_equal(parsed.contains_mask(nodes), region.contains_mask(nodes))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_spectrum_descriptor_round_trip(data):
+    space = data.draw(SPACES)
+    chosen = data.draw(st.lists(st.sampled_from(space.enumerate_basis(2.0)),
+                                min_size=1, max_size=5))
+    if data.draw(st.booleans()):
+        sset = SpectralSet(space, [el.joint for el in chosen], joint=True)
+        assert sset.descriptor.startswith("joint:[")
+    else:
+        sset = SpectralSet(space, [el.frequency for el in chosen])
+        assert sset.descriptor.startswith("list:[")
+    assert parse_spectrum(space, sset.descriptor).indices == sset.indices

@@ -7,6 +7,7 @@ from specon import (
     CoarseQuadratureError,
     FiniteGroup,
     RandomSubsetSpec,
+    SpeconError,
     Sphere2,
     Torus,
     estimate_cq,
@@ -188,6 +189,13 @@ class TestGmptSplit:
         quad = t.build_quadrature(4.0)
         with pytest.raises(ValueError, match="even"):
             gmpt_split(t, quad, 7)
+
+    def test_no_draw_within_size_limit(self):
+        # with c_param 0 a draw must keep exactly n/2 of 64 indices
+        t = Torus(1)
+        quad = t.build_quadrature(32.0)
+        with pytest.raises(SpeconError, match="no subset met"):
+            gmpt_split(t, quad, 64, c_param=0.0, subsets=1, seed=12345)
 
     def test_deterministic(self):
         t = Torus(1)

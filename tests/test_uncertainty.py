@@ -467,3 +467,15 @@ class TestReportMechanics:
 
         assert InequalityReport(name="x", lhs=1.0 + 5e-13, rhs=1.0).holds
         assert not InequalityReport(name="x", lhs=1.0 + 5e-12, rhs=1.0).holds
+
+    def test_json_escapes_every_control_character(self):
+        import json
+
+        from specon import InequalityReport, reports_to_json
+        from specon.reports import dumps_stable
+
+        controls = "".join(chr(c) for c in range(0x20))
+        assert json.loads(dumps_stable(controls + '"\\')) == controls + '"\\'
+        assert dumps_stable("\n\r\t\x00\x1f") == '"\\n\\r\\t\\u0000\\u001f"'
+        rep = InequalityReport(name="x", lhs=0.0, rhs=1.0, caveats=[controls])
+        assert json.loads(reports_to_json([rep]))["reports"][0]["caveats"] == [controls]
