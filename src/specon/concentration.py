@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -142,23 +143,32 @@ class GramMatrix:
     def trace(self) -> float:
         return float(np.real(np.trace(self.entries)))
 
-    def raw_eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.entries)
+    @cached_property
+    def _eigh(self):
+        """The one eigendecomposition every eigen accessor reads."""
+        return np.linalg.eigh(self.entries)
 
-    def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues clamped to [0, 1]; excursions beyond 1e-8 raise."""
-        vals = self.raw_eigenvalues()
+    def raw_eigenvalues(self) -> np.ndarray:
+        return self._eigh[0].copy()
+
+    def _checked_eigenvalues(self) -> np.ndarray:
+        vals = self._eigh[0]
         if vals.size and (vals.min() < -EIG_EXCURSION or vals.max() > 1.0 + EIG_EXCURSION):
             raise CoarseQuadratureError(
                 f"Gram eigenvalues escape [0, 1] by more than {EIG_EXCURSION} "
                 f"(range [{vals.min()}, {vals.max()}]); refine the quadrature"
             )
-        return np.clip(vals, 0.0, 1.0)
+        return vals
+
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalues clamped to [0, 1]; excursions beyond 1e-8 raise."""
+        return np.clip(self._checked_eigenvalues(), 0.0, 1.0)
 
     def top_eigenpair(self):
-        vals, vecs = np.linalg.eigh(self.entries)
-        lam = float(np.clip(vals[-1], 0.0, 1.0))
-        vec = vecs[:, -1]
+        """Largest eigenvalue, clamped to [0, 1], and a unit eigenvector;
+        excursions beyond 1e-8 raise as in :meth:`eigenvalues`."""
+        lam = float(np.clip(self._checked_eigenvalues()[-1], 0.0, 1.0))
+        vec = self._eigh[1][:, -1]
         return lam, vec / np.linalg.norm(vec)
 
     def to_json_dict(self) -> dict:
@@ -178,24 +188,34 @@ def gram_matrix(sset: SpectralSet, region: Region, quad: Quadrature,
     """Assemble the concentration matrix over E by masked quadrature.
 
     With ``check_exactness`` the full-space Gram of the same elements is
-    verified to be the identity first, which catches a quadrature too coarse
-    for the requested band.
+    verified to be the identity, which catches a quadrature too coarse for
+    the requested band.  The basis is evaluated once, on the nodes ordered
+    inside-first: the region Gram comes from the inside rows, and the full
+    Gram adds the outside rows to it.
     """
-    space = sset.space
-    v = space.basis_matrix(sset.elements, quad.nodes)
+    mask = region.contains_mask(quad.nodes)
+    order = np.argsort(~mask, kind="stable")
+    inside = int(mask.sum())
+    v = sset.space.basis_matrix(sset.elements, quad.nodes[order])
+    w = quad.weights[order]
+    g = _weighted_gram(v[:inside], w[:inside])
     if check_exactness and sset.size:
-        full = (v.conj().T * quad.weights) @ v
+        full = g + _weighted_gram(v[inside:], w[inside:])
         err = float(np.max(np.abs(full - np.eye(sset.size))))
         if err > exactness_tol:
             raise CoarseQuadratureError(
                 f"quadrature is not exact on the requested band "
                 f"(orthonormality defect {err:.3g} > {exactness_tol:g})"
             )
-    mask = region.contains_mask(quad.nodes)
-    wm = quad.weights * mask
-    g = (v.conj().T * wm) @ v
     g = 0.5 * (g + g.conj().T)
-    return GramMatrix(sset, region, g, int(mask.sum()))
+    return GramMatrix(sset, region, g, inside)
+
+
+def _weighted_gram(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """V^H diag(w) V through one temporary the size of V."""
+    t = np.conj(v)
+    t *= w[:, None]
+    return t.T @ v
 
 
 def max_concentration(gram: GramMatrix):
@@ -234,6 +254,8 @@ def concentration_levels(f, region: Region, sset: SpectralSet, quad: Quadrature,
             raise ValueError(
                 "spectral tail needs a BandlimitedFunction on continuum spaces"
             )
+        # size the character matrix before enumerating its N^d elements
+        space._check_points(quad.nodes, int(space.total_measure))
         els = space.first_elements(int(space.total_measure))
         v = space.basis_matrix(els, quad.nodes)
         coeffs = (v.conj().T * quad.weights) @ vals

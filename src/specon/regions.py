@@ -16,7 +16,8 @@ import math
 import numpy as np
 
 from .errors import DescriptorError
-from .spaces import TWO_PI, FiniteGroup, ModelSpace, ProductSpace, Sphere2, Torus, split_top
+from .spaces import (TWO_PI, FiniteGroup, ModelSpace, ProductSpace, Sphere2, Torus,
+                     descriptor_float, split_top)
 
 
 class Region:
@@ -97,7 +98,8 @@ class BoxUnion(Region):
         self.boxes = norm
         self._cells, self._gaps = _disjoint_cells(norm, 0.0, TWO_PI, space.dim)
         self.descriptor = descriptor or "+".join(
-            "box:" + "x".join(f"({a:.12g},{b:.12g})" for a, b in box) for box in norm
+            "box:" + "x".join(f"({descriptor_float(a)},{descriptor_float(b)})" for a, b in box)
+            for box in norm
         ) or "empty"
 
     @property
@@ -122,7 +124,7 @@ class BoxUnion(Region):
 def arc(space: Torus, a: float, b: float) -> BoxUnion:
     """Arc [a, b] on the one-dimensional torus."""
     r = BoxUnion(space, [((a, b),)])
-    r.descriptor = f"arc:{a:.12g}:{b:.12g}"
+    r.descriptor = f"arc:{descriptor_float(a)}:{descriptor_float(b)}"
     return r
 
 
@@ -148,8 +150,8 @@ class BandUnion(Region):
             else:
                 merged.append((a, b))
         self.intervals = merged
-        self.descriptor = (descriptor or "+".join(f"band:{a:.12g}:{b:.12g}" for a, b in merged)
-                           or "empty")
+        self.descriptor = descriptor or "+".join(
+            f"band:{descriptor_float(a)}:{descriptor_float(b)}" for a, b in merged) or "empty"
 
     @property
     def measure(self):
@@ -177,7 +179,7 @@ class BandUnion(Region):
 def cap(space: Sphere2, theta0: float) -> BandUnion:
     """Polar cap of angular radius theta0 about the north pole."""
     r = BandUnion(space, [(0.0, theta0)])
-    r.descriptor = f"cap:{theta0:.12g}"
+    r.descriptor = f"cap:{descriptor_float(theta0)}"
     return r
 
 

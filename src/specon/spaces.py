@@ -25,9 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DescriptorError
+from .errors import DescriptorError, SpeconError
 
 TWO_PI = 2.0 * math.pi
+
+# largest dense basis matrix (nodes x elements complex entries) that
+# basis_matrix will allocate
+MAX_BASIS_BYTES = 2 * 2**30
 
 
 def _r2max(lam: float) -> int:
@@ -157,7 +161,10 @@ class ModelSpace:
         """Matrix V with V[i, j] = e_j(points[i])."""
         raise NotImplementedError
 
-    def _check_points(self, points) -> np.ndarray:
+    def _check_points(self, points, elements: int = 0) -> np.ndarray:
+        """Points as an (n, coord_dim) float array.  With an element count,
+        refuse before allocation a dense basis matrix over these points that
+        would exceed MAX_BASIS_BYTES."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
             pts = pts[None, :]
@@ -165,6 +172,15 @@ class ModelSpace:
             raise ValueError(
                 f"points for {self.kind} must have {self.coord_dim} coordinates, "
                 f"got shape {pts.shape}"
+            )
+        size = pts.shape[0] * elements * 16
+        if size > MAX_BASIS_BYTES:
+            raise SpeconError(
+                f"basis matrix on {self.kind} of {pts.shape[0]} nodes x {elements} elements "
+                f"needs {size:,} bytes ({size / 2**30:.1f} GiB), over the "
+                f"{MAX_BASIS_BYTES / 2**30:g} GiB limit; "
+                f"the quadrature cutoff and oversample set the node count and the spectrum "
+                f"sets the element count"
             )
         return pts
 
@@ -239,14 +255,21 @@ class Torus(ModelSpace):
         return BasisElement(-1, m, math.sqrt(sum(c * c for c in m)), tuple(float(c) for c in m))
 
     def basis_matrix(self, elements, points):
-        pts = self._check_points(points)
+        pts = self._check_points(points, len(elements))
         freqs = np.empty((len(elements), self.dim))
         for j, el in enumerate(elements):
             try:
                 freqs[j] = el.label
             except (ValueError, TypeError) as exc:
                 raise ValueError(f"label {el.label!r} inconsistent with {self.kind}") from exc
-        return np.exp(1j * pts @ freqs.T) * TWO_PI ** (-self.dim / 2)
+        # cos and sin of the real phase, written in place: complex exp of an
+        # imaginary array is an order of magnitude slower
+        phase = pts @ freqs.T
+        out = np.empty(phase.shape, dtype=complex)
+        np.cos(phase, out=out.real)
+        np.sin(phase, out=out.imag)
+        out *= TWO_PI ** (-self.dim / 2)
+        return out
 
     def build_quadrature(self, cutoff, oversample=1):
         if not math.isfinite(cutoff):
@@ -315,13 +338,14 @@ class Sphere2(ModelSpace):
         return BasisElement(-1, (l, m), math.sqrt(l * (l + 1)), (float(m), float(l * (l + 1))))
 
     def basis_matrix(self, elements, points):
-        pts = self._check_points(points)
+        pts = self._check_points(points, len(elements))
         theta, phi = pts[:, 0], pts[:, 1]
         x = np.cos(theta)
         s = np.sqrt(np.maximum(0.0, 1.0 - x * x))
         out = np.empty((pts.shape[0], len(elements)), dtype=complex)
 
-        by_order: dict[int, dict[int, list[tuple[int, int]]]] = {}
+        # order |m| -> (column, l, m) of every element of that order
+        by_order: dict[int, list[tuple[int, int, int]]] = {}
         for col, el in enumerate(elements):
             try:
                 l, m = el.label
@@ -330,30 +354,34 @@ class Sphere2(ModelSpace):
                 ok = False
             if not ok:
                 raise ValueError(f"label {el.label!r} inconsistent with {self.kind}")
-            by_order.setdefault(abs(m), {}).setdefault(l, []).append((col, m))
+            by_order.setdefault(abs(m), []).append((col, l, m))
 
         for mm, want in by_order.items():
-            lmax = max(want)
-            eim = np.exp(1j * mm * phi)
-
-            def emit(l, leg):
-                for col, m in want.get(l, ()):
-                    out[:, col] = leg * eim if m >= 0 else ((-1) ** mm) * leg * np.conj(eim)
-
-            # ascending normalized recurrence at fixed order; normalizing at
-            # every step keeps values bounded well past l ~ 150
+            cols, ls, ms = (np.array(c) for c in zip(*want))
+            # rows l = mm..lmax of the ascending normalized recurrence at fixed
+            # order; normalizing at every step keeps values bounded well past
+            # l ~ 150
+            leg = np.empty((ls.max() - mm + 1, pts.shape[0]))
             p = np.full(pts.shape[0], math.sqrt(1.0 / (4.0 * math.pi)))
             for k in range(1, mm + 1):
                 p = -math.sqrt((2 * k + 1) / (2.0 * k)) * s * p
-            emit(mm, p)
-            if lmax > mm:
-                prev2, prev = p, math.sqrt(2 * mm + 3) * x * p
-                emit(mm + 1, prev)
-                for l in range(mm + 2, lmax + 1):
-                    a = math.sqrt((4 * l * l - 1) / (l * l - mm * mm))
-                    b = math.sqrt(((l - 1) ** 2 - mm * mm) / (4 * (l - 1) ** 2 - 1))
-                    prev2, prev = prev, a * (x * prev - b * prev2)
-                    emit(l, prev)
+            leg[0] = p
+            if len(leg) > 1:
+                leg[1] = math.sqrt(2 * mm + 3) * x * p
+            for l in range(mm + 2, mm + len(leg)):
+                a = math.sqrt((4 * l * l - 1) / (l * l - mm * mm))
+                b = math.sqrt(((l - 1) ** 2 - mm * mm) / (4 * (l - 1) ** 2 - 1))
+                leg[l - mm] = a * (x * leg[l - mm - 1] - b * leg[l - mm - 2])
+
+            eim = np.empty(pts.shape[0], dtype=complex)
+            np.cos(mm * phi, out=eim.real)
+            np.sin(mm * phi, out=eim.imag)
+            pos = ms >= 0
+            if pos.any():
+                out[:, cols[pos]] = (leg[ls[pos] - mm] * eim).T
+            if not pos.all():
+                # Y_l^{-m} = (-1)^m conj(Y_l^m)
+                out[:, cols[~pos]] = (((-1) ** mm) * leg[ls[~pos] - mm] * np.conj(eim)).T
         return out
 
     def build_quadrature(self, cutoff, oversample=1):
@@ -429,7 +457,7 @@ class FiniteGroup(ModelSpace):
         return BasisElement(-1, k, math.sqrt(sum(ci * ci for ci in c)), tuple(float(ci) for ci in c))
 
     def basis_matrix(self, elements, points):
-        pts = self._check_points(points)
+        pts = self._check_points(points, len(elements))
         x = np.rint(pts).astype(int) % self.order
         ks = np.empty((len(elements), self.dim))
         for j, el in enumerate(elements):
@@ -516,17 +544,23 @@ class ProductSpace(ModelSpace):
         return pts[:, :c], pts[:, c:]
 
     def basis_matrix(self, elements, points):
-        pts = self._check_points(points)
+        pts = self._check_points(points, len(elements))
         pa, pb = self._split(pts)
         labels_a = sorted({el.label[0] for el in elements})
         labels_b = sorted({el.label[1] for el in elements})
         va = self.first.basis_matrix([self.first._element(l) for l in labels_a], pa)
         vb = self.second.basis_matrix([self.second._element(l) for l in labels_b], pb)
-        ia = {l: i for i, l in enumerate(labels_a)}
-        ib = {l: i for i, l in enumerate(labels_b)}
+        pos_a = {l: i for i, l in enumerate(labels_a)}
+        pos_b = {l: i for i, l in enumerate(labels_b)}
+        ia = np.array([pos_a[el.label[0]] for el in elements], dtype=int)
+        ib = np.array([pos_b[el.label[1]] for el in elements], dtype=int)
         out = np.empty((pts.shape[0], len(elements)), dtype=complex)
-        for col, el in enumerate(elements):
-            out[:, col] = va[:, ia[el.label[0]]] * vb[:, ib[el.label[1]]]
+        # gather in row blocks of 2^14 cells, so the two gathered factors stay
+        # small next to the output
+        step = max(1, 2**14 // max(1, len(elements)))
+        for r in range(0, pts.shape[0], step):
+            rows = slice(r, r + step)
+            np.multiply(va[rows][:, ia], vb[rows][:, ib], out=out[rows])
         return out
 
     def build_quadrature(self, cutoff, oversample=1):
@@ -552,6 +586,13 @@ class ProductSpace(ModelSpace):
         fa = self.first.frequency_from_joint(joint[:wa])
         fb = self.second.frequency_from_joint(joint[wa:])
         return math.hypot(fa, fb)
+
+
+def descriptor_float(x: float) -> str:
+    """``x`` to 12 significant digits when that text parses back to exactly
+    ``x``, else ``repr(x)``: descriptors stay short and round-trip."""
+    short = f"{x:.12g}"
+    return short if float(short) == x else repr(x)
 
 
 def split_top(text: str, sep: str) -> list[str]:

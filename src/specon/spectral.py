@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import DescriptorError
 from .random_spectra import DEFAULT_SEED
-from .spaces import ModelSpace, Sphere2, split_top
+from .spaces import ModelSpace, Sphere2, descriptor_float, split_top
 
 DEFAULT_MATCH_TOL = 1e-9
 
@@ -45,9 +45,9 @@ class SpectralSet:
         if descriptor is None:
             if joint:
                 descriptor = "joint:[" + ",".join(
-                    "(" + ",".join(f"{c:.12g}" for c in v) + ")" for v in vals) + "]"
+                    "(" + ",".join(map(descriptor_float, v)) + ")" for v in vals) + "]"
             else:
-                descriptor = "list:[" + ",".join(f"{v:.12g}" for v in vals) + "]"
+                descriptor = "list:[" + ",".join(map(descriptor_float, vals)) + "]"
         self.descriptor = descriptor
         self.elements = self._match()
         self.indices = [el.index for el in self.elements]
@@ -90,7 +90,7 @@ class SpectralSet:
 def spectrum_ball(space: ModelSpace, lam: float, tol=DEFAULT_MATCH_TOL) -> SpectralSet:
     """All distinct frequencies <= lam."""
     freqs = sorted({el.frequency for el in space.enumerate_basis(lam)})
-    return SpectralSet(space, freqs, tol=tol, descriptor=f"ball:{lam:.12g}")
+    return SpectralSet(space, freqs, tol=tol, descriptor=f"ball:{descriptor_float(lam)}")
 
 
 def spectrum_level(space: Sphere2, degree: int, tol=DEFAULT_MATCH_TOL) -> SpectralSet:

@@ -178,6 +178,14 @@ class TestErrors:
         assert code == 1
         assert "product(arc:0:1,arc:0:2)" in err
 
+    def test_oversized_basis_matrix(self, capsys):
+        # all 65536 characters of Z_256^2 on all 65536 points: refused, not allocated
+        code, _, err = run_cli(capsys, "check", "--inequality", "bourgain",
+                               "--space", "zn:N=256,d=2", "--q", "4", "--region", "set:{(0,0)}")
+        assert code == 1
+        assert "65536 nodes x 65536 elements needs 68,719,476,736 bytes (64.0 GiB)" in err
+        assert "cutoff" in err and "oversample" in err and "spectrum" in err
+
 
 class TestDeterminismAndFormats:
     def test_byte_identical_json(self, capsys):

@@ -5,8 +5,11 @@ import pytest
 
 from specon import (
     BandlimitedFunction,
+    BoxUnion,
     CoarseQuadratureError,
     FiniteGroup,
+    GramMatrix,
+    ProductSpace,
     SpectralSet,
     Sphere2,
     Torus,
@@ -177,6 +180,90 @@ class TestGramMatrix:
         doc = gram_matrix(sset, region, quad).to_json_dict()
         assert len(doc["entries"]) == 25
         assert doc["nodes_inside"] > 0
+
+
+def _oracle_cases():
+    """(space, quadrature, spectral set, region) on every space kind."""
+    t2, s, g = Torus(2), Sphere2(), FiniteGroup(8, 2)
+    p = ProductSpace(Torus(1), Sphere2())
+    return [
+        (t2, t2.build_quadrature(4.0, oversample=2), spectrum_ball(t2, 4.0),
+         BoxUnion(t2, [((0.5, 2.0), (1.0, 4.0)), ((3.0, 6.0), (0.0, 1.5))])),
+        (s, s.build_quadrature(4.0, oversample=2), spectrum_ball(s, 4.0), cap(s, 1.1)),
+        (p, p.build_quadrature(3.0, oversample=2), spectrum_ball(p, 3.0),
+         parse_region(p, "product(arc:0:2,band:0.5:2)")),
+        (g, g.build_quadrature(), spectrum_ball(g, 3.0), parse_region(g, "set:{(0,0),(1,2),(7,3)}")),
+    ]
+
+
+class TestGramOracle:
+    """gram_matrix against the direct masked quadrature V^H diag(w 1_E) V,
+    with V evaluated on the nodes in their own order."""
+
+    @pytest.mark.parametrize("case", range(4))
+    @pytest.mark.parametrize("which", ["region", "full", "empty", "no-spectrum"])
+    def test_matches_masked_quadrature(self, case, which):
+        space, quad, sset, region = _oracle_cases()[case]
+        if which == "full":
+            region = full_region(space)
+        elif which == "empty":
+            region = empty_region(space)
+        elif which == "no-spectrum":
+            sset = SpectralSet(space, [])
+        v = space.basis_matrix(sset.elements, quad.nodes)
+        mask = region.contains_mask(quad.nodes)
+        oracle = v.conj().T @ (v * (quad.weights * mask)[:, None])
+        g = gram_matrix(sset, region, quad)
+        assert g.entries.shape == (sset.size, sset.size)
+        assert g.nodes_inside == int(mask.sum())
+        if sset.size:
+            assert np.abs(g.entries - oracle).max() < 1e-13
+
+    @pytest.mark.parametrize("make", [full_region, empty_region])
+    def test_coarse_quadrature_raises_without_outside_or_inside_rows(self, make):
+        t = Torus(1)
+        coarse = t.build_quadrature(2.0)
+        with pytest.raises(CoarseQuadratureError):
+            gram_matrix(spectrum_ball(t, 6.0), make(t), coarse)
+
+    def test_coarse_sphere_quadrature_raises(self):
+        s = Sphere2()
+        with pytest.raises(CoarseQuadratureError):
+            gram_matrix(spectrum_ball(s, 6.0), cap(s, 1.0), s.build_quadrature(2.0))
+
+
+class TestEigenCache:
+    def test_one_eigensolve_serves_every_accessor(self, torus_setup, monkeypatch):
+        t, quad, sset, region = torus_setup
+        g = gram_matrix(sset, region, quad)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)
+        raw = g.raw_eigenvalues()
+        vals = g.eigenvalues()
+        lam, vec = g.top_eigenpair()
+        assert len(calls) == 1
+        assert np.array_equal(vals, np.clip(raw, 0.0, 1.0))
+        assert lam == vals[-1]
+        assert np.abs(g.entries @ vec - lam * vec).max() < 1e-12
+        raw[:] = 5.0  # the caller's copy, not the cache
+        assert np.array_equal(g.eigenvalues(), vals)
+
+    @pytest.mark.parametrize("diag", [[0.2, 1.0 + 1e-6], [-1e-6, 0.7]])
+    def test_excursions_raise_on_both_paths(self, torus_setup, diag):
+        t, _, _, region = torus_setup
+        g = GramMatrix(SpectralSet(t, [1.0]), region, np.diag(diag).astype(complex), 0)
+        with pytest.raises(CoarseQuadratureError):
+            g.eigenvalues()
+        with pytest.raises(CoarseQuadratureError):
+            g.top_eigenpair()
+
+    def test_small_excursion_is_clamped(self, torus_setup):
+        t, _, _, region = torus_setup
+        g = GramMatrix(SpectralSet(t, [1.0]), region, np.diag([-1e-9, 1.0 + 1e-9]) + 0j, 0)
+        assert g.top_eigenpair()[0] == 1.0
+        assert list(g.eigenvalues()) == [0.0, 1.0]
 
 
 class TestMaxConcentration:

@@ -26,8 +26,9 @@ from specon import (
     parse_region,
     parse_space,
     parse_spectrum,
+    spectrum_ball,
 )
-from specon.spaces import split_top
+from specon.spaces import descriptor_float, split_top
 
 TWO_PI = 2 * math.pi
 
@@ -146,3 +147,65 @@ def test_spectrum_descriptor_round_trip(data):
         sset = SpectralSet(space, [el.frequency for el in chosen])
         assert sset.descriptor.startswith("list:[")
     assert parse_spectrum(space, sset.descriptor).indices == sset.indices
+
+
+# -- exact floats in descriptors ------------------------------------------------
+
+
+class TestExactFloats:
+    def test_arc_to_pi_round_trips_exactly(self):
+        t = Torus(1)
+        r = arc(t, 0.0, math.pi)
+        parsed = parse_region(t, r.descriptor)
+        assert parsed.boxes == r.boxes
+        assert parsed.measure == r.measure
+
+    def test_cap_of_a_third_round_trips_exactly(self):
+        s = Sphere2()
+        r = cap(s, 1 / 3)
+        parsed = parse_region(s, r.descriptor)
+        assert parsed.intervals == r.intervals
+        assert parsed.measure == r.measure
+
+    def test_box_and_band_round_trip_exactly(self):
+        t2, s = Torus(2), Sphere2()
+        box = BoxUnion(t2, [((1 / 3, math.pi), (0.1, 2 / 3)), ((math.e, 5.0), (0.0, 1 / 7))])
+        assert parse_region(t2, box.descriptor).boxes == box.boxes
+        band = BandUnion(s, [(1 / 7, 1 / 3), (2.0, math.pi / 1.5)])
+        assert parse_region(s, band.descriptor).intervals == band.intervals
+
+    def test_spectra_round_trip_exactly(self):
+        t2 = Torus(2)
+        for sset in [SpectralSet(t2, [math.sqrt(2), math.sqrt(5)]),
+                     SpectralSet(t2, [(1 / 3, 2.0), (0.1, -1.0)], joint=True),
+                     spectrum_ball(t2, math.sqrt(5))]:
+            assert parse_spectrum(t2, sset.descriptor).values == sset.values
+
+    def test_short_descriptors_unchanged(self):
+        t, s = Torus(1), Sphere2()
+        assert cap(s, 1.5708).descriptor == "cap:1.5708"
+        assert arc(t, 0, 2).descriptor == "arc:0:2"
+        assert parse_region(t, "arc:0:3.14159").descriptor == "arc:0:3.14159"
+        assert parse_region(Torus(2), "box:(0,1)x(0,2)").descriptor == "box:(0,1)x(0,2)"
+        assert BandUnion(s, [(0.5, 1.2)]).descriptor == "band:0.5:1.2"
+        assert spectrum_ball(t, 5).descriptor == "ball:5"
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_descriptor_float_is_exact(x):
+    text = descriptor_float(x)
+    back = float(text)
+    assert back == x and math.copysign(1.0, back) == math.copysign(1.0, x)
+    short = f"{x:.12g}"
+    if float(short) == x:
+        assert text == short
+
+
+@settings(deadline=None)
+@given(st.floats(0.0, TWO_PI), st.floats(0.0, TWO_PI), st.floats(0.0, math.pi))
+def test_arc_and_cap_round_trip_exactly(a, b, theta):
+    t, s = Torus(1), Sphere2()
+    r = arc(t, min(a, b), max(a, b))
+    assert parse_region(t, r.descriptor).boxes == r.boxes
+    c = cap(s, theta)
+    assert parse_region(s, c.descriptor).intervals == c.intervals

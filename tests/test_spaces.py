@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,10 +10,15 @@ from specon import (
     DescriptorError,
     FiniteGroup,
     ProductSpace,
+    SpeconError,
+    SpectralSet,
     Sphere2,
     Torus,
+    concentration_levels,
+    parse_region,
     parse_space,
 )
+from specon.spaces import MAX_BASIS_BYTES
 
 TWO_PI = 2 * math.pi
 
@@ -138,6 +144,77 @@ class TestEvaluation:
     def test_point_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             Torus(2).basis_matrix([Torus(2)._element((1, 0))], np.zeros((3, 1)))
+
+
+class TestKernelOracles:
+    """Basis matrices against independent closed forms, at points off every
+    quadrature grid and with elements in no particular order."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_torus_exponentials(self, d):
+        t = Torus(d)
+        rng = np.random.default_rng(d)
+        els = list(t.enumerate_basis(6.0))
+        rng.shuffle(els)
+        pts = t.sample_points(50, rng)
+        v = t.basis_matrix(els, pts)
+        m = np.array([el.label for el in els], dtype=float)
+        phase = sum(pts[:, k, None] * m[None, :, k] for k in range(d))
+        ref = np.exp(1j * phase) / TWO_PI ** (d / 2)
+        assert np.abs(v - ref).max() < 1e-14
+
+    def test_sphere_shuffled_mixed_sign_duplicates(self):
+        s = Sphere2()
+        rng = np.random.default_rng(7)
+        labels = [(l, m) for l in range(13) for m in range(-l, l + 1)]
+        labels += [labels[i] for i in rng.choice(len(labels), 30)]  # duplicates
+        rng.shuffle(labels)
+        pts = s.sample_points(60, rng)
+        v = s.basis_matrix([s._element(lab) for lab in labels], pts)
+        for col, (l, m) in enumerate(labels):
+            ref = sph_harm_y(l, m, pts[:, 0], pts[:, 1])
+            assert np.abs(v[:, col] - ref).max() < 1e-12
+
+    def test_product_is_the_tensor_product(self):
+        p = ProductSpace(Torus(1), Sphere2())
+        rng = np.random.default_rng(3)
+        els = list(p.enumerate_basis(4.0))
+        els += [els[i] for i in rng.choice(len(els), 10)]
+        rng.shuffle(els)
+        pts = p.sample_points(40, rng)
+        v = p.basis_matrix(els, pts)
+        for col, el in enumerate(els):
+            ea, eb = p.first._element(el.label[0]), p.second._element(el.label[1])
+            ref = p.first.values(ea, pts[:, :1]) * p.second.values(eb, pts[:, 1:])
+            assert np.array_equal(v[:, col], ref)
+
+    def test_empty_element_list(self):
+        for space in [Torus(2), Sphere2(), ProductSpace(Torus(1), Sphere2())]:
+            pts = space.sample_points(5, np.random.default_rng(0))
+            assert space.basis_matrix([], pts).shape == (5, 0)
+
+
+Z256_SQUARED = "65536 nodes x 65536 elements needs 68,719,476,736 bytes (64.0 GiB)"
+
+
+class TestSizeGuard:
+    def test_check_points_refuses_oversized_matrix(self):
+        t = Torus(1)
+        most = MAX_BASIS_BYTES // 16
+        pts = np.zeros((1, 1))
+        assert t._check_points(pts, most).shape == (1, 1)
+        with pytest.raises(SpeconError, match=rf"1 nodes x {most + 1} elements needs "
+                                              rf"{16 * (most + 1):,} bytes.*cutoff.*oversample"
+                                              rf".*spectrum"):
+            t._check_points(pts, most + 1)
+
+    def test_raw_group_samples_raise_before_allocating(self):
+        g = FiniteGroup(256, 2)
+        quad = g.build_quadrature()
+        f = np.zeros(quad.nodes.shape[0], dtype=complex)
+        f[0] = 1.0
+        with pytest.raises(SpeconError, match=re.escape(Z256_SQUARED)):
+            concentration_levels(f, parse_region(g, "set:{(0,0)}"), SpectralSet(g, [0.0]), quad)
 
 
 class TestQuadrature:
