@@ -36,8 +36,8 @@ from .reports import (
 from .spaces import FiniteGroup, parse_space
 from .spectral import (
     SpectralSet,
-    check_homogeneity,
     cover_by_unit_intervals,
+    homogeneity_deviations,
     local_weyl,
     parse_spectrum,
     sogge_constant_estimate,
@@ -47,6 +47,7 @@ from .spectral import (
 from . import uncertainty
 
 OUTPUT_DIR_ENV = "SPECON_OUTPUT_DIR"
+PHASE_TIE_TOL = 1e-9
 
 
 # -- emission -------------------------------------------------------------------
@@ -190,20 +191,16 @@ def cmd_weyl(args):
 def cmd_homogeneity(args):
     space = parse_space(args.space)
     sset = parse_spectrum(space, args.spectrum, tol=args.match_tol)
-    rng = trial_rng(args.seed, 0)
-    pts = np.concatenate([space.extreme_points(), space.sample_points(args.samples, rng)])
-    reports = []
-    for value in sset.values:
-        _, dev = check_homogeneity(space, value, pts, tol=args.tol,
-                                   joint=sset.is_joint, match_tol=sset.tol)
-        reports.append(InequalityReport(
-            name="homogeneity",
-            lhs=dev,
-            rhs=args.tol,
-            inputs={"space": space.kind, "value": list(np.atleast_1d(value).astype(float)),
-                    "samples": int(pts.shape[0])},
-            seed=args.seed,
-        ))
+    checks = homogeneity_deviations(sset, args.samples, trial_rng(args.seed, 0), args.tol)
+    samples = int(space.extreme_points().shape[0]) + args.samples
+    reports = [InequalityReport(
+        name="homogeneity",
+        lhs=dev,
+        rhs=args.tol,
+        inputs={"space": space.kind, "value": list(np.atleast_1d(value).astype(float)),
+                "samples": samples},
+        seed=args.seed,
+    ) for value, (_, dev) in zip(sset.values, checks)]
     return emit_reports(args, reports)
 
 
@@ -213,16 +210,27 @@ def cmd_concentrate(args):
     region = parse_region(space, args.region)
     quad = _quad_for(space, sset.max_frequency, args)
     gram = gram_matrix(sset, region, quad)
-    vals, vecs = np.linalg.eigh(gram.entries)
-    order = np.argsort(vals)[::-1]
     doc = gram.to_json_dict()
-    doc["eigenvalues"] = [float(np.clip(vals[i], 0.0, 1.0)) for i in order]
+    doc["eigenvalues"] = [float(v) for v in gram.eigenvalues()[::-1]]
     doc["top_vectors"] = [
-        [[float(z.real), float(z.imag)] for z in vecs[:, i]]
-        for i in order[: args.top]
+        [[float(z.real), float(z.imag)] for z in _fix_phase(vec)]
+        for vec in gram.eigenvectors()[:, ::-1][:, : args.top].T
     ]
     doc["indices"] = list(map(int, sset.indices))
     return emit_result(args, doc, ["rank", "eigenvalue"], list(enumerate(doc["eigenvalues"])))
+
+
+def _fix_phase(vec):
+    """``vec`` times the unit phase that makes its largest-modulus entry real
+    and positive, so the printed vector does not swing with the arbitrary
+    phase an eigensolver returns.  On a real region the entries for m and -m
+    often have equal moduli, so moduli within PHASE_TIE_TOL (relative) of the
+    largest count as tied, and the first of them is chosen."""
+    mag = np.abs(vec)
+    k = np.flatnonzero(mag >= mag.max() * (1.0 - PHASE_TIE_TOL))[0]
+    out = vec * (np.conj(vec[k]) / mag[k])
+    out[k] = mag[k]  # the product leaves a last-bit imaginary part
+    return out
 
 
 def cmd_lambda_q(args):
@@ -275,14 +283,18 @@ def _check_bourgain(args, space):
         raise SpeconError("--inequality bourgain needs --q")
     region = parse_region(space, args.region)
     n = args.n
-    if n is None:
-        if isinstance(space, FiniteGroup):
-            n = int(space.total_measure)
-        else:
-            raise SpeconError("--inequality bourgain needs --n on continuum spaces")
-    elements = space.first_elements(n)
-    fmax = max(el.frequency for el in elements)
-    quad = _quad_for(space, fmax, args)
+    if isinstance(space, FiniteGroup):
+        n = int(space.total_measure) if n is None else n
+        # a group's quadrature ignores the cutoff, so V is sized before the
+        # N^d characters are enumerated
+        quad = _quad_for(space, 1.0, args)
+        space._check_points(quad.nodes, n)
+        elements = space.first_elements(n)
+    elif n is None:
+        raise SpeconError("--inequality bourgain needs --n on continuum spaces")
+    else:
+        elements = space.first_elements(n)
+        quad = _quad_for(space, max(el.frequency for el in elements), args)
     v = space.basis_matrix(elements, quad.nodes)
     indicator = region.contains_mask(quad.nodes).astype(complex)
     full_hat = (v.conj().T * quad.weights) @ indicator

@@ -22,6 +22,7 @@ from .spaces import Quadrature
 from .spectral import SpectralSet
 
 EIG_EXCURSION = 1e-8
+EXACTNESS_TOL = 1e-8
 
 
 @dataclass
@@ -89,8 +90,18 @@ class ConcentrationLevels:
         """The (1 - epsilon - epsilon') bounds say something only here."""
         return self.epsilon + self.epsilon_prime < 1.0
 
+    @property
+    def gap(self) -> float:
+        """1 - epsilon - epsilon', the base of every (1 - eps - eps') bound."""
+        return 1.0 - self.epsilon - self.epsilon_prime
 
-def sample_values(f, quad: Quadrature, space=None) -> np.ndarray:
+    @property
+    def caveats(self) -> list:
+        """The vacuity caveat of a (1 - eps - eps') bound at these levels."""
+        return [] if self.informative else ["vacuous: epsilon + epsilon_prime >= 1"]
+
+
+def sample_values(f, quad: Quadrature) -> np.ndarray:
     """Node samples of ``f``: a BandlimitedFunction, an array already aligned
     with the nodes, or a callable on point arrays."""
     if isinstance(f, BandlimitedFunction):
@@ -164,6 +175,12 @@ class GramMatrix:
         """Eigenvalues clamped to [0, 1]; excursions beyond 1e-8 raise."""
         return np.clip(self._checked_eigenvalues(), 0.0, 1.0)
 
+    def eigenvectors(self) -> np.ndarray:
+        """Unit eigenvectors as columns, in the order of :meth:`eigenvalues`;
+        excursions beyond 1e-8 raise as there."""
+        self._checked_eigenvalues()
+        return self._eigh[1].copy()
+
     def top_eigenpair(self):
         """Largest eigenvalue, clamped to [0, 1], and a unit eigenvector;
         excursions beyond 1e-8 raise as in :meth:`eigenvalues`."""
@@ -183,13 +200,12 @@ class GramMatrix:
         }
 
 
-def gram_matrix(sset: SpectralSet, region: Region, quad: Quadrature,
-                check_exactness: bool = True, exactness_tol: float = 1e-8) -> GramMatrix:
+def gram_matrix(sset: SpectralSet, region: Region, quad: Quadrature) -> GramMatrix:
     """Assemble the concentration matrix over E by masked quadrature.
 
-    With ``check_exactness`` the full-space Gram of the same elements is
-    verified to be the identity, which catches a quadrature too coarse for
-    the requested band.  The basis is evaluated once, on the nodes ordered
+    The full-space Gram of the same elements is verified to be the identity
+    within EXACTNESS_TOL, which catches a quadrature too coarse for the
+    requested band.  The basis is evaluated once, on the nodes ordered
     inside-first: the region Gram comes from the inside rows, and the full
     Gram adds the outside rows to it.
     """
@@ -199,13 +215,13 @@ def gram_matrix(sset: SpectralSet, region: Region, quad: Quadrature,
     v = sset.space.basis_matrix(sset.elements, quad.nodes[order])
     w = quad.weights[order]
     g = _weighted_gram(v[:inside], w[:inside])
-    if check_exactness and sset.size:
+    if sset.size:
         full = g + _weighted_gram(v[inside:], w[inside:])
         err = float(np.max(np.abs(full - np.eye(sset.size))))
-        if err > exactness_tol:
+        if err > EXACTNESS_TOL:
             raise CoarseQuadratureError(
                 f"quadrature is not exact on the requested band "
-                f"(orthonormality defect {err:.3g} > {exactness_tol:g})"
+                f"(orthonormality defect {err:.3g} > {EXACTNESS_TOL:g})"
             )
     g = 0.5 * (g + g.conj().T)
     return GramMatrix(sset, region, g, inside)
@@ -312,10 +328,10 @@ def check_projection_bounds(f, region: Region, sset: SpectralSet, quad: Quadratu
     }
     lower = InequalityReport(
         name="projection-lower",
-        lhs=(1.0 - levels.epsilon - levels.epsilon_prime) * fnorm,
+        lhs=levels.gap * fnorm,
         rhs=pbf,
         inputs=dict(inputs),
-        caveats=[] if levels.informative else ["vacuous: epsilon + epsilon_prime >= 1"],
+        caveats=levels.caveats,
         seed=seed,
     )
     upper = InequalityReport(

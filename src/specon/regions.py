@@ -255,16 +255,10 @@ def full_region(space: ModelSpace) -> Region:
 
 
 def empty_region(space: ModelSpace) -> Region:
-    if isinstance(space, Torus):
-        r = BoxUnion(space, [])
-    elif isinstance(space, Sphere2):
-        r = BandUnion(space, [])
-    elif isinstance(space, FiniteGroup):
-        r = FiniteSubset(space, [])
-    elif isinstance(space, ProductSpace):
+    if isinstance(space, ProductSpace):
         r = ProductRegion(space, empty_region(space.first), empty_region(space.second))
     else:
-        raise ValueError(f"no empty region for {space!r}")
+        r = full_region(space).complement()
     r.descriptor = "empty"
     return r
 

@@ -180,6 +180,16 @@ def check_homogeneity(space: ModelSpace, value, sample_points, tol: float = 1e-9
     return dev <= tol, dev
 
 
+def homogeneity_deviations(sset: SpectralSet, samples: int, rng, tol: float):
+    """:func:`check_homogeneity`'s (holds, max_deviation) for each value of
+    ``sset``, at the space's extreme points and ``samples`` points drawn from
+    ``rng``."""
+    space = sset.space
+    pts = np.concatenate([space.extreme_points(), space.sample_points(samples, rng)])
+    return [check_homogeneity(space, value, pts, tol=tol, joint=sset.is_joint,
+                              match_tol=sset.tol) for value in sset.values]
+
+
 @dataclass(frozen=True)
 class Covering:
     """Left ends of unit intervals [mu_k, mu_k + 1] covering a scalar set."""

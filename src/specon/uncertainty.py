@@ -24,9 +24,11 @@ from .concentration import (
 from .regions import Region
 from .reports import InequalityReport
 from .spaces import FiniteGroup, Quadrature
-from .spectral import SpectralSet, check_homogeneity, cover_by_unit_intervals
+from .spectral import SpectralSet, cover_by_unit_intervals, homogeneity_deviations
 
 SUPPORT_TOL = 1e-12
+HOMOGENEITY_SAMPLES = 64
+HOMOGENEITY_TOL = 1e-9
 
 
 def _base_inputs(region: Region, sset: SpectralSet | None, quad: Quadrature | None,
@@ -45,10 +47,15 @@ def _base_inputs(region: Region, sset: SpectralSet | None, quad: Quadrature | No
     return inputs
 
 
-def _vacuity(levels) -> list:
-    if not levels.informative:
-        return ["vacuous: epsilon + epsilon_prime >= 1"]
-    return []
+def _mass_report(name, levels, region, sset, quad, rhs, extra_inputs, caveats,
+                 seed) -> InequalityReport:
+    """The report of (1 - eps - eps')^2 <= rhs: the mass checks differ only in
+    the majorant ``rhs`` they put on the right, and in their own inputs and
+    caveats, which follow the shared ones."""
+    inputs = _base_inputs(region, sset, quad, levels)
+    inputs.update(extra_inputs)
+    return InequalityReport(name=name, lhs=max(levels.gap, 0.0) ** 2, rhs=rhs,
+                            inputs=inputs, caveats=levels.caveats + caveats, seed=seed)
 
 
 def check_group_uncertainty(space: FiniteGroup, samples, seed=None) -> InequalityReport:
@@ -122,7 +129,7 @@ def check_eigenfunction_mass_bound(f: BandlimitedFunction, region: Region,
     energy = masked_band_energy(sset, region, quad)
     inputs = _base_inputs(region, sset, quad, levels)
     inputs["band_energy_in_region"] = energy
-    caveats = _vacuity(levels)
+    caveats = levels.caveats
 
     proj = float(quad.norm(
         sample_values(f, quad) * region.contains_mask(quad.nodes), 2))
@@ -133,7 +140,7 @@ def check_eigenfunction_mass_bound(f: BandlimitedFunction, region: Region,
         return InequalityReport(name="prop", lhs=math.inf, rhs=math.inf,
                                 inputs=inputs, caveats=caveats, seed=seed)
     lhs = sset.size * region.measure / energy
-    gap = 1.0 - levels.epsilon - levels.epsilon_prime
+    gap = levels.gap
     rhs = math.inf if gap <= 0 else gap**-2 * region.measure * sset.size
     return InequalityReport(name="prop", lhs=lhs, rhs=rhs, inputs=inputs,
                             caveats=caveats, seed=seed)
@@ -141,39 +148,21 @@ def check_eigenfunction_mass_bound(f: BandlimitedFunction, region: Region,
 
 def check_homogeneous_uncertainty(f: BandlimitedFunction, region: Region,
                                   sset: SpectralSet, quad: Quadrature,
-                                  homogeneity_samples: int = 64,
-                                  homogeneity_tol: float = 1e-9,
                                   rng=None, seed=None) -> InequalityReport:
     """On spaces whose degeneracy classes have constant summed square modulus:
     (1 - eps - eps')^2 <= |E| / |M| * #X_S.  The homogeneity hypothesis is
     verified by sampling first; failure blocks the evaluation."""
     levels = concentration_levels(f, region, sset, quad, p=2)
-    space = sset.space
     rng = rng or np.random.default_rng(seed if seed is not None else 0)
-    pts = np.concatenate([space.extreme_points(),
-                          space.sample_points(homogeneity_samples, rng)])
-    worst = 0.0
-    ok = True
-    for value in sset.values:
-        holds, dev = check_homogeneity(space, value, pts, tol=homogeneity_tol,
-                                       joint=sset.is_joint, match_tol=sset.tol)
-        worst = max(worst, dev)
-        ok = ok and holds
-    inputs = _base_inputs(region, sset, quad, levels)
-    inputs["homogeneity_max_deviation"] = worst
-    caveats = _vacuity(levels)
-    if not ok:
+    checks = homogeneity_deviations(sset, HOMOGENEITY_SAMPLES, rng, HOMOGENEITY_TOL)
+    worst = max([0.0, *(dev for _, dev in checks)])
+    caveats = []
+    if not all(ok for ok, _ in checks):
         caveats.append(f"vacuous: homogeneity fails (max deviation {worst:.3g}); "
                        "bound not applicable")
-    gap = 1.0 - levels.epsilon - levels.epsilon_prime
-    return InequalityReport(
-        name="homogeneous",
-        lhs=max(gap, 0.0) ** 2,
-        rhs=region.measure / space.total_measure * sset.size,
-        inputs=inputs,
-        caveats=caveats,
-        seed=seed,
-    )
+    return _mass_report("homogeneous", levels, region, sset, quad,
+                        region.measure / sset.space.total_measure * sset.size,
+                        {"homogeneity_max_deviation": worst}, caveats, seed)
 
 
 def check_supnorm_uncertainty(f: BandlimitedFunction, region: Region,
@@ -194,21 +183,12 @@ def check_supnorm_uncertainty(f: BandlimitedFunction, region: Region,
         sup_est = float(np.max(np.sum(np.abs(v) ** 2, axis=1)))
     else:
         sup_est = 0.0
-    gap = 1.0 - levels.epsilon - levels.epsilon_prime
-    inputs = _base_inputs(region, sset, quad, levels)
-    inputs.update({"sup_estimate": sup_est,
-                   "sup_sample_count": int(pts.shape[0])})
-    caveats = _vacuity(levels)
-    caveats.append(f"empirical sup: sampled maximum over {pts.shape[0]} points "
-                   "(a lower estimate of the true sup)")
-    return InequalityReport(
-        name="supnorm",
-        lhs=max(gap, 0.0) ** 2,
-        rhs=region.measure * sup_est,
-        inputs=inputs,
-        caveats=caveats,
-        seed=seed,
-    )
+    return _mass_report(
+        "supnorm", levels, region, sset, quad, region.measure * sup_est,
+        {"sup_estimate": sup_est, "sup_sample_count": int(pts.shape[0])},
+        [f"empirical sup: sampled maximum over {pts.shape[0]} points "
+         "(a lower estimate of the true sup)"],
+        seed)
 
 
 def check_covering_uncertainty(f: BandlimitedFunction, region: Region,
@@ -227,37 +207,22 @@ def check_covering_uncertainty(f: BandlimitedFunction, region: Region,
     cover_sum = float(sum(mu ** (d - 1) for mu in covering.starts))
     lam_max = max(sset.values) if sset.values else 0.0
     crude_sum = len(sset.values) * (lam_max + 1.0) ** (d - 1)
-    gap = 1.0 - levels.epsilon - levels.epsilon_prime
-    inputs = _base_inputs(region, sset, quad, levels)
-    inputs.update({
-        "covering_starts": list(covering.starts),
-        "covering_size": covering.n,
-        "covering_sum": cover_sum,
-        "crude_sum": crude_sum,
-        "c_m": c_m,
-    })
-    caveats = _vacuity(levels)
-    caveats.append("empirical C_M: grid maximum" + (f" ({c_m_spec})" if c_m_spec else ""))
+    caveats = ["empirical C_M: grid maximum" + (f" ({c_m_spec})" if c_m_spec else "")]
     if covering.starts and min(covering.starts) < 1.0:
         # the unit-band constant is calibrated on [1, inf); a start below 1
         # (e.g. the constant eigenfunction) is outside its range, and for
         # d >= 2 the mu^{d-1} term would degenerate to zero
         caveats.append("vacuous: covering starts below 1, outside the "
                        "calibrated range of the unit-band constant")
-    return InequalityReport(
-        name="covering",
-        lhs=max(gap, 0.0) ** 2,
-        rhs=region.measure * c_m * cover_sum,
-        inputs=inputs,
-        caveats=caveats,
-        seed=seed,
-    )
+    return _mass_report(
+        "covering", levels, region, sset, quad, region.measure * c_m * cover_sum,
+        {"covering_starts": list(covering.starts), "covering_size": covering.n,
+         "covering_sum": cover_sum, "crude_sum": crude_sum, "c_m": c_m},
+        caveats, seed)
 
 
 def check_joint_uncertainty(f: BandlimitedFunction, region: Region,
                             sset: SpectralSet, quad: Quadrature,
-                            homogeneity_samples: int = 64,
-                            homogeneity_tol: float = 1e-9,
                             rng=None, seed=None) -> list[InequalityReport]:
     """Joint-spectrum uncertainty: (1 - eps - eps')^2 <= sum over X_S of
     int_E |e_j|^2.  When every selected joint class has constant summed
@@ -267,33 +232,19 @@ def check_joint_uncertainty(f: BandlimitedFunction, region: Region,
         raise ValueError("check_joint_uncertainty needs a joint spectral set")
     levels = concentration_levels(f, region, sset, quad, p=2)
     energy = masked_band_energy(sset, region, quad)
-    gap = 1.0 - levels.epsilon - levels.epsilon_prime
-    inputs = _base_inputs(region, sset, quad, levels)
-    inputs["band_energy_in_region"] = energy
-    reports = [InequalityReport(
-        name="joint",
-        lhs=max(gap, 0.0) ** 2,
-        rhs=energy,
-        inputs=inputs,
-        caveats=_vacuity(levels),
-        seed=seed,
-    )]
-    space = sset.space
+    joint = _mass_report("joint", levels, region, sset, quad, energy,
+                         {"band_energy_in_region": energy}, [], seed)
+    reports = [joint]
     rng = rng or np.random.default_rng(seed if seed is not None else 0)
-    pts = np.concatenate([space.extreme_points(),
-                          space.sample_points(homogeneity_samples, rng)])
-    homogeneous = True
-    for value in sset.values:
-        ok, _ = check_homogeneity(space, value, pts, tol=homogeneity_tol,
-                                  joint=True, match_tol=sset.tol)
-        homogeneous = homogeneous and ok
-    if homogeneous:
+    checks = homogeneity_deviations(sset, HOMOGENEITY_SAMPLES, rng, HOMOGENEITY_TOL)
+    if all(ok for ok, _ in checks):
+        # a copy of the joint inputs: a second _base_inputs would mask again
         reports.append(InequalityReport(
             name="joint-homogeneous",
-            lhs=max(gap, 0.0) ** 2,
-            rhs=sset.size * region.measure / space.total_measure,
-            inputs=dict(inputs),
-            caveats=_vacuity(levels),
+            lhs=joint.lhs,
+            rhs=sset.size * region.measure / sset.space.total_measure,
+            inputs=dict(joint.inputs),
+            caveats=levels.caveats,
             seed=seed,
         ))
     return reports

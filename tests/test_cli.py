@@ -1,9 +1,30 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+import specon.cli as cli
+from specon import (
+    BandlimitedFunction,
+    FiniteGroup,
+    GramMatrix,
+    Sphere2,
+    cap,
+    check_homogeneous_uncertainty,
+    spectrum_ball,
+    trial_rng,
+)
 from specon.cli import main
+from specon.spectral import homogeneity_deviations
+from specon.uncertainty import HOMOGENEITY_SAMPLES
+
+CONCENTRATE = ("concentrate", "--space", "zn:N=16,d=1", "--spectrum", "ball:3",
+               "--region", "set:{0,1,3,7,12}", "--top", "7")
+
+
+def complex_rows(pairs):
+    return np.array([complex(re, im) for re, im in pairs])
 
 
 def run_cli(capsys, *argv):
@@ -60,6 +81,53 @@ class TestBasicCommands:
         assert all(0 <= v <= 1 for v in doc["eigenvalues"])
         assert len(doc["entries"]) == 25
         assert doc["trace"] == pytest.approx(2.5, abs=1e-9)
+
+    def test_concentrate_vectors_have_a_fixed_phase(self, capsys, monkeypatch):
+        code, out, _ = run_cli(capsys, *CONCENTRATE)
+        assert code == 0
+        doc = json.loads(out)["result"]
+        g = complex_rows(doc["entries"]).reshape(doc["size"], doc["size"])
+        vecs = [complex_rows(v) for v in doc["top_vectors"]]
+        assert len(vecs) == 7
+        for lam, v in zip(doc["eigenvalues"], vecs):
+            assert np.max(np.abs(g @ v - lam * v)) < 1e-12
+            mag = np.abs(v)
+            # the first entry of largest modulus, up to the tie tolerance
+            top = v[np.flatnonzero(mag >= mag.max() * (1 - cli.PHASE_TIE_TOL))[0]]
+            assert top.imag == 0.0 and top.real > 0.0
+        # the phase the eigensolver returns does not reach the output
+        eigenvectors = GramMatrix.eigenvectors
+        monkeypatch.setattr(GramMatrix, "eigenvectors",
+                            lambda self: eigenvectors(self) * np.exp(0.7j))
+        _, out, _ = run_cli(capsys, *CONCENTRATE)
+        for v, w in zip(vecs, json.loads(out)["result"]["top_vectors"]):
+            assert np.max(np.abs(v - complex_rows(w))) < 1e-14
+
+    def test_concentrate_eigenvalue_excursion_exits_1(self, capsys, monkeypatch):
+        gram_matrix = cli.gram_matrix
+
+        def inflated(*args):
+            g = gram_matrix(*args)
+            return GramMatrix(g.spectral_set, g.region, 1.5 * g.entries, g.nodes_inside)
+
+        monkeypatch.setattr(cli, "gram_matrix", inflated)
+        code, out, err = run_cli(capsys, *CONCENTRATE)
+        assert code == 1 and out == ""
+        assert "escape [0, 1]" in err
+
+    def test_homogeneity_draws_like_the_homogeneous_check(self, capsys):
+        code, out, _ = run_cli(capsys, "homogeneity", "--space", "sphere2", "--spectrum",
+                               "ball:3", "--samples", str(HOMOGENEITY_SAMPLES), "--seed", "5")
+        assert code == 0
+        devs = [r["lhs"] for r in json.loads(out)["reports"]]
+        s = Sphere2()
+        sset = spectrum_ball(s, 3.0)
+        assert devs == [dev for _, dev in
+                        homogeneity_deviations(sset, HOMOGENEITY_SAMPLES, trial_rng(5, 0), 1e-9)]
+        f = BandlimitedFunction(sset, np.ones(sset.size) + 0j)
+        rep = check_homogeneous_uncertainty(f, cap(s, 1.0), sset, s.build_quadrature(3.0),
+                                            rng=trial_rng(5, 0))
+        assert rep.inputs["homogeneity_max_deviation"] == max(devs) > 0.0
 
     def test_lambda_q(self, capsys):
         code, out, _ = run_cli(capsys, "lambda-q", "--space", "zn:N=256,d=1",
@@ -178,8 +246,13 @@ class TestErrors:
         assert code == 1
         assert "product(arc:0:1,arc:0:2)" in err
 
-    def test_oversized_basis_matrix(self, capsys):
-        # all 65536 characters of Z_256^2 on all 65536 points: refused, not allocated
+    def test_oversized_basis_matrix(self, capsys, monkeypatch):
+        # all 65536 characters of Z_256^2 on all 65536 points: refused before
+        # the characters are enumerated, and not allocated
+        def first_elements(self, n):
+            raise AssertionError("characters enumerated before the size check")
+
+        monkeypatch.setattr(FiniteGroup, "first_elements", first_elements)
         code, _, err = run_cli(capsys, "check", "--inequality", "bourgain",
                                "--space", "zn:N=256,d=2", "--q", "4", "--region", "set:{(0,0)}")
         assert code == 1

@@ -243,10 +243,14 @@ class TestEigenCache:
         raw = g.raw_eigenvalues()
         vals = g.eigenvalues()
         lam, vec = g.top_eigenpair()
+        vecs = g.eigenvectors()
         assert len(calls) == 1
         assert np.array_equal(vals, np.clip(raw, 0.0, 1.0))
         assert lam == vals[-1]
         assert np.abs(g.entries @ vec - lam * vec).max() < 1e-12
+        assert np.abs(g.entries @ vecs - raw * vecs).max() < 1e-12
+        vecs[:] = 5.0
+        assert np.abs(g.eigenvectors()[:, -1] - vec).max() < 1e-15  # the cache, not the copy
         raw[:] = 5.0  # the caller's copy, not the cache
         assert np.array_equal(g.eigenvalues(), vals)
 
@@ -258,6 +262,8 @@ class TestEigenCache:
             g.eigenvalues()
         with pytest.raises(CoarseQuadratureError):
             g.top_eigenpair()
+        with pytest.raises(CoarseQuadratureError):
+            g.eigenvectors()
 
     def test_small_excursion_is_clamped(self, torus_setup):
         t, _, _, region = torus_setup

@@ -20,6 +20,8 @@ from specon import (
     check_joint_uncertainty,
     check_random_half_uncertainty,
     check_supnorm_uncertainty,
+    concentration_levels,
+    empty_region,
     full_region,
     gram_matrix,
     max_concentration,
@@ -396,6 +398,61 @@ class TestJointUncertainty:
         f = BandlimitedFunction(sset, np.ones(2) + 0j)
         with pytest.raises(ValueError):
             check_joint_uncertainty(f, full_region(t), sset, quad)
+
+
+class TestMassReports:
+    """homogeneous, supnorm, covering and joint all check
+    (1 - eps - eps')^2 <= majorant: one left side, one vacuity rule."""
+
+    VACUITY = "vacuous: epsilon + epsilon_prime >= 1"
+    CHECKS = {
+        "homogeneous": lambda f, r, s, q: check_homogeneous_uncertainty(f, r, s, q, seed=0),
+        "supnorm": lambda f, r, s, q: check_supnorm_uncertainty(f, r, s, q, x_samples=16,
+                                                                seed=0),
+        "covering": lambda f, r, s, q: check_covering_uncertainty(f, r, s, q, c_m=1.0),
+        "joint": lambda f, r, s, q: check_joint_uncertainty(f, r, s, q, seed=0)[0],
+    }
+
+    def run(self, name, f, region):
+        t = region.space
+        quad = t.build_quadrature(3.0, oversample=8)
+        sset = SpectralSet(t, [1.0, 2.0])
+        if name == "joint":  # the same four elements, selected by joint value
+            sset = SpectralSet(t, [(1.0,), (-1.0,), (2.0,), (-2.0,)], joint=True)
+        return concentration_levels(f, region, sset, quad), self.CHECKS[name](f, region, sset, quad)
+
+    @pytest.mark.parametrize("name", CHECKS)
+    def test_vacuous_levels_give_zero_lhs_and_lead_the_caveats(self, name):
+        t = Torus(1)
+        ambient = spectrum_ball(t, 3.0)
+        f = BandlimitedFunction(ambient, np.random.default_rng(11).normal(size=ambient.size) + 0j)
+        levels, rep = self.run(name, f, empty_region(t))
+        assert not levels.informative and levels.gap < 0.0
+        assert rep.lhs == 0.0
+        assert rep.caveats[0] == self.VACUITY and rep.passed
+
+    @pytest.mark.parametrize("name", CHECKS)
+    def test_informative_lhs_is_the_squared_gap(self, name):
+        t = Torus(1)
+        rng = np.random.default_rng(12)
+        f = BandlimitedFunction(SpectralSet(t, [1.0, 2.0]),
+                                rng.normal(size=4) + 1j * rng.normal(size=4))
+        levels, rep = self.run(name, f, arc(t, 0.0, math.pi))
+        assert levels.informative and 0.0 < levels.gap < 1.0
+        assert rep.lhs == max(levels.gap, 0.0) ** 2
+        assert self.VACUITY not in rep.caveats
+
+    def test_joint_homogeneous_shares_the_joint_left_side_and_inputs(self):
+        t = Torus(1)
+        sset = SpectralSet(t, [(1.0,), (-2.0,)], joint=True)
+        f = BandlimitedFunction(sset, np.array([1.0, 0.5j]))
+        region = arc(t, 0.0, 2.0)
+        joint, homogeneous = check_joint_uncertainty(f, region, sset,
+                                                     t.build_quadrature(2.0, oversample=8))
+        assert homogeneous.name == "joint-homogeneous"
+        assert homogeneous.lhs == joint.lhs
+        assert homogeneous.inputs == joint.inputs and homogeneous.inputs is not joint.inputs
+        assert homogeneous.rhs == 2 * region.measure / TWO_PI
 
 
 class TestRandomHalfUncertainty:
