@@ -111,6 +111,12 @@ def _quad_for(space, max_freq, args, factor: float = 1.0):
     return space.build_quadrature(cutoff, oversample=args.quad_oversample)
 
 
+def _first_with_quad(space, n, args):
+    """The first ``n`` basis elements and a quadrature for their band."""
+    elements = space.first_elements(n)
+    return elements, _quad_for(space, max(el.frequency for el in elements), args)
+
+
 def _random_band_function(sset, rng) -> BandlimitedFunction:
     a = rng.normal(size=sset.size) + 1j * rng.normal(size=sset.size)
     return BandlimitedFunction(sset, a)
@@ -252,9 +258,7 @@ def cmd_lambda_q(args):
 
 def cmd_gmpt(args):
     space = parse_space(args.space)
-    elements = space.first_elements(args.n)
-    fmax = max(el.frequency for el in elements)
-    quad = _quad_for(space, fmax, args)
+    _, quad = _first_with_quad(space, args.n, args)
     split = gmpt_split(space, quad, args.n, c_param=args.c_param,
                        trials=args.trials, subsets=args.subsets, seed=args.seed)
     return emit_result(args, split.to_json_dict())
@@ -293,8 +297,7 @@ def _check_bourgain(args, space):
     elif n is None:
         raise SpeconError("--inequality bourgain needs --n on continuum spaces")
     else:
-        elements = space.first_elements(n)
-        quad = _quad_for(space, max(el.frequency for el in elements), args)
+        elements, quad = _first_with_quad(space, n, args)
     v = space.basis_matrix(elements, quad.nodes)
     indicator = region.contains_mask(quad.nodes).astype(complex)
     full_hat = (v.conj().T * quad.weights) @ indicator
@@ -327,7 +330,13 @@ def _spectrum(args, space):
 def _check_manifold(args, space):
     region = parse_region(space, args.region)
     sset = _spectrum(args, space)
-    pad = 2.0 if args.f_mode == "tails" else 0.0
+    mode = args.f_mode
+    if args.inequality == "joint":
+        if not sset.is_joint:
+            raise SpeconError("--inequality joint needs a joint:[...] spectrum")
+        # joint trials draw no spectral tail: tails mode draws as bandlimited
+        mode = "bandlimited" if mode == "tails" else mode
+    pad = 2.0 if mode == "tails" else 0.0
     quad = _quad_for(space, sset.max_frequency + pad, args)
     if args.inequality == "covering":
         covering = cover_by_unit_intervals(sset)
@@ -338,35 +347,21 @@ def _check_manifold(args, space):
         c_m_spec = (f"grid step 0.5 on [1, {max(1.0, lam_top + 1.0):g}] with covering "
                     f"starts, {args.x_samples} sample points, seed {args.seed}")
     check = {
-        "prop": lambda f, rng: uncertainty.check_eigenfunction_mass_bound(
-            f, region, sset, quad, seed=args.seed),
-        "homogeneous": lambda f, rng: uncertainty.check_homogeneous_uncertainty(
+        "prop": lambda f, rng: [uncertainty.check_eigenfunction_mass_bound(
+            f, region, sset, quad, seed=args.seed)],
+        "homogeneous": lambda f, rng: [uncertainty.check_homogeneous_uncertainty(
+            f, region, sset, quad, rng=rng, seed=args.seed)],
+        "supnorm": lambda f, rng: [uncertainty.check_supnorm_uncertainty(
+            f, region, sset, quad, x_samples=args.x_samples, rng=rng, seed=args.seed)],
+        "covering": lambda f, rng: [uncertainty.check_covering_uncertainty(
+            f, region, sset, quad, c_m, c_m_spec, seed=args.seed)],
+        "joint": lambda f, rng: uncertainty.check_joint_uncertainty(
             f, region, sset, quad, rng=rng, seed=args.seed),
-        "supnorm": lambda f, rng: uncertainty.check_supnorm_uncertainty(
-            f, region, sset, quad, x_samples=args.x_samples, rng=rng, seed=args.seed),
-        "covering": lambda f, rng: uncertainty.check_covering_uncertainty(
-            f, region, sset, quad, c_m, c_m_spec, seed=args.seed),
     }[args.inequality]
 
     def one(rng):
-        f = _make_trial_f(space, sset, region, quad, rng, args.f_mode)
-        return [check(f, rng)], {}
-
-    return _per_trial(args, one)
-
-
-def _check_joint(args, space):
-    region = parse_region(space, args.region)
-    sset = _spectrum(args, space)
-    if not sset.is_joint:
-        raise SpeconError("--inequality joint needs a joint:[...] spectrum")
-    quad = _quad_for(space, sset.max_frequency, args)
-    mode = "bandlimited" if args.f_mode == "tails" else args.f_mode
-
-    def one(rng):
         f = _make_trial_f(space, sset, region, quad, rng, mode)
-        return uncertainty.check_joint_uncertainty(f, region, sset, quad, rng=rng,
-                                                   seed=args.seed), {}
+        return check(f, rng), {}
 
     return _per_trial(args, one)
 
@@ -375,9 +370,7 @@ def _check_random_manifold(args, space):
     region = parse_region(space, args.region)
     if args.n is None:
         raise SpeconError("--inequality random-manifold needs --n")
-    elements = space.first_elements(args.n)
-    fmax = max(el.frequency for el in elements)
-    quad = _quad_for(space, fmax, args)
+    elements, quad = _first_with_quad(space, args.n, args)
 
     def one(rng):
         split = gmpt_split(space, quad, args.n, c_param=args.c_param,
@@ -402,7 +395,7 @@ CHECKS = {
     "homogeneous": _check_manifold,
     "supnorm": _check_manifold,
     "covering": _check_manifold,
-    "joint": _check_joint,
+    "joint": _check_manifold,
     "random-manifold": _check_random_manifold,
 }
 

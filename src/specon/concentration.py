@@ -18,7 +18,7 @@ import numpy as np
 from .errors import CoarseQuadratureError
 from .regions import Region
 from .reports import InequalityReport
-from .spaces import Quadrature
+from .spaces import FiniteGroup, Quadrature
 from .spectral import SpectralSet
 
 EIG_EXCURSION = 1e-8
@@ -102,12 +102,10 @@ class ConcentrationLevels:
 
 
 def sample_values(f, quad: Quadrature) -> np.ndarray:
-    """Node samples of ``f``: a BandlimitedFunction, an array already aligned
-    with the nodes, or a callable on point arrays."""
+    """Node samples of ``f``: a BandlimitedFunction, or an array already
+    aligned with the nodes."""
     if isinstance(f, BandlimitedFunction):
         return f.samples(quad)
-    if callable(f):
-        return np.asarray(f(quad.nodes), dtype=complex)
     a = np.asarray(f, dtype=complex)
     if a.shape != (quad.nodes.shape[0],):
         raise ValueError(f"sample vector shape {a.shape} does not match {quad.nodes.shape[0]} nodes")
@@ -241,46 +239,41 @@ def max_concentration(gram: GramMatrix):
     return gram.top_eigenpair()
 
 
-def concentration_levels(f, region: Region, sset: SpectralSet, quad: Quadrature,
-                         p: int = 2) -> ConcentrationLevels:
-    """Tail fractions of ``f``: spatial epsilon = |f - 1_E f|_p / |f|_p by
+def concentration_levels(f, region: Region, sset: SpectralSet,
+                         quad: Quadrature) -> ConcentrationLevels:
+    """Tail fractions of ``f``: spatial epsilon = |f - 1_E f|_2 / |f|_2 by
     quadrature, spectral epsilon' = l2 coefficient fraction outside X_S.
 
     The spectral tail needs a coefficient representation: a
-    BandlimitedFunction, or node samples on a finite group (complete basis).
+    BandlimitedFunction, or node samples on a finite group, whose
+    coefficients one FFT gives.
     """
-    if p not in (1, 2):
-        raise ValueError("p must be 1 or 2")
     vals = sample_values(f, quad)
-    total = quad.norm(vals, p)
+    total = quad.norm(vals, 2)
     if total < 1e-300:
         raise ValueError("concentration levels are undefined for the zero function")
-    outside = quad.norm(vals * ~region.contains_mask(quad.nodes), p)
+    outside = quad.norm(vals * ~region.contains_mask(quad.nodes), 2)
     eps = min(outside / total, 1.0)
 
+    space = sset.space
     if isinstance(f, BandlimitedFunction):
         coeffs = f.coefficients
         inside_idx = set(sset.indices)
-        have_idx = f.spectral_set.indices
+        tail = [a for j, a in zip(f.spectral_set.indices, coeffs) if j not in inside_idx]
+    elif isinstance(space, FiniteGroup):
+        # sum_x w_x f(x) conj(chi_k(x)) up to the common N^{-d/2}, which
+        # cancels in the ratio below
+        scattered = np.zeros(int(space.total_measure), dtype=complex)
+        np.add.at(scattered, space.flat_index(quad.nodes), quad.weights * vals)
+        coeffs = space.fourier(scattered)
+        tail = coeffs.copy()
+        tail[space.flat_index(space._label_array(sset.elements))] = 0.0
     else:
-        space = sset.space
-        from .spaces import FiniteGroup
-
-        if not isinstance(space, FiniteGroup):
-            raise ValueError(
-                "spectral tail needs a BandlimitedFunction on continuum spaces"
-            )
-        # size the character matrix before enumerating its N^d elements
-        space._check_points(quad.nodes, int(space.total_measure))
-        els = space.first_elements(int(space.total_measure))
-        v = space.basis_matrix(els, quad.nodes)
-        coeffs = (v.conj().T * quad.weights) @ vals
-        inside_idx = set(sset.indices)
-        have_idx = [el.index for el in els]
+        raise ValueError("spectral tail needs a BandlimitedFunction on continuum spaces")
     norm2 = float(np.linalg.norm(coeffs))
-    tail2 = float(np.linalg.norm([a for j, a in zip(have_idx, coeffs) if j not in inside_idx]))
+    tail2 = float(np.linalg.norm(tail))
     eps_prime = min(tail2 / norm2, 1.0) if norm2 > 0 else 0.0
-    return ConcentrationLevels(epsilon=eps, epsilon_prime=eps_prime, p=p)
+    return ConcentrationLevels(epsilon=eps, epsilon_prime=eps_prime, p=2)
 
 
 def masked_band_energy(sset: SpectralSet, region: Region, quad: Quadrature) -> float:
@@ -303,7 +296,7 @@ def check_projection_bounds(f, region: Region, sset: SpectralSet, quad: Quadratu
     Returns the two reports; the lower bound is evaluated even when
     eps + eps' >= 1, where it is vacuously true.
     """
-    levels = concentration_levels(f, region, sset, quad, p=2)
+    levels = concentration_levels(f, region, sset, quad)
     if isinstance(f, BandlimitedFunction):
         bf = restrict_band(f, sset)
         bf_samples = bf.samples(quad)

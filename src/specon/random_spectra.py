@@ -21,6 +21,9 @@ from .errors import CoarseQuadratureError, SpeconError
 from .spaces import FiniteGroup, ModelSpace, Quadrature
 
 DEFAULT_SEED = 12345
+# an ascent stops once a step no longer raises the best ratio by more than
+# this, relative to max(best, 1)
+RATIO_TOL = 1e-8
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -117,8 +120,7 @@ def _qnorm_resolution_check(space, elements, quad, q):
 
 def estimate_cq(space: ModelSpace, subset, q: float, quad: Quadrature,
                 trials: int = 20, ascent_iterations: int = 200,
-                seed: int = DEFAULT_SEED, extra_starts=(),
-                ratio_tol: float = 1e-8) -> LambdaQEstimate:
+                seed: int = DEFAULT_SEED, extra_starts=()) -> LambdaQEstimate:
     """Monte-Carlo lower estimate of the q-orthogonality constant of a basis
     slice, refined by projected fixed-point ascent on the norm ratio.
 
@@ -171,7 +173,7 @@ def estimate_cq(space: ModelSpace, subset, q: float, quad: Quadrature,
             r = ratio(a)
             if r > best:
                 best, best_a = r, a
-            if abs(r - best) <= ratio_tol * max(best, 1.0) and r <= best:
+            if abs(r - best) <= RATIO_TOL * max(best, 1.0) and r <= best:
                 break
         return best, best_a
 

@@ -21,7 +21,9 @@ from .spaces import (TWO_PI, FiniteGroup, ModelSpace, ProductSpace, Sphere2, Tor
 
 
 class Region:
-    """Base class: a subset of a model space with exact measure."""
+    """Base class: a subset of a model space with exact measure.  A region
+    family of a plain space (see FAMILIES) is a union of ``atoms``: the boxes,
+    intervals or elements it is built from."""
 
     space: ModelSpace
     descriptor: str
@@ -95,7 +97,7 @@ class BoxUnion(Region):
                 if not (0.0 <= a <= b <= TWO_PI + 1e-12):
                     raise ValueError(f"interval ({a}, {b}) must satisfy 0 <= a <= b <= 2*pi")
             norm.append(box)
-        self.boxes = norm
+        self.boxes = self.atoms = norm
         self._cells, self._gaps = _disjoint_cells(norm, 0.0, TWO_PI, space.dim)
         self.descriptor = descriptor or "+".join(
             "box:" + "x".join(f"({descriptor_float(a)},{descriptor_float(b)})" for a, b in box)
@@ -123,9 +125,8 @@ class BoxUnion(Region):
 
 def arc(space: Torus, a: float, b: float) -> BoxUnion:
     """Arc [a, b] on the one-dimensional torus."""
-    r = BoxUnion(space, [((a, b),)])
-    r.descriptor = f"arc:{descriptor_float(a)}:{descriptor_float(b)}"
-    return r
+    return BoxUnion(space, [((a, b),)],
+                    descriptor=f"arc:{descriptor_float(a)}:{descriptor_float(b)}")
 
 
 class BandUnion(Region):
@@ -149,7 +150,7 @@ class BandUnion(Region):
                 merged[-1] = (merged[-1][0], max(merged[-1][1], b))
             else:
                 merged.append((a, b))
-        self.intervals = merged
+        self.intervals = self.atoms = merged
         self.descriptor = descriptor or "+".join(
             f"band:{descriptor_float(a)}:{descriptor_float(b)}" for a, b in merged) or "empty"
 
@@ -178,9 +179,7 @@ class BandUnion(Region):
 
 def cap(space: Sphere2, theta0: float) -> BandUnion:
     """Polar cap of angular radius theta0 about the north pole."""
-    r = BandUnion(space, [(0.0, theta0)])
-    r.descriptor = f"cap:{descriptor_float(theta0)}"
-    return r
+    return BandUnion(space, [(0.0, theta0)], descriptor=f"cap:{descriptor_float(theta0)}")
 
 
 class FiniteSubset(Region):
@@ -198,10 +197,12 @@ class FiniteSubset(Region):
             if len(pt) != space.dim:
                 raise ValueError(f"element {e!r} needs {space.dim} coordinates")
             pts.add(pt)
-        self.elements = frozenset(pts)
+        self.elements = self.atoms = frozenset(pts)
+        ordered = sorted(pts)
+        self._flat = space.flat_index(np.array(ordered, dtype=float).reshape(-1, space.dim))
         self.descriptor = descriptor or "set:{" + ",".join(
             (str(p[0]) if space.dim == 1 else "(" + ",".join(map(str, p)) + ")")
-            for p in sorted(pts)
+            for p in ordered
         ) + "}"
 
     @property
@@ -209,13 +210,11 @@ class FiniteSubset(Region):
         return float(len(self.elements))
 
     def contains_mask(self, points):
-        pts = self.space._check_points(points)
-        ints = np.rint(pts).astype(int) % self.space.order
-        return np.array([tuple(row) in self.elements for row in ints], dtype=bool)
+        return np.isin(self.space.flat_index(points), self._flat)
 
     def complement(self):
-        every = {tuple(int(c) for c in row) for row in self.space.points().astype(int)}
-        return FiniteSubset(self.space, every - self.elements)
+        rest = np.setdiff1d(np.arange(int(self.space.total_measure)), self._flat)
+        return FiniteSubset(self.space, self.space.points()[rest].astype(int).tolist())
 
 
 class ProductRegion(Region):
@@ -239,28 +238,28 @@ class ProductRegion(Region):
         return self.first.contains_mask(pa) & self.second.contains_mask(pb)
 
 
-def full_region(space: ModelSpace) -> Region:
-    if isinstance(space, Torus):
-        r = BoxUnion(space, [tuple((0.0, TWO_PI) for _ in range(space.dim))])
-    elif isinstance(space, Sphere2):
-        r = BandUnion(space, [(0.0, math.pi)])
-    elif isinstance(space, FiniteGroup):
-        r = FiniteSubset(space, [tuple(int(c) for c in row) for row in space.points().astype(int)])
-    elif isinstance(space, ProductSpace):
-        r = ProductRegion(space, full_region(space.first), full_region(space.second))
+# the region family of each plain space; a product's regions are products
+# of its factors' regions
+FAMILIES = {Torus: BoxUnion, Sphere2: BandUnion, FiniteGroup: FiniteSubset}
+
+
+def _whole(space: ModelSpace, full: bool) -> Region:
+    """The full or the empty region, built factor by factor on a product."""
+    if isinstance(space, ProductSpace):
+        r = ProductRegion(space, _whole(space.first, full), _whole(space.second, full))
     else:
-        raise ValueError(f"no full region for {space!r}")
-    r.descriptor = "full"
+        r = FAMILIES[type(space)](space, [])
+        r = r.complement() if full else r
+    r.descriptor = "full" if full else "empty"
     return r
+
+
+def full_region(space: ModelSpace) -> Region:
+    return _whole(space, True)
 
 
 def empty_region(space: ModelSpace) -> Region:
-    if isinstance(space, ProductSpace):
-        r = ProductRegion(space, empty_region(space.first), empty_region(space.second))
-    else:
-        r = full_region(space).complement()
-    r.descriptor = "empty"
-    return r
+    return _whole(space, False)
 
 
 def _parse_one(space, token):
@@ -330,10 +329,7 @@ def parse_region(space: ModelSpace, text: str) -> Region:
     parts = [_parse_one(space, t) for t in tokens]
     if len(parts) == 1:
         return parts[0]
-    if all(isinstance(p, BoxUnion) for p in parts):
-        return BoxUnion(space, [b for p in parts for b in p.boxes], descriptor=text)
-    if all(isinstance(p, BandUnion) for p in parts):
-        return BandUnion(space, [iv for p in parts for iv in p.intervals], descriptor=text)
-    if all(isinstance(p, FiniteSubset) for p in parts):
-        return FiniteSubset(space, set().union(*[p.elements for p in parts]), descriptor=text)
-    raise DescriptorError(text, "cannot union region descriptors of different shapes")
+    family = FAMILIES.get(type(space))
+    if family is None:
+        raise DescriptorError(text, "cannot union region descriptors of different shapes")
+    return family(space, [a for p in parts for a in p.atoms], descriptor=text)

@@ -90,8 +90,6 @@ def dumps_stable(obj, indent: int = 0) -> str:
         if not out.isprintable():
             out = out.translate(_CONTROL_ESCAPES)
         return f'"{out}"'
-    if isinstance(obj, complex):
-        return f"[{format_float(obj.real)}, {format_float(obj.imag)}]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -102,19 +100,6 @@ def dumps_stable(obj, indent: int = 0) -> str:
             return "[]"
         items = [f"{pad}  {dumps_stable(v, indent + 2)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    try:
-        import numpy as np
-
-        if isinstance(obj, np.integer):
-            return str(int(obj))
-        if isinstance(obj, np.floating):
-            return format_float(float(obj))
-        if isinstance(obj, np.complexfloating):
-            return dumps_stable(complex(obj))
-        if isinstance(obj, np.ndarray):
-            return dumps_stable(obj.tolist(), indent)
-    except ImportError:  # pragma: no cover
-        pass
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

@@ -184,6 +184,17 @@ class ModelSpace:
             )
         return pts
 
+    def _label_array(self, elements) -> np.ndarray:
+        """The integer-vector labels of ``elements`` as the rows of a float
+        array (tori and finite groups)."""
+        out = np.empty((len(elements), self.dim))
+        for j, el in enumerate(elements):
+            try:
+                out[j] = el.label
+            except (ValueError, TypeError) as exc:
+                raise ValueError(f"label {el.label!r} inconsistent with {self.kind}") from exc
+        return out
+
     # -- quadrature and sampling ---------------------------------------------
 
     def build_quadrature(self, cutoff: float, oversample: int = 1) -> Quadrature:
@@ -256,12 +267,7 @@ class Torus(ModelSpace):
 
     def basis_matrix(self, elements, points):
         pts = self._check_points(points, len(elements))
-        freqs = np.empty((len(elements), self.dim))
-        for j, el in enumerate(elements):
-            try:
-                freqs[j] = el.label
-            except (ValueError, TypeError) as exc:
-                raise ValueError(f"label {el.label!r} inconsistent with {self.kind}") from exc
+        freqs = self._label_array(elements)
         # cos and sin of the real phase, written in place: complex exp of an
         # imaginary array is an order of magnitude slower
         phase = pts @ freqs.T
@@ -459,12 +465,7 @@ class FiniteGroup(ModelSpace):
     def basis_matrix(self, elements, points):
         pts = self._check_points(points, len(elements))
         x = np.rint(pts).astype(int) % self.order
-        ks = np.empty((len(elements), self.dim))
-        for j, el in enumerate(elements):
-            try:
-                ks[j] = el.label
-            except (ValueError, TypeError) as exc:
-                raise ValueError(f"label {el.label!r} inconsistent with {self.kind}") from exc
+        ks = self._label_array(elements)
         phase = np.exp(2j * math.pi * (x @ ks.T) / self.order)
         return phase * self.order ** (-self.dim / 2)
 
@@ -472,6 +473,12 @@ class FiniteGroup(ModelSpace):
         """All group elements in lexicographic (C) order."""
         grids = np.meshgrid(*([np.arange(self.order)] * self.dim), indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=-1).astype(float)
+
+    def flat_index(self, points) -> np.ndarray:
+        """Position of each point (coordinates rounded and reduced mod N) in
+        the order of :meth:`points` and :meth:`fourier`."""
+        x = np.rint(self._check_points(points)).astype(int) % self.order
+        return np.ravel_multi_index(x.T, (self.order,) * self.dim)
 
     def build_quadrature(self, cutoff=None, oversample=1):
         nodes = self.points()

@@ -99,7 +99,7 @@ def check_generic_subset_uncertainty(f: BandlimitedFunction, region: Region,
     if q <= 2:
         raise ValueError("the generic-subset bound needs q > 2")
     sset = f.spectral_set
-    levels = concentration_levels(f, region, sset, quad, p=2)
+    levels = concentration_levels(f, region, sset, quad)
     exponent = 2.0 if math.isinf(q) else 1.0 / (0.5 - 1.0 / q)
     L = levels.L
     lhs = 0.0 if math.isinf(L) else (L * c_upper) ** (-exponent)
@@ -125,7 +125,7 @@ def check_eigenfunction_mass_bound(f: BandlimitedFunction, region: Region,
     """General orthonormal-system uncertainty: the reciprocal of the average
     E-mass fraction of the selected eigenfunctions is at most
     (1 - eps - eps')^{-2} |E| #X_S."""
-    levels = concentration_levels(f, region, sset, quad, p=2)
+    levels = concentration_levels(f, region, sset, quad)
     energy = masked_band_energy(sset, region, quad)
     inputs = _base_inputs(region, sset, quad, levels)
     inputs["band_energy_in_region"] = energy
@@ -152,7 +152,7 @@ def check_homogeneous_uncertainty(f: BandlimitedFunction, region: Region,
     """On spaces whose degeneracy classes have constant summed square modulus:
     (1 - eps - eps')^2 <= |E| / |M| * #X_S.  The homogeneity hypothesis is
     verified by sampling first; failure blocks the evaluation."""
-    levels = concentration_levels(f, region, sset, quad, p=2)
+    levels = concentration_levels(f, region, sset, quad)
     rng = rng or np.random.default_rng(seed if seed is not None else 0)
     checks = homogeneity_deviations(sset, HOMOGENEITY_SAMPLES, rng, HOMOGENEITY_TOL)
     worst = max([0.0, *(dev for _, dev in checks)])
@@ -173,7 +173,7 @@ def check_supnorm_uncertainty(f: BandlimitedFunction, region: Region,
     sup estimated from samples.  The estimate is a lower bound of the true
     sup, so a reported failure is meaningful while a pass is only as strong
     as the sampling (the sample count is recorded)."""
-    levels = concentration_levels(f, region, sset, quad, p=2)
+    levels = concentration_levels(f, region, sset, quad)
     space = sset.space
     rng = rng or np.random.default_rng(seed if seed is not None else 0)
     pts = np.concatenate([quad.nodes, space.extreme_points(),
@@ -201,7 +201,7 @@ def check_covering_uncertainty(f: BandlimitedFunction, region: Region,
     sum mu_k^{d-1} <= #S (lambda_max + 1)^{d-1}."""
     if sset.is_joint:
         raise ValueError("the covering bound needs a scalar spectral set")
-    levels = concentration_levels(f, region, sset, quad, p=2)
+    levels = concentration_levels(f, region, sset, quad)
     covering = cover_by_unit_intervals(sset)
     d = sset.space.dim
     cover_sum = float(sum(mu ** (d - 1) for mu in covering.starts))
@@ -230,7 +230,7 @@ def check_joint_uncertainty(f: BandlimitedFunction, region: Region,
     (1 - eps - eps')^2 <= #X_S |E| / |M| is emitted as a second report."""
     if not sset.is_joint:
         raise ValueError("check_joint_uncertainty needs a joint spectral set")
-    levels = concentration_levels(f, region, sset, quad, p=2)
+    levels = concentration_levels(f, region, sset, quad)
     energy = masked_band_energy(sset, region, quad)
     joint = _mass_report("joint", levels, region, sset, quad, energy,
                          {"band_energy_in_region": energy}, [], seed)

@@ -187,6 +187,22 @@ class TestCheckCommand:
             assert all(r["holds"] or any(str(c).startswith("vacuous") for c in r["caveats"])
                        for r in json.loads(out)["reports"])
 
+    def test_bourgain_on_a_continuum(self, capsys):
+        code, out, _ = run_cli(capsys, "check", "--inequality", "bourgain",
+                               "--space", "torus:d=1", "--n", "16", "--q", "4",
+                               "--region", "arc:0:2", "--trials", "3")
+        assert code == 0
+        reports = json.loads(out)["reports"]
+        assert reports and all(r["holds"] for r in reports)
+
+    def test_joint_tails_mode_draws_as_bandlimited(self, capsys):
+        argv = ("check", "--inequality", "joint", "--space", "torus:d=2",
+                "--region", "box:(0,3)x(0,3)", "--spectrum", "joint:[(1,0),(0,1),(1,1)]",
+                "--trials", "3")
+        tails = run_cli(capsys, *argv, "--f-mode", "tails")
+        assert tails[0] == 0
+        assert tails == run_cli(capsys, *argv, "--f-mode", "bandlimited")
+
     def test_random_manifold(self, capsys):
         code, out, _ = run_cli(capsys, "check", "--inequality", "random-manifold",
                                "--space", "torus:d=1", "--region", "arc:0:6",
@@ -227,6 +243,12 @@ class TestErrors:
                                "--space", "zn:N=16,d=1")
         assert code == 1
         assert "--q" in err
+
+    def test_bourgain_on_a_continuum_without_n(self, capsys):
+        code, _, err = run_cli(capsys, "check", "--inequality", "bourgain",
+                               "--space", "torus:d=1", "--q", "4", "--region", "arc:0:2")
+        assert code == 1
+        assert "--n" in err
 
     @pytest.mark.parametrize("name", ["prop", "homogeneous", "supnorm", "covering", "joint"])
     def test_missing_spectrum(self, capsys, name):

@@ -8,8 +8,10 @@ from specon import (
     BoxUnion,
     CoarseQuadratureError,
     FiniteGroup,
+    FiniteSubset,
     GramMatrix,
     ProductSpace,
+    Quadrature,
     SpectralSet,
     Sphere2,
     Torus,
@@ -339,6 +341,31 @@ class TestConcentrationLevels:
         levels = concentration_levels(f, region, sset, quad)
         assert levels.epsilon == 0.0
         assert levels.L == 1.0
+
+    @pytest.mark.parametrize("order,dim", [(12, 1), (6, 2), (4, 3)])
+    def test_raw_group_levels_match_the_character_matrix(self, order, dim):
+        # oracle: coefficients sum_x w_x f(x) conj(chi_k(x)) from the dense
+        # N^d x N^d character matrix, on the group's own quadrature and on
+        # one with unreduced, repeated nodes and unequal weights
+        g = FiniteGroup(order, dim)
+        size = order**dim
+        rng = np.random.default_rng(order)
+        pts = g.points()
+        shifted = pts + order * rng.integers(-1, 2, size=pts.shape)
+        quads = [g.build_quadrature(),
+                 Quadrature(np.concatenate([pts, shifted]), rng.uniform(0.5, 1.5, 2 * size),
+                            exactness_degree=0)]
+        for quad in quads:
+            chars = g.basis_matrix(g.first_elements(size), quad.nodes)
+            for _ in range(4):
+                f = rng.normal(size=len(quad.weights)) + 1j * rng.normal(size=len(quad.weights))
+                region = FiniteSubset(g, pts[rng.random(size) < 0.5])
+                sset = spectrum_ball(g, rng.uniform(0.0, g.max_frequency()))
+                coeffs = (chars.conj().T * quad.weights) @ f
+                outside = np.setdiff1d(np.arange(size), sset.indices)
+                want = np.linalg.norm(coeffs[outside]) / np.linalg.norm(coeffs)
+                got = concentration_levels(f, region, sset, quad).epsilon_prime
+                assert abs(got - want) <= 1e-13
 
     def test_level_identity(self):
         # L = (1 - eps^p)^{-1/p} by construction

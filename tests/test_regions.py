@@ -1,5 +1,7 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from specon import (
@@ -78,6 +80,73 @@ class TestContains:
     def test_wraparound_full_interval(self):
         r = arc(Torus(1), 0.0, TWO_PI)
         assert r.contains([0.0]) and r.contains([6.2])
+
+
+class TestGroupMembership:
+    @pytest.mark.parametrize("order,dim", [(7, 1), (5, 2), (4, 3)])
+    def test_mask_matches_tuple_membership(self, order, dim):
+        g = FiniteGroup(order, dim)
+        rng = np.random.default_rng(dim)
+        elements = rng.integers(-order, 2 * order, size=(order, dim))
+        members = {tuple(int(c) % order for c in e) for e in elements}
+        r = FiniteSubset(g, elements.tolist())
+        # unreduced coordinates such as -1 and N + 2, off the integers by
+        # less than a half
+        pts = rng.integers(-order - 2, 2 * order + 3, size=(300, dim)).astype(float)
+        pts[0], pts[1] = -1.0, order + 2.0
+        pts += rng.uniform(-0.3, 0.3, size=pts.shape)
+        want = [tuple(round(c) % order for c in p) in members for p in pts]
+        assert r.contains_mask(pts).tolist() == want
+        assert r.contains_mask(pts).any() and not r.contains_mask(pts).all()
+
+
+class TestRegionFamilies:
+    """``full``, ``empty`` and ``+`` unions build the same atoms on every
+    family."""
+
+    def test_full(self):
+        assert full_region(Torus(2)).boxes == [((0.0, TWO_PI), (0.0, TWO_PI))]
+        assert full_region(Sphere2()).intervals == [(0.0, math.pi)]
+        assert full_region(FiniteGroup(3, 2)).elements == set(itertools.product(range(3), repeat=2))
+
+    def test_empty(self):
+        assert empty_region(Torus(2)).boxes == []
+        assert empty_region(Sphere2()).intervals == []
+        assert empty_region(FiniteGroup(3, 2)).elements == set()
+
+    @pytest.mark.parametrize("space", [Torus(1), Sphere2(), FiniteGroup(4, 2),
+                                       ProductSpace(FiniteGroup(4, 1), Sphere2())])
+    def test_descriptors(self, space):
+        assert full_region(space).descriptor == "full"
+        assert empty_region(space).descriptor == "empty"
+        assert empty_region(space).measure == 0.0
+        assert full_region(space).measure == pytest.approx(space.total_measure, rel=1e-15)
+
+    def test_products_factor_by_factor(self):
+        p = ProductSpace(FiniteGroup(4, 1), Sphere2())
+        full, empty = full_region(p), empty_region(p)
+        assert isinstance(full, ProductRegion) and isinstance(empty, ProductRegion)
+        assert full.first.elements == {(0,), (1,), (2,), (3,)}
+        assert full.second.intervals == [(0.0, math.pi)]
+        assert empty.first.elements == set() and empty.second.intervals == []
+        assert (full.first.descriptor, empty.second.descriptor) == ("full", "empty")
+
+    def test_unions(self):
+        text = "arc:0:1+arc:0.5:2+empty"
+        r = parse_region(Torus(1), text)
+        assert r.boxes == [((0.0, 1.0),), ((0.5, 2.0),)] and r.descriptor == text
+        r = parse_region(Torus(2), "box:(0,1)x(2,3)+full")
+        assert r.boxes == [((0.0, 1.0), (2.0, 3.0)), ((0.0, TWO_PI), (0.0, TWO_PI))]
+        r = parse_region(Sphere2(), "band:0.2:0.9+cap:0.5+band:2:3")
+        assert r.intervals == [(0.0, 0.9), (2.0, 3.0)]
+        r = parse_region(FiniteGroup(16, 1), "set:{0,1,3}+set:{-1,18}+empty")
+        assert r.elements == {(0,), (1,), (2,), (3,), (15,)}
+        assert parse_region(FiniteGroup(2, 1), "set:{1}+full").elements == {(0,), (1,)}
+
+    def test_union_of_products_is_refused(self):
+        p = ProductSpace(Torus(1), Sphere2())
+        with pytest.raises(DescriptorError, match="different shapes"):
+            parse_region(p, "product(arc:0:1,cap:1)+product(arc:2:3,cap:1)")
 
 
 class TestQuadratureMeasure:

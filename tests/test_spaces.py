@@ -1,6 +1,5 @@
 import itertools
 import math
-import re
 
 import numpy as np
 import pytest
@@ -194,7 +193,19 @@ class TestKernelOracles:
             assert space.basis_matrix([], pts).shape == (5, 0)
 
 
-Z256_SQUARED = "65536 nodes x 65536 elements needs 68,719,476,736 bytes (64.0 GiB)"
+class TestFlatIndex:
+    @pytest.mark.parametrize("order,dim", [(5, 1), (4, 2), (3, 3)])
+    def test_order_of_points_and_fourier(self, order, dim):
+        g = FiniteGroup(order, dim)
+        pts = g.points()
+        assert g.flat_index(pts).tolist() == list(range(order**dim))
+        assert g.flat_index(pts + order * np.arange(-1, dim - 1) + 0.2).tolist() == \
+            list(range(order**dim))
+        # the transform of a character chi_k peaks at position flat_index(k)
+        for k in pts[[1, -1]]:
+            el = g._element(tuple(int(c) for c in k))
+            peak = np.argmax(np.abs(g.fourier(g.values(el, pts))))
+            assert peak == g.flat_index(k)[0]
 
 
 class TestSizeGuard:
@@ -208,13 +219,18 @@ class TestSizeGuard:
                                               rf".*spectrum"):
             t._check_points(pts, most + 1)
 
-    def test_raw_group_samples_raise_before_allocating(self):
+    def test_raw_group_samples_need_no_character_matrix(self):
+        # a delta on Z_256^2: all of its mass sits on E = {0}, and its
+        # 65536 coefficients have equal modulus, one of them in X_S = {0};
+        # the dense character matrix here would need 64 GiB
         g = FiniteGroup(256, 2)
         quad = g.build_quadrature()
         f = np.zeros(quad.nodes.shape[0], dtype=complex)
         f[0] = 1.0
-        with pytest.raises(SpeconError, match=re.escape(Z256_SQUARED)):
-            concentration_levels(f, parse_region(g, "set:{(0,0)}"), SpectralSet(g, [0.0]), quad)
+        levels = concentration_levels(f, parse_region(g, "set:{(0,0)}"),
+                                      SpectralSet(g, [0.0]), quad)
+        assert levels.epsilon == 0.0
+        assert levels.epsilon_prime == pytest.approx(math.sqrt(1 - 1 / 65536), rel=1e-15)
 
 
 class TestQuadrature:
