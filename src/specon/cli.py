@@ -282,6 +282,16 @@ def _check_lca(args, space, what="--inequality lca"):
     return _per_trial(args, one)
 
 
+def _indicator_coefficients(space, region, quad, elements) -> np.ndarray:
+    """<1_E, e_j> by quadrature; on a group one FFT gives all of them."""
+    indicator = region.contains_mask(quad.nodes)
+    if isinstance(space, FiniteGroup):
+        hat = space.weighted_fourier(quad, indicator)
+        return hat[space.flat_index(space._label_array(elements))] * space.order ** (-space.dim / 2)
+    v = space.basis_matrix(elements, quad.nodes)
+    return (v.conj().T * quad.weights) @ indicator.astype(complex)
+
+
 def _check_bourgain(args, space):
     if args.q is None:
         raise SpeconError("--inequality bourgain needs --q")
@@ -289,18 +299,13 @@ def _check_bourgain(args, space):
     n = args.n
     if isinstance(space, FiniteGroup):
         n = int(space.total_measure) if n is None else n
-        # a group's quadrature ignores the cutoff, so V is sized before the
-        # N^d characters are enumerated
         quad = _quad_for(space, 1.0, args)
-        space._check_points(quad.nodes, n)
         elements = space.first_elements(n)
     elif n is None:
         raise SpeconError("--inequality bourgain needs --n on continuum spaces")
     else:
         elements, quad = _first_with_quad(space, n, args)
-    v = space.basis_matrix(elements, quad.nodes)
-    indicator = region.contains_mask(quad.nodes).astype(complex)
-    full_hat = (v.conj().T * quad.weights) @ indicator
+    full_hat = _indicator_coefficients(space, region, quad, elements)
 
     def one(rng):
         subset = generic_subset(RandomSubsetSpec(n, args.q, seed=int(rng.integers(2**63))))

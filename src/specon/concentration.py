@@ -261,11 +261,8 @@ def concentration_levels(f, region: Region, sset: SpectralSet,
         inside_idx = set(sset.indices)
         tail = [a for j, a in zip(f.spectral_set.indices, coeffs) if j not in inside_idx]
     elif isinstance(space, FiniteGroup):
-        # sum_x w_x f(x) conj(chi_k(x)) up to the common N^{-d/2}, which
-        # cancels in the ratio below
-        scattered = np.zeros(int(space.total_measure), dtype=complex)
-        np.add.at(scattered, space.flat_index(quad.nodes), quad.weights * vals)
-        coeffs = space.fourier(scattered)
+        # unnormalized: the common N^{-d/2} cancels in the ratio below
+        coeffs = space.weighted_fourier(quad, vals)
         tail = coeffs.copy()
         tail[space.flat_index(space._label_array(sset.elements))] = 0.0
     else:

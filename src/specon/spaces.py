@@ -18,8 +18,8 @@ the sphere.
 
 from __future__ import annotations
 
-import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -109,11 +109,9 @@ class ModelSpace:
             raise ValueError(f"cutoff must be finite, got {cutoff}")
         if cutoff < 0:
             raise ValueError(f"cutoff must be nonnegative, got {cutoff}")
-        rows = sorted(self._labels_upto(cutoff), key=lambda r: (r[1], r[0]))
-        return [
-            BasisElement(index=j, label=lab, frequency=freq, joint=joint)
-            for j, (lab, freq, joint) in enumerate(rows)
-        ]
+        labels, freqs, _ = self._describe(self._candidates(cutoff))
+        labels, freqs = labels[freqs <= cutoff], freqs[freqs <= cutoff]
+        return self._elements(labels[np.lexsort((*labels.T[::-1], freqs))])
 
     def first_elements(self, n: int) -> list[BasisElement]:
         """The first ``n`` elements of the global enumeration."""
@@ -135,18 +133,59 @@ class ModelSpace:
         """Number of eigenvalues (with multiplicity) of frequency <= lam."""
         if lam < 0:
             return 0
-        return len(self._labels_upto(lam))
+        return int(np.count_nonzero(self._describe(self._candidates(lam))[1] <= lam))
 
     def max_frequency(self):
         """Largest frequency in the spectrum, or None if unbounded."""
         return None
 
-    def _labels_upto(self, cutoff):
+    # A space states its spectrum once, on flat labels (rows of ``dim`` ints):
+    # enumeration, element rebuilds and kernel label arrays build on these two.
+
+    def _candidates(self, cutoff: float) -> np.ndarray:
+        """Flat labels of a superset of the elements of frequency <= cutoff."""
         raise NotImplementedError
+
+    def _describe(self, labels: np.ndarray):
+        """(canonical labels, frequencies, joint rows) of flat labels;
+        ValueError naming the space for a label of none of its elements."""
+        raise NotImplementedError
+
+    def _flat(self, label) -> tuple:
+        """A structured label as a flat tuple of ints."""
+        flat = tuple(map(operator.index, label))
+        if len(flat) != self.dim:
+            raise ValueError(f"label has {len(flat)} entries")
+        return flat
+
+    def _structured(self, flat: list):
+        """Inverse of :meth:`_flat`."""
+        return tuple(flat)
+
+    def _label_rows(self, labels) -> np.ndarray:
+        """Labels as int rows; ValueError naming the space for a non-integer
+        label or one of the wrong length."""
+        flat = []
+        for label in labels:
+            try:
+                flat.append(self._flat(label))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"label {label!r} inconsistent with {self.kind}") from exc
+        return np.array(flat, dtype=int).reshape(len(flat), self.dim)
+
+    def _label_array(self, elements) -> np.ndarray:
+        """The canonical flat labels of ``elements``, validated."""
+        return self._describe(self._label_rows([el.label for el in elements]))[0]
+
+    def _elements(self, labels, numbered: bool = True) -> list[BasisElement]:
+        """Elements for rows of flat labels, indexed by row (or -1)."""
+        labels, freqs, joints = (a.tolist() for a in self._describe(labels))
+        return [BasisElement(j if numbered else -1, self._structured(lab), f, tuple(jt))
+                for j, (lab, f, jt) in enumerate(zip(labels, freqs, joints))]
 
     def _element(self, label) -> BasisElement:
         """Rebuild an element from its label (index left at -1)."""
-        raise NotImplementedError
+        return self._elements(self._label_rows([label]), numbered=False)[0]
 
     # -- evaluation ----------------------------------------------------------
 
@@ -184,17 +223,6 @@ class ModelSpace:
             )
         return pts
 
-    def _label_array(self, elements) -> np.ndarray:
-        """The integer-vector labels of ``elements`` as the rows of a float
-        array (tori and finite groups)."""
-        out = np.empty((len(elements), self.dim))
-        for j, el in enumerate(elements):
-            try:
-                out[j] = el.label
-            except (ValueError, TypeError) as exc:
-                raise ValueError(f"label {el.label!r} inconsistent with {self.kind}") from exc
-        return out
-
     # -- quadrature and sampling ---------------------------------------------
 
     def build_quadrature(self, cutoff: float, oversample: int = 1) -> Quadrature:
@@ -212,8 +240,9 @@ class ModelSpace:
         return np.zeros((1, self.coord_dim))
 
     def frequency_from_joint(self, joint) -> float:
-        """Scalar frequency of a joint eigenvalue tuple."""
-        raise NotImplementedError
+        """Scalar frequency of a joint eigenvalue tuple (its Euclidean norm on
+        tori and groups)."""
+        return float(np.linalg.norm(np.asarray(joint, float)))
 
     def __repr__(self):
         return f"{type(self).__name__}({self.kind!r})"
@@ -232,15 +261,12 @@ class Torus(ModelSpace):
         self.total_measure = TWO_PI**dim
         self.kind = f"torus:d={dim}"
 
-    def _labels_upto(self, cutoff):
-        r2 = _r2max(cutoff)
-        r = math.isqrt(max(r2, 0))
-        out = []
-        for m in itertools.product(range(-r, r + 1), repeat=self.dim):
-            n2 = sum(c * c for c in m)
-            if n2 <= r2:
-                out.append((m, math.sqrt(n2), tuple(float(c) for c in m)))
-        return out
+    def _candidates(self, cutoff):
+        r = math.isqrt(_r2max(cutoff))
+        return np.indices((2 * r + 1,) * self.dim).reshape(self.dim, -1).T - r
+
+    def _describe(self, labels):
+        return labels, np.sqrt(np.sum(labels * labels, axis=1)), labels.astype(float)
 
     def count_upto(self, lam: float) -> int:
         if lam < 0:
@@ -249,25 +275,14 @@ class Torus(ModelSpace):
 
     @staticmethod
     def _lattice_count(r2: int, d: int) -> int:
-        if r2 < 0:
-            return 0
-        if d == 1:
-            return 2 * math.isqrt(r2) + 1
         r = math.isqrt(r2)
-        total = 0
-        for m in range(-r, r + 1):
-            total += Torus._lattice_count(r2 - m * m, d - 1)
-        return total
-
-    def _element(self, label):
-        m = tuple(int(c) for c in label)
-        if len(m) != self.dim:
-            raise ValueError(f"label {label!r} inconsistent with {self.kind}")
-        return BasisElement(-1, m, math.sqrt(sum(c * c for c in m)), tuple(float(c) for c in m))
+        if d == 1:
+            return 2 * r + 1
+        return sum(Torus._lattice_count(r2 - m * m, d - 1) for m in range(-r, r + 1))
 
     def basis_matrix(self, elements, points):
         pts = self._check_points(points, len(elements))
-        freqs = self._label_array(elements)
+        freqs = self._label_array(elements).astype(float)
         # cos and sin of the real phase, written in place: complex exp of an
         # imaginary array is an order of magnitude slower
         phase = pts @ freqs.T
@@ -291,9 +306,6 @@ class Torus(ModelSpace):
 
     def sample_points(self, k, rng):
         return rng.uniform(0.0, TWO_PI, size=(k, self.dim))
-
-    def frequency_from_joint(self, joint):
-        return float(np.linalg.norm(np.asarray(joint, float)))
 
 
 class Sphere2(ModelSpace):
@@ -324,24 +336,22 @@ class Sphere2(ModelSpace):
             l -= 1
         return l
 
-    def _labels_upto(self, cutoff):
-        out = []
-        for l in range(self._lmax(cutoff) + 1):
-            freq = math.sqrt(l * (l + 1))
-            for m in range(-l, l + 1):
-                out.append(((l, m), freq, (float(m), float(l * (l + 1)))))
-        return out
+    def _candidates(self, cutoff):
+        lmax = self._lmax(cutoff)
+        l = np.repeat(np.arange(lmax + 1), 2 * np.arange(lmax + 1) + 1)
+        # row l * l + l + m holds (l, m)
+        return np.stack([l, np.arange(len(l)) - l * l - l], axis=1)
+
+    def _describe(self, labels):
+        l, m = labels[:, 0], labels[:, 1]
+        bad = labels[np.abs(m) > l]
+        if len(bad):
+            raise ValueError(f"label {tuple(bad[0].tolist())} inconsistent with {self.kind}")
+        lam = l * (l + 1)
+        return labels, np.sqrt(lam), np.stack([m, lam], axis=1).astype(float)
 
     def count_upto(self, lam):
-        if lam < 0:
-            return 0
         return (self._lmax(lam) + 1) ** 2
-
-    def _element(self, label):
-        l, m = label
-        if not (isinstance(l, int) and isinstance(m, int) and 0 <= abs(m) <= l):
-            raise ValueError(f"label {label!r} inconsistent with {self.kind}")
-        return BasisElement(-1, (l, m), math.sqrt(l * (l + 1)), (float(m), float(l * (l + 1))))
 
     def basis_matrix(self, elements, points):
         pts = self._check_points(points, len(elements))
@@ -350,20 +360,11 @@ class Sphere2(ModelSpace):
         s = np.sqrt(np.maximum(0.0, 1.0 - x * x))
         out = np.empty((pts.shape[0], len(elements)), dtype=complex)
 
-        # order |m| -> (column, l, m) of every element of that order
-        by_order: dict[int, list[tuple[int, int, int]]] = {}
-        for col, el in enumerate(elements):
-            try:
-                l, m = el.label
-                ok = 0 <= abs(m) <= l
-            except (ValueError, TypeError):
-                ok = False
-            if not ok:
-                raise ValueError(f"label {el.label!r} inconsistent with {self.kind}")
-            by_order.setdefault(abs(m), []).append((col, l, m))
-
-        for mm, want in by_order.items():
-            cols, ls, ms = (np.array(c) for c in zip(*want))
+        labels = self._label_array(elements)
+        orders = np.abs(labels[:, 1])
+        for mm in np.unique(orders).tolist():
+            cols = np.flatnonzero(orders == mm)
+            ls, ms = labels[cols, 0], labels[cols, 1]
             # rows l = mm..lmax of the ascending normalized recurrence at fixed
             # order; normalizing at every step keeps values bounded well past
             # l ~ 150
@@ -438,41 +439,28 @@ class FiniteGroup(ModelSpace):
         self.total_measure = float(order**dim)
         self.kind = f"zn:N={order},d={dim}"
 
-    def _centered(self, k: int) -> int:
-        return k if k <= self.order // 2 else k - self.order
+    def _candidates(self, cutoff):
+        return np.indices((self.order,) * self.dim).reshape(self.dim, -1).T
 
-    def _labels_upto(self, cutoff):
-        r2 = _r2max(cutoff)
-        out = []
-        for k in itertools.product(range(self.order), repeat=self.dim):
-            c = [self._centered(ki) for ki in k]
-            n2 = sum(ci * ci for ci in c)
-            if n2 <= r2:
-                out.append((k, math.sqrt(n2), tuple(float(ci) for ci in c)))
-        return out
+    def _describe(self, labels):
+        k = labels % self.order
+        centered = np.where(k <= self.order // 2, k, k - self.order)
+        return k, np.sqrt(np.sum(centered * centered, axis=1)), centered.astype(float)
 
     def max_frequency(self):
         half = self.order // 2
         return math.sqrt(self.dim * half * half)
 
-    def _element(self, label):
-        k = tuple(int(c) % self.order for c in label)
-        if len(k) != self.dim:
-            raise ValueError(f"label {label!r} inconsistent with {self.kind}")
-        c = [self._centered(ki) for ki in k]
-        return BasisElement(-1, k, math.sqrt(sum(ci * ci for ci in c)), tuple(float(ci) for ci in c))
-
     def basis_matrix(self, elements, points):
         pts = self._check_points(points, len(elements))
         x = np.rint(pts).astype(int) % self.order
-        ks = self._label_array(elements)
+        ks = self._label_array(elements).astype(float)
         phase = np.exp(2j * math.pi * (x @ ks.T) / self.order)
         return phase * self.order ** (-self.dim / 2)
 
     def points(self) -> np.ndarray:
         """All group elements in lexicographic (C) order."""
-        grids = np.meshgrid(*([np.arange(self.order)] * self.dim), indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=-1).astype(float)
+        return self._candidates(0.0).astype(float)
 
     def flat_index(self, points) -> np.ndarray:
         """Position of each point (coordinates rounded and reduced mod N) in
@@ -487,9 +475,6 @@ class FiniteGroup(ModelSpace):
     def sample_points(self, k, rng):
         return rng.integers(0, self.order, size=(k, self.dim)).astype(float)
 
-    def frequency_from_joint(self, joint):
-        return float(np.linalg.norm(np.asarray(joint, float)))
-
     # -- exact Fourier pair ---------------------------------------------------
 
     def fourier(self, samples) -> np.ndarray:
@@ -497,6 +482,13 @@ class FiniteGroup(ModelSpace):
         samples (and output) in the lexicographic order of :meth:`points`."""
         a = np.asarray(samples, dtype=complex).reshape((self.order,) * self.dim)
         return np.fft.fftn(a).ravel()
+
+    def weighted_fourier(self, quad: Quadrature, samples) -> np.ndarray:
+        """sum_x w_x f(x) conj(chi_k(x)) over the nodes of any quadrature on
+        the group (nodes reduced mod N), for every k in the order of points."""
+        scattered = np.zeros(int(self.total_measure), dtype=complex)
+        np.add.at(scattered, self.flat_index(quad.nodes), quad.weights * samples)
+        return self.fourier(scattered)
 
     def inverse_fourier(self, coeffs) -> np.ndarray:
         """Inverse with dual weight 1/N^d: f(x) = N^{-d} sum_k f_hat(k) chi_k(x)."""
@@ -520,31 +512,40 @@ class ProductSpace(ModelSpace):
         self.total_measure = first.total_measure * second.total_measure
         self.kind = f"product({first.kind},{second.kind})"
 
-    def _labels_upto(self, cutoff):
-        out = []
-        for ea in self.first.enumerate_basis(cutoff):
-            residual = cutoff * cutoff - ea.frequency * ea.frequency
-            if residual < 0:
-                continue
-            # enumerate a slight superset; the hypot filter below is exact
-            inner = math.sqrt(max(0.0, residual)) * (1 + 1e-12) + 1e-12
-            for eb in self.second.enumerate_basis(inner):
-                freq = math.hypot(ea.frequency, eb.frequency)
-                if freq <= cutoff:
-                    out.append(((ea.label, eb.label), freq, ea.joint + eb.joint))
-        return out
+    def _candidates(self, cutoff):
+        la, fa, _ = self.first._describe(self.first._candidates(cutoff))
+        # pair each first element with the second elements below a slight
+        # superset of its residual band; enumerate_basis filters exactly
+        inner = np.sqrt(np.maximum(0.0, cutoff * cutoff - fa * fa)) * (1 + 1e-12) + 1e-12
+        lb, fb, _ = self.second._describe(self.second._candidates(float(inner.max())))
+        order = np.argsort(fb, kind="stable")
+        counts = np.searchsorted(fb[order], inner, side="right")
+        ia = np.repeat(np.arange(len(la)), counts)
+        ib = order[np.arange(len(ia)) - np.repeat(np.cumsum(counts) - counts, counts)]
+        return np.hstack([la[ia], lb[ib]])
+
+    def _describe(self, labels):
+        a = self.first.dim
+        la, fa, ja = self.first._describe(labels[:, :a])
+        lb, fb, jb = self.second._describe(labels[:, a:])
+        # math.hypot, not np.hypot: the two differ in the last bit, and the
+        # frequencies set the enumeration order
+        freqs = np.fromiter(map(math.hypot, fa.tolist(), fb.tolist()), float, len(labels))
+        return np.hstack([la, lb]), freqs, np.hstack([ja, jb])
+
+    def _flat(self, label):
+        first, second = label
+        return self.first._flat(first) + self.second._flat(second)
+
+    def _structured(self, flat):
+        a = self.first.dim
+        return self.first._structured(flat[:a]), self.second._structured(flat[a:])
 
     def max_frequency(self):
         a, b = self.first.max_frequency(), self.second.max_frequency()
         if a is None or b is None:
             return None
         return math.hypot(a, b)
-
-    def _element(self, label):
-        ea = self.first._element(label[0])
-        eb = self.second._element(label[1])
-        return BasisElement(-1, (ea.label, eb.label), math.hypot(ea.frequency, eb.frequency),
-                            ea.joint + eb.joint)
 
     def _split(self, pts):
         c = self.first.coord_dim
@@ -553,14 +554,13 @@ class ProductSpace(ModelSpace):
     def basis_matrix(self, elements, points):
         pts = self._check_points(points, len(elements))
         pa, pb = self._split(pts)
-        labels_a = sorted({el.label[0] for el in elements})
-        labels_b = sorted({el.label[1] for el in elements})
-        va = self.first.basis_matrix([self.first._element(l) for l in labels_a], pa)
-        vb = self.second.basis_matrix([self.second._element(l) for l in labels_b], pb)
-        pos_a = {l: i for i, l in enumerate(labels_a)}
-        pos_b = {l: i for i, l in enumerate(labels_b)}
-        ia = np.array([pos_a[el.label[0]] for el in elements], dtype=int)
-        ib = np.array([pos_b[el.label[1]] for el in elements], dtype=int)
+        labels = self._label_array(elements)
+        a = self.first.dim
+        ua, ia = np.unique(labels[:, :a], axis=0, return_inverse=True)
+        ub, ib = np.unique(labels[:, a:], axis=0, return_inverse=True)
+        va = self.first.basis_matrix(self.first._elements(ua, numbered=False), pa)
+        vb = self.second.basis_matrix(self.second._elements(ub, numbered=False), pb)
+        ia, ib = ia.ravel(), ib.ravel()
         out = np.empty((pts.shape[0], len(elements)), dtype=complex)
         # gather in row blocks of 2^14 cells, so the two gathered factors stay
         # small next to the output

@@ -55,15 +55,12 @@ class SpectralSet:
     def _match(self):
         if not self.values:
             return []
-        targets = np.array(self.values)
-        if self.is_joint:
-            def distance(el):
-                return np.max(np.abs(targets - np.asarray(el.joint)), axis=1)
-        else:
-            def distance(el):
-                return np.abs(targets - el.frequency)
-        return [el for el in self.space.enumerate_basis(self.max_frequency + self.tol)
-                if np.min(distance(el)) <= self.tol]
+        els = self.space.enumerate_basis(self.max_frequency + self.tol)
+        have = np.array([el.joint if self.is_joint else (el.frequency,) for el in els])
+        hit = np.zeros(len(els), dtype=bool)
+        for v in self.values:
+            hit |= np.max(np.abs(have - v), axis=1) <= self.tol
+        return [el for el, h in zip(els, hit.tolist()) if h]
 
     @property
     def size(self) -> int:

@@ -7,7 +7,6 @@ import pytest
 import specon.cli as cli
 from specon import (
     BandlimitedFunction,
-    FiniteGroup,
     GramMatrix,
     Sphere2,
     cap,
@@ -268,18 +267,22 @@ class TestErrors:
         assert code == 1
         assert "product(arc:0:1,arc:0:2)" in err
 
-    def test_oversized_basis_matrix(self, capsys, monkeypatch):
-        # all 65536 characters of Z_256^2 on all 65536 points: refused before
-        # the characters are enumerated, and not allocated
-        def first_elements(self, n):
-            raise AssertionError("characters enumerated before the size check")
-
-        monkeypatch.setattr(FiniteGroup, "first_elements", first_elements)
-        code, _, err = run_cli(capsys, "check", "--inequality", "bourgain",
-                               "--space", "zn:N=256,d=2", "--q", "4", "--region", "set:{(0,0)}")
+    def test_oversized_basis_matrix(self, capsys):
+        # all 65536 characters of Z_256^2 on all 65536 points: refused with
+        # its exact size, and not allocated
+        code, _, err = run_cli(capsys, "gmpt", "--space", "zn:N=256,d=2", "--n", "65536")
         assert code == 1
         assert "65536 nodes x 65536 elements needs 68,719,476,736 bytes (64.0 GiB)" in err
         assert "cutoff" in err and "oversample" in err and "spectrum" in err
+
+    def test_bourgain_on_a_large_group_builds_no_character_matrix(self, capsys):
+        # the 16384 x 16384 character matrix would need 4 GiB; one FFT of the
+        # indicator gives its coefficients instead
+        code, out, err = run_cli(capsys, "check", "--inequality", "bourgain",
+                                 "--space", "zn:N=128,d=2", "--q", "4",
+                                 "--region", "set:{(0,0),(1,1)}")
+        assert code == 0, err
+        assert json.loads(out)["reports"]
 
 
 class TestDeterminismAndFormats:

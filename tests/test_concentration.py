@@ -31,6 +31,7 @@ from specon import (
     spectrum_ball,
     spectrum_level,
 )
+from specon.cli import _indicator_coefficients
 
 TWO_PI = 2 * math.pi
 
@@ -355,8 +356,9 @@ class TestConcentrationLevels:
         quads = [g.build_quadrature(),
                  Quadrature(np.concatenate([pts, shifted]), rng.uniform(0.5, 1.5, 2 * size),
                             exactness_degree=0)]
+        chars_all = g.first_elements(size)
         for quad in quads:
-            chars = g.basis_matrix(g.first_elements(size), quad.nodes)
+            chars = g.basis_matrix(chars_all, quad.nodes)
             for _ in range(4):
                 f = rng.normal(size=len(quad.weights)) + 1j * rng.normal(size=len(quad.weights))
                 region = FiniteSubset(g, pts[rng.random(size) < 0.5])
@@ -366,6 +368,11 @@ class TestConcentrationLevels:
                 want = np.linalg.norm(coeffs[outside]) / np.linalg.norm(coeffs)
                 got = concentration_levels(f, region, sset, quad).epsilon_prime
                 assert abs(got - want) <= 1e-13
+                # the bourgain check's <1_E, e_j>, over characters in random order
+                pick = rng.permutation(size)[:size // 2]
+                want = (chars[:, pick].conj().T * quad.weights) @ region.contains_mask(quad.nodes)
+                got = _indicator_coefficients(g, region, quad, [chars_all[i] for i in pick])
+                assert np.abs(got - want).max() <= 1e-13
 
     def test_level_identity(self):
         # L = (1 - eps^p)^{-1/p} by construction

@@ -1,0 +1,91 @@
+"""The basis enumeration against an independent brute force over label boxes,
+on random spaces and cutoffs, products and nested products included."""
+
+import itertools
+import math
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from specon import FiniteGroup, ProductSpace, SpectralSet, Sphere2, Torus
+
+
+def brute_force(space, cutoff):
+    """(label, frequency, joint) of every element with frequency <= cutoff,
+    sorted by (frequency, label), from loops over a box of labels."""
+    if isinstance(space, Torus):
+        r = int(cutoff)
+        rows = [(m, math.sqrt(sum(c * c for c in m)), tuple(float(c) for c in m))
+                for m in itertools.product(range(-r, r + 1), repeat=space.dim)]
+    elif isinstance(space, Sphere2):
+        rows = [((l, m), math.sqrt(l * (l + 1)), (float(m), float(l * (l + 1))))
+                for l in range(int(cutoff) + 1) for m in range(-l, l + 1)]
+    elif isinstance(space, FiniteGroup):
+        n = space.order
+        rows = []
+        for k in itertools.product(range(n), repeat=space.dim):
+            c = [ki if ki <= n // 2 else ki - n for ki in k]
+            rows.append((k, math.sqrt(sum(ci * ci for ci in c)), tuple(float(ci) for ci in c)))
+    else:
+        rows = [((la, lb), math.hypot(fa, fb), ja + jb)
+                for la, fa, ja in brute_force(space.first, cutoff)
+                for lb, fb, jb in brute_force(space.second, cutoff)]
+    return sorted((row for row in rows if row[1] <= cutoff), key=lambda row: (row[1], row[0]))
+
+
+LEAVES = st.one_of(
+    st.integers(1, 3).map(Torus),
+    st.builds(Sphere2),
+    st.builds(FiniteGroup, st.integers(2, 9), st.integers(1, 3)),
+)
+PAIRS = st.builds(ProductSpace, LEAVES, LEAVES)
+SPACES = st.one_of(LEAVES, PAIRS, st.builds(ProductSpace, PAIRS, LEAVES),
+                   st.builds(ProductSpace, LEAVES, PAIRS))
+CUTOFFS = st.one_of(
+    st.just(0.0),
+    st.integers(1, 64).map(math.sqrt),        # exact square roots: sqrt(2), sqrt(5), ...
+    st.just(7.0710678118654755),              # sqrt(50)
+    st.floats(0.0, 8.0, allow_nan=False),
+)
+
+
+def _cap(space):
+    """Largest cutoff that keeps the brute force over ``space`` small."""
+    return {1: 8.0, 2: 8.0, 3: 5.0, 4: 5.0, 5: 3.2, 6: 3.2}.get(space.dim, 2.3)
+
+
+@settings(deadline=None, max_examples=120)
+@given(SPACES, CUTOFFS, st.data())
+def test_enumeration_matches_brute_force(space, cutoff, data):
+    assume(cutoff <= _cap(space))
+    els = space.enumerate_basis(cutoff)
+    want = brute_force(space, cutoff)
+    assert len(els) == len(want)
+    for j, (el, (label, freq, joint)) in enumerate(zip(els, want)):
+        assert el.index == j
+        assert el.label == label
+        assert el.frequency == freq
+        assert el.joint == joint
+
+    # first_elements(n) is a prefix of the global enumeration
+    n = data.draw(st.integers(1, len(els)))
+    assert space.first_elements(n) == els[:n]
+
+    # spectral index sets are the tolerance match over the enumeration
+    tol = 1e-9
+    joint = data.draw(st.booleans())
+    picked = data.draw(st.lists(st.sampled_from(want), min_size=1, max_size=4))
+    shift = data.draw(st.sampled_from([0.0, tol / 4, -tol / 4, 0.5]))
+    if joint:
+        values = [tuple(c + shift for c in row[2]) for row in picked]
+    else:
+        values = [max(0.0, row[1] + shift) for row in picked]
+    sset = SpectralSet(space, values, joint=joint, tol=tol)
+
+    def near(row):
+        if joint:
+            return any(max(abs(a - b) for a, b in zip(row[2], v)) <= tol for v in values)
+        return any(abs(row[1] - v) <= tol for v in values)
+
+    ball = brute_force(space, sset.max_frequency + tol)
+    assert sset.indices == [j for j, row in enumerate(ball) if near(row)]

@@ -17,7 +17,7 @@ from specon import (
     parse_region,
     parse_space,
 )
-from specon.spaces import MAX_BASIS_BYTES
+from specon.spaces import MAX_BASIS_BYTES, BasisElement
 
 TWO_PI = 2 * math.pi
 
@@ -139,6 +139,24 @@ class TestEvaluation:
             s.basis_matrix([t3._element((1, 0, 3))], np.zeros((1, 2)))
         with pytest.raises(ValueError):
             s._element((1, 2))  # |m| > l
+        # non-integer labels are not eigenfunction labels, whatever the kernel
+        g = FiniteGroup(8, 1)
+        p = ProductSpace(Torus(1), Sphere2())
+        bad = [(Torus(1), (0.5,)), (Torus(1), (1.0,)), (t2, (1,)), (t2, (1, 2, 3)),
+               (t2, 3), (s, (1.5, 0)), (s, (1, 0.0)), (s, (2, -3)), (s, (-1, 0)),
+               (g, (0.5,)), (g, (1, 1)), (p, ((0,), (1, 0, 0))), (p, ((0.5,), (1, 0))),
+               (p, ((0,), (1, 2))), (p, (0, (1, 0)))]
+        for space, label in bad:
+            for rebuild in [lambda: space._element(label),
+                            lambda: space.basis_matrix([BasisElement(0, label, 0.0, ())],
+                                                       np.zeros((1, space.coord_dim)))]:
+                # the message names the space, or the factor that refuses
+                with pytest.raises(ValueError, match=r"inconsistent with ") as err:
+                    rebuild()
+                assert str(err.value).split("inconsistent with ")[1] in space.kind
+        # group labels are residues mod N
+        assert g._element((-1,)) == g._element((7,)) == BasisElement(-1, (7,), 1.0, (-1.0,))
+        assert p._element(((np.int64(-2),), (3, np.int64(1)))).label == ((-2,), (3, 1))
 
     def test_point_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
