@@ -113,6 +113,10 @@ def _quad_for(space, max_freq, args, factor: float = 1.0):
 
 def _first_with_quad(space, n, args):
     """The first ``n`` basis elements and a quadrature for their band."""
+    if isinstance(space, FiniteGroup):  # nodes independent of the band: size-check first
+        quad = _quad_for(space, 1.0, args)
+        space._check_points(quad.nodes, n)
+        return space.first_elements(n), quad
     elements = space.first_elements(n)
     return elements, _quad_for(space, max(el.frequency for el in elements), args)
 
@@ -258,9 +262,9 @@ def cmd_lambda_q(args):
 
 def cmd_gmpt(args):
     space = parse_space(args.space)
-    _, quad = _first_with_quad(space, args.n, args)
-    split = gmpt_split(space, quad, args.n, c_param=args.c_param,
-                       trials=args.trials, subsets=args.subsets, seed=args.seed)
+    elements, quad = _first_with_quad(space, args.n, args)
+    split = gmpt_split(space, quad, args.n, c_param=args.c_param, trials=args.trials,
+                       subsets=args.subsets, seed=args.seed, elements=elements)
     return emit_result(args, split.to_json_dict())
 
 
@@ -380,7 +384,7 @@ def _check_random_manifold(args, space):
     def one(rng):
         split = gmpt_split(space, quad, args.n, c_param=args.c_param,
                            trials=args.gmpt_trials, subsets=args.subsets,
-                           seed=int(rng.integers(2**63)))
+                           seed=int(rng.integers(2**63)), elements=elements)
         side = split.indices or split.complement
         sset = SpectralSet(space, [elements[i].joint for i in side], joint=True,
                            tol=args.match_tol)

@@ -140,13 +140,14 @@ def cutoff(f, region: Region, quad: Quadrature) -> np.ndarray:
 
 @dataclass
 class GramMatrix:
-    """Hermitian matrix G_{jk} = int_E e_j conj(e_k) over the elements of a
-    spectral set, assembled by masked quadrature."""
+    """Hermitian G_{jk} = int_E e_j conj(e_k) over a spectral set by masked quadrature,
+    zero off its diagonal ``blocks`` of (element positions, block); None is one block."""
 
     spectral_set: SpectralSet
     region: Region
     entries: np.ndarray
     nodes_inside: int
+    blocks: list | None = None
 
     @property
     def trace(self) -> float:
@@ -154,8 +155,15 @@ class GramMatrix:
 
     @cached_property
     def _eigh(self):
-        """The one eigendecomposition every eigen accessor reads."""
-        return np.linalg.eigh(self.entries)
+        """The one eigendecomposition every eigen accessor reads, solved per
+        block and merged by a stable sort of the eigenvalues."""
+        n = self.entries.shape[0]
+        vals, vecs, at = np.empty(n), np.zeros((n, n), dtype=complex), 0
+        for cols, block in self.blocks or [(np.arange(n), self.entries)]:
+            span = slice(at, at := at + len(cols))
+            vals[span], vecs[cols, span] = np.linalg.eigh(block)
+        order = np.argsort(vals, kind="stable")
+        return vals[order], vecs[:, order]
 
     def raw_eigenvalues(self) -> np.ndarray:
         return self._eigh[0].copy()
@@ -199,30 +207,27 @@ class GramMatrix:
 
 
 def gram_matrix(sset: SpectralSet, region: Region, quad: Quadrature) -> GramMatrix:
-    """Assemble the concentration matrix over E by masked quadrature.
-
-    The full-space Gram of the same elements is verified to be the identity
-    within EXACTNESS_TOL, which catches a quadrature too coarse for the
-    requested band.  The basis is evaluated once, on the nodes ordered
-    inside-first: the region Gram comes from the inside rows, and the full
-    Gram adds the outside rows to it.
-    """
+    """Assemble the concentration matrix over E by masked quadrature, in the
+    diagonal blocks the space splits it into (ModelSpace._gram_blocks).  The
+    full-space Gram of each block, its region block plus the outside rows,
+    is verified to be the identity within EXACTNESS_TOL, which catches a
+    quadrature too coarse for the requested band."""
     mask = region.contains_mask(quad.nodes)
-    order = np.argsort(~mask, kind="stable")
-    inside = int(mask.sum())
-    v = sset.space.basis_matrix(sset.elements, quad.nodes[order])
-    w = quad.weights[order]
-    g = _weighted_gram(v[:inside], w[:inside])
-    if sset.size:
-        full = g + _weighted_gram(v[inside:], w[inside:])
-        err = float(np.max(np.abs(full - np.eye(sset.size))))
-        if err > EXACTNESS_TOL:
-            raise CoarseQuadratureError(
-                f"quadrature is not exact on the requested band "
-                f"(orthonormality defect {err:.3g} > {EXACTNESS_TOL:g})"
-            )
-    g = 0.5 * (g + g.conj().T)
-    return GramMatrix(sset, region, g, inside)
+    g = np.zeros((sset.size, sset.size), dtype=complex)
+    blocks, err = [], 0.0
+    for cols, v, w, inside in sset.space._gram_blocks(sset.elements, quad, mask):
+        b = _weighted_gram(v[:inside], w[:inside])
+        full = b + _weighted_gram(v[inside:], w[inside:])
+        err = max(err, float(np.abs(full - np.eye(len(cols))).max(initial=0.0)))
+        b = 0.5 * (b + b.conj().T)
+        g[np.ix_(cols, cols)] = b
+        blocks.append((cols, b))
+    if err > EXACTNESS_TOL:
+        raise CoarseQuadratureError(
+            f"quadrature is not exact on the requested band "
+            f"(orthonormality defect {err:.3g} > {EXACTNESS_TOL:g})"
+        )
+    return GramMatrix(sset, region, g, int(mask.sum()), blocks)
 
 
 def _weighted_gram(v: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -244,7 +244,7 @@ class GmptSplit:
 
 def gmpt_split(space: ModelSpace, quad: Quadrature, n: int, c_param: float = 1.0,
                trials: int = 32, subsets: int = 64,
-               seed: int = DEFAULT_SEED) -> GmptSplit:
+               seed: int = DEFAULT_SEED, elements=None) -> GmptSplit:
     """Search random near-half subsets I of the first n basis elements for a
     small worst-case L2/L1 ratio of coefficient combinations, on both I and
     its complement.
@@ -253,11 +253,11 @@ def gmpt_split(space: ModelSpace, quad: Quadrature, n: int, c_param: float = 1.0
     subject to |#I - n/2| <= c_param sqrt(n); the fraction of draws meeting
     the size constraint is recorded.  Norms use the volume measure, so the
     ratio is always at least |M|^{-1/2} (attained by constant-modulus
-    functions when they exist).
+    functions when they exist).  ``elements`` may pass the first n elements.
     """
     if n < 2 or n % 2 != 0:
         raise ValueError(f"n must be a positive even integer, got {n}")
-    elements = space.first_elements(n)
+    elements = space.first_elements(n) if elements is None else elements
     v = space.basis_matrix(elements, quad.nodes)
     pts = space.extreme_points()
     b_sup = float(max(np.abs(v).max(), np.abs(space.basis_matrix(elements, pts)).max()))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -183,38 +184,48 @@ def cap(space: Sphere2, theta0: float) -> BandUnion:
 
 
 class FiniteSubset(Region):
-    """Explicit subset of a finite group; measure is the cardinality."""
+    """Explicit subset of a finite group; measure is the cardinality.  Held
+    as sorted flat indices (``flat``, or those of ``elements``): its point
+    tuples and ``set:{...}`` descriptor are built when first read."""
 
-    def __init__(self, space: FiniteGroup, elements, descriptor=None):
+    def __init__(self, space: FiniteGroup, elements, descriptor=None, flat=None):
         if not isinstance(space, FiniteGroup):
             raise ValueError("FiniteSubset regions live on finite groups")
         self.space = space
-        pts = set()
-        for e in elements:
-            if np.isscalar(e):
-                e = (e,)
-            pt = tuple(int(c) % space.order for c in e)
-            if len(pt) != space.dim:
+        rows = [(e,) if np.isscalar(e) else tuple(e) for e in elements]
+        for e in rows:
+            if len(e) != space.dim:
                 raise ValueError(f"element {e!r} needs {space.dim} coordinates")
-            pts.add(pt)
-        self.elements = self.atoms = frozenset(pts)
-        ordered = sorted(pts)
-        self._flat = space.flat_index(np.array(ordered, dtype=float).reshape(-1, space.dim))
-        self.descriptor = descriptor or "set:{" + ",".join(
-            (str(p[0]) if space.dim == 1 else "(" + ",".join(map(str, p)) + ")")
-            for p in ordered
+        if flat is None:
+            flat = np.unique(space.flat_index(np.array(rows, dtype=int).reshape(-1, space.dim)))
+        self._flat = flat
+        if descriptor:
+            self.descriptor = descriptor
+
+    @cached_property
+    def elements(self) -> frozenset:
+        shape = (self.space.order,) * self.space.dim
+        return frozenset(zip(*(a.tolist() for a in np.unravel_index(self._flat, shape))))
+
+    atoms = property(lambda self: self.elements)
+
+    @cached_property
+    def descriptor(self) -> str:
+        return "set:{" + ",".join(
+            (str(p[0]) if self.space.dim == 1 else "(" + ",".join(map(str, p)) + ")")
+            for p in sorted(self.elements)
         ) + "}"
 
     @property
     def measure(self):
-        return float(len(self.elements))
+        return float(len(self._flat))
 
     def contains_mask(self, points):
         return np.isin(self.space.flat_index(points), self._flat)
 
     def complement(self):
         rest = np.setdiff1d(np.arange(int(self.space.total_measure)), self._flat)
-        return FiniteSubset(self.space, self.space.points()[rest].astype(int).tolist())
+        return FiniteSubset(self.space, [], flat=rest)
 
 
 class ProductRegion(Region):

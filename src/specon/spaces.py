@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DescriptorError, SpeconError
+from .errors import CoarseQuadratureError, DescriptorError, SpeconError
 
 TWO_PI = 2.0 * math.pi
 
@@ -45,6 +45,11 @@ def _r2max(lam: float) -> int:
     while t >= 0 and math.sqrt(t) > lam:
         t -= 1
     return t
+
+
+def _longitudes(n_phi: int) -> np.ndarray:
+    """The n_phi equispaced longitudes of every ring of a sphere quadrature."""
+    return (np.arange(n_phi) + 0.5) * (TWO_PI / n_phi)
 
 
 @dataclass(frozen=True)
@@ -200,6 +205,12 @@ class ModelSpace:
         """Matrix V with V[i, j] = e_j(points[i])."""
         raise NotImplementedError
 
+    def _gram_blocks(self, elements, quad: Quadrature, mask) -> list:
+        """The masked Gram's diagonal blocks as (positions, rows, weights, k), k inside rows first."""
+        order = np.argsort(~mask, kind="stable")
+        return [(np.arange(len(elements)), self.basis_matrix(elements, quad.nodes[order]),
+                 quad.weights[order], int(mask.sum()))]
+
     def _check_points(self, points, elements: int = 0) -> np.ndarray:
         """Points as an (n, coord_dim) float array.  With an element count,
         refuse before allocation a dense basis matrix over these points that
@@ -353,6 +364,23 @@ class Sphere2(ModelSpace):
     def count_upto(self, lam):
         return (self._lmax(lam) + 1) ** 2
 
+    @staticmethod
+    def _legendre(mm: int, lmax: int, x, s) -> np.ndarray:
+        """Rows l = mm..lmax of Y_l^mm / e^{i mm phi} at x = cos(theta), s = sin(theta),
+        by the normalized ascending recurrence, bounded well past l ~ 150."""
+        leg = np.empty((lmax - mm + 1, len(x)))
+        p = np.full(len(x), math.sqrt(1.0 / (4.0 * math.pi)))
+        for k in range(1, mm + 1):
+            p = -math.sqrt((2 * k + 1) / (2.0 * k)) * s * p
+        leg[0] = p
+        if len(leg) > 1:
+            leg[1] = math.sqrt(2 * mm + 3) * x * p
+        for l in range(mm + 2, lmax + 1):
+            a = math.sqrt((4 * l * l - 1) / (l * l - mm * mm))
+            b = math.sqrt(((l - 1) ** 2 - mm * mm) / (4 * (l - 1) ** 2 - 1))
+            leg[l - mm] = a * (x * leg[l - mm - 1] - b * leg[l - mm - 2])
+        return leg
+
     def basis_matrix(self, elements, points):
         pts = self._check_points(points, len(elements))
         theta, phi = pts[:, 0], pts[:, 1]
@@ -365,31 +393,44 @@ class Sphere2(ModelSpace):
         for mm in np.unique(orders).tolist():
             cols = np.flatnonzero(orders == mm)
             ls, ms = labels[cols, 0], labels[cols, 1]
-            # rows l = mm..lmax of the ascending normalized recurrence at fixed
-            # order; normalizing at every step keeps values bounded well past
-            # l ~ 150
-            leg = np.empty((ls.max() - mm + 1, pts.shape[0]))
-            p = np.full(pts.shape[0], math.sqrt(1.0 / (4.0 * math.pi)))
-            for k in range(1, mm + 1):
-                p = -math.sqrt((2 * k + 1) / (2.0 * k)) * s * p
-            leg[0] = p
-            if len(leg) > 1:
-                leg[1] = math.sqrt(2 * mm + 3) * x * p
-            for l in range(mm + 2, mm + len(leg)):
-                a = math.sqrt((4 * l * l - 1) / (l * l - mm * mm))
-                b = math.sqrt(((l - 1) ** 2 - mm * mm) / (4 * (l - 1) ** 2 - 1))
-                leg[l - mm] = a * (x * leg[l - mm - 1] - b * leg[l - mm - 2])
-
+            leg = self._legendre(mm, int(ls.max()), x, s)
             eim = np.empty(pts.shape[0], dtype=complex)
             np.cos(mm * phi, out=eim.real)
             np.sin(mm * phi, out=eim.imag)
             pos = ms >= 0
-            if pos.any():
-                out[:, cols[pos]] = (leg[ls[pos] - mm] * eim).T
-            if not pos.all():
-                # Y_l^{-m} = (-1)^m conj(Y_l^m)
-                out[:, cols[~pos]] = (((-1) ** mm) * leg[ls[~pos] - mm] * np.conj(eim)).T
+            out[:, cols[pos]] = (leg[ls[pos] - mm] * eim).T
+            # Y_l^{-m} = (-1)^m conj(Y_l^m)
+            out[:, cols[~pos]] = (((-1) ** mm) * leg[ls[~pos] - mm] * np.conj(eim)).T
         return out
+
+    def _gram_blocks(self, elements, quad, mask):
+        """One block per order m on the theta-major rings build_quadrature emits
+        (n_phi nodes at ``_longitudes(n_phi)``, one colatitude and weight each)
+        when ``mask`` is constant on every ring: sums of e^{i(m - m')phi} vanish
+        for n_phi > 2 max|m| (Simons, Dahlen & Wieczorek, SIAM Rev. 48 (2006))."""
+        theta = quad.nodes[:, 0]
+        n_phi = (int(np.argmax(theta != theta[0])) or len(theta)) if len(theta) else 1
+        rings = [a.reshape(-1, n_phi) for a in (theta, quad.weights, mask, quad.nodes[:, 1])
+                 ] if len(theta) % n_phi == 0 else []
+        if (not rings or any((r != r[:, :1]).any() for r in rings[:3])
+                or (rings[3] != _longitudes(n_phi)).any()):
+            return super()._gram_blocks(elements, quad, mask)
+        labels = self._label_array(elements)
+        if n_phi <= 2 * (top := int(np.abs(labels[:, 1]).max(initial=0))):
+            raise CoarseQuadratureError(f"rings of {n_phi} nodes do not separate the orders "
+                                        f"up to |m| = {top}; refine the quadrature")
+        inside = rings[2][:, 0]
+        order = np.argsort(~inside, kind="stable")
+        x = np.cos(rings[0][order, 0])
+        s = np.sqrt(np.maximum(0.0, 1.0 - x * x))
+        w = rings[1].sum(axis=1)[order]
+        blocks = []
+        for m in np.unique(labels[:, 1]).tolist():
+            cols = np.flatnonzero(labels[:, 1] == m)
+            # Y_l^{-m} = (-1)^m conj(Y_l^m): orders m and -m have equal blocks
+            leg = self._legendre(abs(m), int(labels[cols, 0].max()), x, s)
+            blocks.append((cols, leg[labels[cols, 0] - abs(m)].T, w, int(inside.sum())))
+        return blocks
 
     def build_quadrature(self, cutoff, oversample=1):
         if not math.isfinite(cutoff):
@@ -400,8 +441,7 @@ class Sphere2(ModelSpace):
         n_phi = (2 * lmax + 1) * over
         x, w = np.polynomial.legendre.leggauss(n_theta)
         theta = np.arccos(x)
-        phi = (np.arange(n_phi) + 0.5) * (TWO_PI / n_phi)
-        tt, pp = np.meshgrid(theta, phi, indexing="ij")
+        tt, pp = np.meshgrid(theta, _longitudes(n_phi), indexing="ij")
         ww = np.repeat(w, n_phi) * (TWO_PI / n_phi)
         nodes = np.stack([tt.ravel(), pp.ravel()], axis=-1)
         return Quadrature(nodes, ww, exactness_degree=min(2 * n_theta - 1, n_phi - 1))

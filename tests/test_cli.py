@@ -8,6 +8,7 @@ import specon.cli as cli
 from specon import (
     BandlimitedFunction,
     GramMatrix,
+    ModelSpace,
     Sphere2,
     cap,
     check_homogeneous_uncertainty,
@@ -275,6 +276,23 @@ class TestErrors:
         assert "65536 nodes x 65536 elements needs 68,719,476,736 bytes (64.0 GiB)" in err
         assert "cutoff" in err and "oversample" in err and "spectrum" in err
 
+    @pytest.mark.parametrize("argv,calls", [
+        (("gmpt", "--space", "torus:d=1", "--n", "8", "--trials", "4", "--subsets", "8"), 1),
+        (("gmpt", "--space", "zn:N=16,d=1", "--n", "8", "--trials", "4", "--subsets", "8"), 1),
+        (("check", "--inequality", "random-manifold", "--space", "torus:d=1", "--n", "8",
+          "--region", "arc:0:2", "--trials", "3", "--gmpt-trials", "4", "--subsets", "8"), 1),
+        # on a group the size guard refuses before any enumeration
+        (("gmpt", "--space", "zn:N=256,d=2", "--n", "65536"), 0),
+    ])
+    def test_gmpt_enumerates_once(self, capsys, monkeypatch, argv, calls):
+        seen = []
+        first_elements = ModelSpace.first_elements
+        monkeypatch.setattr(ModelSpace, "first_elements",
+                            lambda self, n: seen.append(n) or first_elements(self, n))
+        code, _, err = run_cli(capsys, *argv)
+        assert code == (1 if calls == 0 else 0), err
+        assert len(seen) == calls
+
     def test_bourgain_on_a_large_group_builds_no_character_matrix(self, capsys):
         # the 16384 x 16384 character matrix would need 4 GiB; one FFT of the
         # indicator gives its coefficients instead
@@ -293,6 +311,19 @@ class TestDeterminismAndFormats:
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
+
+    def test_sphere_concentrate_vectors_are_of_one_order(self, capsys):
+        args = ["concentrate", "--space", "sphere2", "--spectrum", "ball:6",
+                "--region", "cap:1.1", "--top", "3"]
+        code, out1, _ = run_cli(capsys, *args)
+        _, out2, _ = run_cli(capsys, *args)
+        assert code == 0 and out1 == out2
+        doc = json.loads(out1)["result"]
+        elements = Sphere2().first_elements(max(doc["indices"]) + 1)
+        orders = np.array([elements[i].label[1] for i in doc["indices"]])
+        assert len(doc["top_vectors"]) == 3
+        for vec in doc["top_vectors"]:
+            assert len(set(orders[complex_rows(vec) != 0].tolist())) == 1
 
     def test_byte_identical_csv(self, capsys):
         args = ["donoho-stark", "--space", "zn:N=16,d=1", "--trials", "50",

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from specon import (
     GramMatrix,
     ProductSpace,
     Quadrature,
+    Region,
     SpectralSet,
     Sphere2,
     Torus,
@@ -196,14 +198,33 @@ def _oracle_cases():
         (p, p.build_quadrature(3.0, oversample=2), spectrum_ball(p, 3.0),
          parse_region(p, "product(arc:0:2,band:0.5:2)")),
         (g, g.build_quadrature(), spectrum_ball(g, 3.0), parse_region(g, "set:{(0,0),(1,2),(7,3)}")),
+        # sphere ring quadratures at oversample 1 to 4 take the per-order path
+        (s, s.build_quadrature(4.0, oversample=1), spectrum_ball(s, 4.0),
+         parse_region(s, "band:0.3:0.9+band:1.5:2.2")),
+        (s, s.build_quadrature(4.0, oversample=3), spectrum_ball(s, 4.0), cap(s, 1.1).complement()),
+        (s, s.build_quadrature(4.0, oversample=4), spectrum_ball(s, 4.0), cap(s, 2.3)),
+        # a ring quadrature built by hand, exact for l <= 5
+        (s, _ring_quadrature(6, 11), spectrum_ball(s, 6.0), cap(s, 1.0)),
     ]
+
+
+SPHERE_CASES = [1, 4, 5, 6, 7]
+
+
+def _ring_quadrature(n_theta, n_phi):
+    """Gauss-Legendre rings of n_phi equispaced nodes, built by hand."""
+    x, w = np.polynomial.legendre.leggauss(n_theta)
+    theta = np.repeat(np.arccos(x), n_phi)
+    phi = np.tile((np.arange(n_phi) + 0.5) * (TWO_PI / n_phi), n_theta)
+    return Quadrature(np.stack([theta, phi], axis=-1), np.repeat(w, n_phi) * (TWO_PI / n_phi),
+                      exactness_degree=min(2 * n_theta - 1, n_phi - 1))
 
 
 class TestGramOracle:
     """gram_matrix against the direct masked quadrature V^H diag(w 1_E) V,
     with V evaluated on the nodes in their own order."""
 
-    @pytest.mark.parametrize("case", range(4))
+    @pytest.mark.parametrize("case", range(len(_oracle_cases())))
     @pytest.mark.parametrize("which", ["region", "full", "empty", "no-spectrum"])
     def test_matches_masked_quadrature(self, case, which):
         space, quad, sset, region = _oracle_cases()[case]
@@ -233,6 +254,62 @@ class TestGramOracle:
         s = Sphere2()
         with pytest.raises(CoarseQuadratureError):
             gram_matrix(spectrum_ball(s, 6.0), cap(s, 1.0), s.build_quadrature(2.0))
+
+    @pytest.mark.parametrize("n_theta,n_phi,message", [
+        # exact in theta for l <= 5, but 10 longitudes alias |m| = 5
+        (6, 10, "do not separate the orders up to |m| = 5"),
+        # enough longitudes, too few rings
+        (3, 11, "orthonormality defect"),
+    ])
+    def test_coarse_ring_quadrature_raises(self, n_theta, n_phi, message):
+        s = Sphere2()
+        with pytest.raises(CoarseQuadratureError, match=re.escape(message)):
+            gram_matrix(spectrum_ball(s, 6.0), cap(s, 1.0), _ring_quadrature(n_theta, n_phi))
+
+    @pytest.mark.parametrize("case", SPHERE_CASES)
+    @pytest.mark.parametrize("which", ["region", "full", "empty"])
+    def test_sphere_gram_is_solved_per_order(self, case, which):
+        space, quad, sset, region = _oracle_cases()[case]
+        region = {"region": region, "full": full_region(space), "empty": empty_region(space)}[which]
+        g = gram_matrix(sset, region, quad)
+        m = np.array([el.label[1] for el in sset.elements])
+        assert len(g.blocks) == len(set(m.tolist()))
+        assert not g.entries[m[:, None] != m[None, :]].any()  # exact zeros off the blocks
+        raw = g.raw_eigenvalues()
+        assert np.abs(raw - np.linalg.eigvalsh(g.entries)).max() < 1e-13
+        vecs = g.eigenvectors()
+        assert np.abs(g.entries @ vecs - raw * vecs).max() < 1e-12
+        for v in vecs.T:
+            assert len(set(m[v != 0].tolist())) == 1
+
+    def test_mask_varying_on_a_ring_takes_the_dense_path(self):
+        s, quad, sset, _ = _oracle_cases()[1]
+
+        class Hemisphere(Region):
+            space, descriptor = s, "phi < pi"
+
+            def contains_mask(self, points):
+                return np.asarray(points)[:, 1] < math.pi
+
+        v = s.basis_matrix(sset.elements, quad.nodes)
+        mask = Hemisphere().contains_mask(quad.nodes)
+        g = gram_matrix(sset, Hemisphere(), quad)
+        assert len(g.blocks) == 1
+        assert np.abs(g.entries - v.conj().T @ (v * (quad.weights * mask)[:, None])).max() < 1e-13
+
+    def test_permuted_sphere_nodes_take_the_dense_path(self, monkeypatch):
+        s, quad, sset, region = _oracle_cases()[1]
+        perm = np.random.default_rng(0).permutation(quad.weights.shape[0])
+        shuffled = Quadrature(quad.nodes[perm], quad.weights[perm], quad.exactness_degree)
+        calls = []
+        basis_matrix = Sphere2.basis_matrix
+        monkeypatch.setattr(Sphere2, "basis_matrix",
+                            lambda self, *a: calls.append(1) or basis_matrix(self, *a))
+        ring = gram_matrix(sset, region, quad)
+        assert calls == [] and len(ring.blocks) > 1
+        dense = gram_matrix(sset, region, shuffled)
+        assert calls == [1] and len(dense.blocks) == 1
+        assert np.abs(dense.entries - ring.entries).max() < 1e-13
 
 
 class TestEigenCache:

@@ -100,6 +100,27 @@ class TestGroupMembership:
         assert r.contains_mask(pts).any() and not r.contains_mask(pts).all()
 
 
+    @pytest.mark.parametrize("order,dim", [(12, 1), (6, 2), (4, 3)])
+    def test_complement_matches_the_tuple_construction(self, order, dim):
+        g = FiniteGroup(order, dim)
+        pts = list(itertools.product(range(order), repeat=dim))
+        rng = np.random.default_rng(order)
+        for k in (0, 1, len(pts) // 3, len(pts)):
+            r = FiniteSubset(g, [pts[i] for i in rng.choice(len(pts), size=k, replace=False)])
+            rest = r.complement()
+            kept = [p for p in pts if p not in r.elements]
+            oracle = FiniteSubset(g, kept)
+            assert rest.elements == oracle.elements == set(kept)
+            assert rest.atoms == oracle.atoms and rest.measure == oracle.measure == len(kept)
+            assert rest.descriptor == oracle.descriptor == "set:{" + ",".join(
+                str(p[0]) if dim == 1 else "(" + ",".join(map(str, p)) + ")" for p in kept) + "}"
+            nodes = g.points()
+            assert rest.contains_mask(nodes).tolist() == oracle.contains_mask(nodes).tolist()
+        full = full_region(g)
+        assert full.descriptor == "full" and full.elements == set(pts)
+        assert full.measure == len(pts) and full.contains_mask(g.points()).all()
+
+
 class TestRegionFamilies:
     """``full``, ``empty`` and ``+`` unions build the same atoms on every
     family."""
