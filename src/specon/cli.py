@@ -28,7 +28,7 @@ from .regions import parse_region
 from .reports import (
     SCHEMA_VERSION,
     InequalityReport,
-    _csv_cell,
+    csv_table,
     dumps_stable,
     reports_to_csv,
     reports_to_json,
@@ -53,22 +53,14 @@ PHASE_TIE_TOL = 1e-9
 # -- emission -------------------------------------------------------------------
 
 
-def _resolve_output(path):
-    if path in (None, "-"):
-        return None
-    base = os.environ.get(OUTPUT_DIR_ENV)
-    if base and not os.path.isabs(path):
-        path = os.path.join(base, path)
-    return path
-
-
 def _write(text: str, path):
-    path = _resolve_output(path)
-    if path is None:
+    """``text`` to stdout, or to ``path``; a relative path joins $SPECON_OUTPUT_DIR
+    (os.path.join keeps an absolute one as it is)."""
+    if path in (None, "-"):
         sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        return
+    with open(os.path.join(os.environ.get(OUTPUT_DIR_ENV, ""), path), "w") as fh:
+        fh.write(text)
 
 
 def emit_reports(args, reports) -> int:
@@ -86,10 +78,9 @@ def emit_rows(args, header, rows) -> int:
         doc = {"schema_version": SCHEMA_VERSION, "command": args.command,
                "rows": [dict(zip(header, row)) for row in rows]}
         _write(dumps_stable(doc) + "\n", args.output)
-        return 0
-    lines = [",".join(["schema_version"] + list(header))]
-    lines += [",".join(_csv_cell(c) for c in (SCHEMA_VERSION, *row)) for row in rows]
-    _write("\n".join(lines) + "\n", args.output)
+    else:
+        _write(csv_table(["schema_version", *header], [(SCHEMA_VERSION, *row) for row in rows]),
+               args.output)
     return 0
 
 
@@ -166,11 +157,9 @@ def _per_trial(args, one):
 
 def cmd_basis(args):
     space = parse_space(args.space)
-    cutoff = args.cutoff
+    cutoff = space.max_frequency() if args.cutoff is None else args.cutoff
     if cutoff is None:
-        cutoff = space.max_frequency()
-        if cutoff is None:
-            raise SpeconError("--cutoff is required on spaces with unbounded spectrum")
+        raise SpeconError("--cutoff is required on spaces with unbounded spectrum")
     rows = [
         (el.index, str(el.label), el.frequency, list(el.joint))
         for el in space.enumerate_basis(cutoff)
@@ -185,14 +174,13 @@ def cmd_weyl(args):
         lams = np.arange(args.lam_step, args.lam_max + args.lam_step / 2,
                          args.lam_step).tolist()
     if not lams:
-        raise SpeconError("weyl needs --lambda or --lambda-max")
+        raise SpeconError("weyl needs --lambda, or a --lambda-max above half its --lambda-step")
     point = (space.extreme_points()[0] if args.point is None
              else np.asarray([float(c) for c in args.point.split(",")]))
     weyl_const = space.total_measure * space.unit_ball_volume / (2 * math.pi) ** space.dim
     rows = []
-    for lam in lams:
+    for lam, nx in zip(lams, local_weyl(space, point, lams)):
         n = weyl_count(space, lam)
-        nx = local_weyl(space, point, lam)
         pred = weyl_const * lam**space.dim
         rows.append((lam, n, nx, pred, n / pred if pred > 0 else math.inf))
     return emit_rows(args, ["lambda", "count", "local_count", "weyl_prediction", "ratio"], rows)
@@ -416,6 +404,28 @@ def cmd_check(args):
 # -- parser ----------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise, so main reports them as bad input (exit 1)."""
+
+    def error(self, message):
+        raise SpeconError(message)
+
+
+def _number(kind, low: float, strict: bool = False):
+    """Flag type: a ``kind`` value, finite and >= ``low`` (> ``low`` if strict)."""
+    def parse(text):
+        value = kind(text)
+        if not ((low < value if strict else low <= value) and value < math.inf):
+            raise argparse.ArgumentTypeError(
+                f"must be a finite number {'>' if strict else '>='} {low}, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names the kind when kind() fails
+    return parse
+
+
+_COUNT = _number(int, 0)
+
+
 def _add_common(p):
     p.add_argument("--space", required=True, help="space descriptor, e.g. torus:d=2")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
@@ -432,7 +442,7 @@ def _add_common(p):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="specon",
         description="Concentration operators and uncertainty inequalities on "
                     "model spaces (tori, the 2-sphere, finite abelian groups, products).",
@@ -446,16 +456,17 @@ def build_parser():
 
     p = sub.add_parser("weyl", help="eigenvalue counting tables N and N_x")
     _add_common(p)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--lambda-max", dest="lam_max", type=float, default=None)
-    p.add_argument("--lambda-step", dest="lam_step", type=float, default=1.0)
+    p.add_argument("--lambda", dest="lam", type=_number(float, 0), default=None)
+    p.add_argument("--lambda-max", dest="lam_max", type=_number(float, 0), default=None)
+    p.add_argument("--lambda-step", dest="lam_step", type=_number(float, 0, strict=True),
+                   default=1.0)
     p.add_argument("--point", default=None, help="comma-separated coordinates for N_x")
     p.set_defaults(handler=cmd_weyl)
 
     p = sub.add_parser("homogeneity", help="constant-degeneracy-sum check per eigenvalue")
     _add_common(p)
     p.add_argument("--spectrum", required=True)
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=_COUNT, default=200)
     p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(handler=cmd_homogeneity)
 
@@ -463,7 +474,7 @@ def build_parser():
     _add_common(p)
     p.add_argument("--spectrum", required=True)
     p.add_argument("--region", required=True)
-    p.add_argument("--top", type=int, default=1, help="eigenvectors to include")
+    p.add_argument("--top", type=_COUNT, default=1, help="eigenvectors to include")
     p.set_defaults(handler=cmd_concentrate)
 
     p = sub.add_parser("check", help="evaluate one uncertainty inequality")
@@ -473,34 +484,34 @@ def build_parser():
     p.add_argument("--spectrum", default=None)
     p.add_argument("--q", type=float, default=None)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--trials", type=int, default=1)
+    p.add_argument("--trials", type=_COUNT, default=1)
     p.add_argument("--f-mode", choices=["bandlimited", "tails", "slepian"],
                    default="bandlimited")
-    p.add_argument("--x-samples", type=int, default=256)
+    p.add_argument("--x-samples", type=_COUNT, default=256)
     p.add_argument("--c-param", type=float, default=1.0)
-    p.add_argument("--subsets", type=int, default=16)
-    p.add_argument("--gmpt-trials", type=int, default=16)
+    p.add_argument("--subsets", type=_COUNT, default=16)
+    p.add_argument("--gmpt-trials", type=_COUNT, default=16)
     p.set_defaults(handler=cmd_check)
 
     p = sub.add_parser("lambda-q", help="generic subset and q-orthogonality estimate")
     _add_common(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=float, required=True)
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--ascent-iterations", type=int, default=200)
+    p.add_argument("--trials", type=_COUNT, default=20)
+    p.add_argument("--ascent-iterations", type=_COUNT, default=200)
     p.set_defaults(handler=cmd_lambda_q)
 
     p = sub.add_parser("gmpt", help="random near-half split with observed L2/L1 constant")
     _add_common(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--c-param", type=float, default=1.0)
-    p.add_argument("--trials", type=int, default=32)
-    p.add_argument("--subsets", type=int, default=64)
+    p.add_argument("--trials", type=_COUNT, default=32)
+    p.add_argument("--subsets", type=_COUNT, default=64)
     p.set_defaults(handler=cmd_gmpt)
 
     p = sub.add_parser("donoho-stark", help="support uncertainty sweep on a finite group")
     _add_common(p)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_COUNT, default=100)
     p.set_defaults(handler=cmd_donoho_stark)
 
     return parser
@@ -534,10 +545,8 @@ def _expand_config(argv):
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        argv = _expand_config(argv)
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(_expand_config(argv))
         return args.handler(args)
     except (SpeconError, ValueError, OSError) as exc:
         print(f"specon: error: {exc}", file=sys.stderr)

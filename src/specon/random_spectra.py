@@ -179,11 +179,8 @@ def estimate_cq(space: ModelSpace, subset, q: float, quad: Quadrature,
 
     m = len(subset)
     rng = trial_rng(seed, 0)
-    starts = [np.eye(m, dtype=complex)[i] for i in range(m)]
-    starts += [s for s in (np.asarray(x, dtype=complex) for x in extra_starts)]
-    for _ in range(trials):
-        v = rng.normal(size=m) + 1j * rng.normal(size=m)
-        starts.append(v)
+    starts = list(np.eye(m, dtype=complex)) + [np.asarray(x, dtype=complex) for x in extra_starts]
+    starts += [rng.normal(size=m) + 1j * rng.normal(size=m) for _ in range(trials)]
 
     c_lower, best_a = 0.0, starts[0]
     for s in starts:

@@ -61,13 +61,7 @@ def _disjoint_cells(boxes, lo, hi, dim):
     """Partition [lo, hi]^dim along all box edges; return the cells covered by
     at least one box and the cells covered by none.  Makes union measures
     additive regardless of overlap."""
-    edges = []
-    for axis in range(dim):
-        vals = {lo, hi}
-        for box in boxes:
-            vals.add(box[axis][0])
-            vals.add(box[axis][1])
-        edges.append(sorted(vals))
+    edges = [sorted({lo, hi, *(x for box in boxes for x in box[axis])}) for axis in range(dim)]
     covered, uncovered = [], []
     for cell in itertools.product(*[zip(e[:-1], e[1:]) for e in edges]):
         center = [0.5 * (a + b) for a, b in cell]

@@ -8,6 +8,7 @@ strings "inf", "-inf", "nan" (JSON has no token for them).
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 REL_TOL = 1e-12
@@ -109,9 +110,8 @@ def _csv_cell(value) -> str:
     elif isinstance(value, bool):
         s = "true" if value else "false"
     elif isinstance(value, (dict, list, tuple)):
-        s = dumps_stable(value).replace("\n", " ").replace("  ", " ")
-        while "  " in s:
-            s = s.replace("  ", " ")
+        # only structural newlines: dumps_stable escapes those inside strings
+        s = re.sub(r"\n *", " ", dumps_stable(value))
     elif value is None:
         s = ""
     else:
@@ -126,11 +126,11 @@ def reports_to_json(reports) -> str:
     return dumps_stable(doc) + "\n"
 
 
+def csv_table(header, rows) -> str:
+    """A header line and one line of CSV cells per row."""
+    return "".join(",".join(map(_csv_cell, row)) + "\n" for row in [header, *rows])
+
+
 def reports_to_csv(reports) -> str:
-    lines = [",".join(CSV_HEADER)]
-    for r in reports:
-        d = r.to_dict()
-        row = [SCHEMA_VERSION, d["name"], d["lhs"], d["rhs"], d["holds"], d["slack"],
-               d["seed"], d["inputs"], d["caveats"]]
-        lines.append(",".join(_csv_cell(c) for c in row))
-    return "\n".join(lines) + "\n"
+    dicts = [r.to_dict() for r in reports]
+    return csv_table(CSV_HEADER, [[SCHEMA_VERSION] + [d[k] for k in CSV_HEADER[1:]] for d in dicts])

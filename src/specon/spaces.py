@@ -36,15 +36,17 @@ MAX_BASIS_BYTES = 2 * 2**30
 
 def _r2max(lam: float) -> int:
     """Largest integer t with sqrt(t) <= lam in floating point, so integer
-    squared-norm tests agree exactly with frequency comparisons."""
+    squared-norm tests agree exactly with frequency comparisons; bisection on
+    that monotone predicate."""
     if lam < 0:
         return -1
-    t = int(math.floor(lam * lam))
-    while math.sqrt(t + 1) <= lam:
-        t += 1
-    while t >= 0 and math.sqrt(t) > lam:
-        t -= 1
-    return t
+    if not math.isfinite(2.0 * lam * lam):
+        raise ValueError(f"cutoff {lam!r} is not finite or too large to square")
+    lo, hi = 0, 2 * int(lam * lam) + 2  # sqrt(lo) <= lam < sqrt(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if math.sqrt(mid) <= lam else (lo, mid)
+    return lo
 
 
 def _longitudes(n_phi: int) -> np.ndarray:
@@ -119,16 +121,14 @@ class ModelSpace:
         return self._elements(labels[np.lexsort((*labels.T[::-1], freqs))])
 
     def first_elements(self, n: int) -> list[BasisElement]:
-        """The first ``n`` elements of the global enumeration."""
-        cutoff = 1.0
-        while True:
-            els = self.enumerate_basis(cutoff)
-            if len(els) >= n:
-                return els[:n]
-            top = self.max_frequency()
+        """The first ``n`` elements of the global enumeration: the cutoff
+        doubles on :meth:`count_upto`, then one enumeration builds them."""
+        cutoff, top = 1.0, self.max_frequency()
+        while (count := self.count_upto(cutoff)) < n:
             if top is not None and cutoff >= top:
-                raise ValueError(f"space has only {len(els)} basis elements, {n} requested")
+                raise ValueError(f"space has only {count} basis elements, {n} requested")
             cutoff = 2 * cutoff if top is None else min(2 * cutoff, top)
+        return self.enumerate_basis(cutoff)[:n]
 
     def elements_by_index(self, indices) -> list[BasisElement]:
         els = self.first_elements(max(indices) + 1)
@@ -337,15 +337,10 @@ class Sphere2(ModelSpace):
         self.kind = "sphere2"
 
     def _lmax(self, cutoff: float) -> int:
+        """Largest degree l with sqrt(l(l+1)) <= cutoff: in integers,
+        l(l+1) <= r2 exactly when (2l+1)^2 <= 4 r2 + 1."""
         r2 = _r2max(cutoff)
-        if r2 < 0:
-            return -1
-        l = int((-1 + math.sqrt(1 + 4 * r2)) // 2)
-        while (l + 1) * (l + 2) <= r2:
-            l += 1
-        while l > 0 and l * (l + 1) > r2:
-            l -= 1
-        return l
+        return (math.isqrt(4 * r2 + 1) - 1) // 2 if r2 >= 0 else -1
 
     def _candidates(self, cutoff):
         lmax = self._lmax(cutoff)

@@ -146,15 +146,18 @@ def weyl_count(space: ModelSpace, lam: float) -> int:
     return space.count_upto(lam)
 
 
-def local_weyl(space: ModelSpace, x, lam: float) -> float:
-    """N_x(lambda) = sum over frequencies <= lambda of |e_j(x)|^2."""
-    if lam < 0:
+def local_weyl(space: ModelSpace, x, lam):
+    """N_x(lambda) = sum over frequencies <= lambda of |e_j(x)|^2, or the list of
+    them for a sequence of lambdas: each is the pairwise np.sum of a prefix of one
+    evaluation at the largest lambda, as the enumeration is sorted by frequency."""
+    lams = np.atleast_1d(np.asarray(lam, float))
+    if (lams < 0).any():
         raise ValueError("lambda must be nonnegative")
-    els = space.enumerate_basis(lam)
-    if not els:
-        return 0.0
-    v = space.basis_matrix(els, np.atleast_2d(np.asarray(x, float)))
-    return float(np.sum(np.abs(v[0]) ** 2))
+    els = space.enumerate_basis(float(lams.max(initial=0.0)))
+    freqs = np.array([el.frequency for el in els])
+    mags = np.abs(space.basis_matrix(els, np.atleast_2d(np.asarray(x, float)))[0]) ** 2
+    sums = [float(np.sum(mags[:k])) for k in np.searchsorted(freqs, lams, side="right")]
+    return sums if np.ndim(lam) else sums[0]
 
 
 def check_homogeneity(space: ModelSpace, value, sample_points, tol: float = 1e-9,

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -52,13 +54,22 @@ class TestBasicCommands:
         doc = json.loads(out)
         assert doc["rows"][0]["count"] == 81
 
-    def test_weyl_table(self, capsys):
+    def test_weyl_table(self, capsys, monkeypatch):
         code, out, _ = run_cli(capsys, "weyl", "--space", "sphere2",
                                "--lambda-max", "4", "--lambda-step", "1")
         assert code == 0
         rows = json.loads(out)["rows"]
         # degrees with sqrt(l(l+1)) <= lambda: 0; 0,1; 0..2; 0..3
         assert [r["count"] for r in rows] == [1, 4, 9, 16]
+        # the whole table reads prefixes of one evaluation at the top lambda
+        calls = []
+        for cls, name in [(ModelSpace, "enumerate_basis"), (Sphere2, "basis_matrix")]:
+            method = getattr(cls, name)
+            monkeypatch.setattr(cls, name, lambda self, *a, _m=method, _n=name:
+                                calls.append(_n) or _m(self, *a))
+        code, out, _ = run_cli(capsys, "weyl", "--space", "sphere2", "--lambda-max", "40")
+        assert code == 0 and len(json.loads(out)["rows"]) == 40
+        assert sorted(calls) == ["basis_matrix", "enumerate_basis"]
 
     def test_homogeneity_pass_and_fail_exit_codes(self, capsys):
         code, out, _ = run_cli(capsys, "homogeneity", "--space", "sphere2",
@@ -285,13 +296,66 @@ class TestErrors:
         (("gmpt", "--space", "zn:N=256,d=2", "--n", "65536"), 0),
     ])
     def test_gmpt_enumerates_once(self, capsys, monkeypatch, argv, calls):
-        seen = []
-        first_elements = ModelSpace.first_elements
-        monkeypatch.setattr(ModelSpace, "first_elements",
-                            lambda self, n: seen.append(n) or first_elements(self, n))
+        # enumerations made inside each first_elements call
+        seen, enumerations = [], []
+        first_elements, enumerate_basis = ModelSpace.first_elements, ModelSpace.enumerate_basis
+
+        def counted(self, n):
+            before = len(enumerations)
+            els = first_elements(self, n)
+            seen.append(len(enumerations) - before)
+            return els
+
+        monkeypatch.setattr(ModelSpace, "first_elements", counted)
+        monkeypatch.setattr(ModelSpace, "enumerate_basis", lambda self, cutoff:
+                            enumerations.append(cutoff) or enumerate_basis(self, cutoff))
         code, _, err = run_cli(capsys, *argv)
         assert code == (1 if calls == 0 else 0), err
-        assert len(seen) == calls
+        assert seen == [1] * calls
+
+    @pytest.mark.parametrize("argv,named", [
+        (("weyl", "--space", "torus:d=1", "--lambda-max", "5", "--lambda-step", "0"),
+         "argument --lambda-step"),
+        (("weyl", "--space", "torus:d=1", "--lambda-max", "5", "--lambda-step", "-1"),
+         "argument --lambda-step"),
+        (("weyl", "--space", "torus:d=1", "--lambda-max", "-3"), "argument --lambda-max"),
+        (("weyl", "--space", "torus:d=1", "--lambda-max", "nan"), "argument --lambda-max"),
+        (("weyl", "--space", "torus:d=1", "--lambda", "inf"), "argument --lambda"),
+        (("weyl", "--space", "torus:d=1", "--lambda", "-1"), "argument --lambda"),
+        (("weyl", "--space", "torus:d=1", "--lambda", "abc"), "argument --lambda"),
+        (("weyl", "--space", "torus:d=1", "--lambda", "1e300"), "cutoff 1e+300"),
+        (("weyl", "--space", "sphere2", "--lambda", "1e300"), "cutoff 1e+300"),
+        (("basis", "--space", "torus:d=1", "--cutoff", "1e300"), "cutoff 1e+300"),
+        (("homogeneity", "--space", "torus:d=1", "--spectrum", "ball:1e200"), "ball:1e200"),
+        (("check", "--inequality", "nope", "--space", "torus:d=1"), "argument --inequality"),
+        (("check", "--space", "torus:d=1"), "required: --inequality"),
+        (("concentrate", "--space", "torus:d=1", "--spectrum", "ball:2",
+          "--region", "arc:0:1", "--top", "-1"), "argument --top"),
+        (("check", "--inequality", "lca", "--space", "zn:N=4", "--trials", "-1"), "argument --trials"),
+        (("check", "--inequality", "supnorm", "--space", "torus:d=1", "--spectrum", "ball:1",
+          "--x-samples", "-1"), "argument --x-samples"),
+        (("check", "--inequality", "random-manifold", "--space", "torus:d=1", "--n", "4",
+          "--subsets", "-1"), "argument --subsets"),
+        (("check", "--inequality", "random-manifold", "--space", "torus:d=1", "--n", "4",
+          "--gmpt-trials", "-2"), "argument --gmpt-trials"),
+        (("homogeneity", "--space", "sphere2", "--spectrum", "level:l=1", "--samples", "-5"),
+         "argument --samples"),
+        (("lambda-q", "--space", "zn:N=16", "--n", "16", "--q", "4",
+          "--ascent-iterations", "-1"), "argument --ascent-iterations"),
+        (("gmpt", "--space", "torus:d=1", "--n", "8", "--trials", "-1"), "argument --trials"),
+        (("donoho-stark", "--space", "zn:N=4", "--trials", "-1"), "argument --trials"),
+    ])
+    def test_bad_argument_exits_1_and_is_named(self, capsys, argv, named):
+        # exit 2 is kept for a failed report
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert named in err and "Traceback" not in err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["weyl", "--help"])
+        assert exc.value.code == 0
+        assert "--lambda-max" in capsys.readouterr().out
 
     def test_bourgain_on_a_large_group_builds_no_character_matrix(self, capsys):
         # the 16384 x 16384 character matrix would need 4 GiB; one FFT of the
@@ -334,6 +398,16 @@ class TestDeterminismAndFormats:
         lines = out1.strip().split("\n")
         assert lines[0] == "schema_version,name,lhs,rhs,holds,slack,seed,inputs,caveats"
         assert len(lines) == 51
+
+    def test_csv_keeps_runs_of_spaces_in_strings(self, capsys):
+        argv = ("check", "--inequality", "prop", "--space", "torus:d=1",
+                "--spectrum", "list:[1.0,  2.0]", "--region", "arc:0:1")
+        _, out, _ = run_cli(capsys, *argv)
+        want = json.loads(out)["reports"][0]["inputs"]
+        _, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert json.loads(rows[0]["inputs"]) == want
+        assert want["spectrum"] == "list:[1.0,  2.0]"
 
     def test_different_seeds_differ(self, capsys):
         args = ["donoho-stark", "--space", "zn:N=16,d=1", "--trials", "5"]

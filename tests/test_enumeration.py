@@ -4,6 +4,7 @@ on random spaces and cutoffs, products and nested products included."""
 import itertools
 import math
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -89,3 +90,18 @@ def test_enumeration_matches_brute_force(space, cutoff, data):
 
     ball = brute_force(space, sset.max_frequency + tol)
     assert sset.indices == [j for j, row in enumerate(ball) if near(row)]
+
+
+@pytest.mark.parametrize("space", [Torus(1), Torus(3), Sphere2(), FiniteGroup(6, 2),
+                                   ProductSpace(Torus(1), Sphere2())])
+def test_first_elements_is_a_prefix_of_a_larger_enumeration(space):
+    big = space.enumerate_basis(9.0)
+    for n in [0, 1, 2, 5, 17, len(big) // 2, len(big)]:
+        assert space.first_elements(n) == big[:n]
+
+
+def test_first_elements_beyond_a_finite_spectrum():
+    with pytest.raises(ValueError, match="space has only 36 basis elements, 37 requested"):
+        FiniteGroup(6, 2).first_elements(37)
+    with pytest.raises(ValueError, match="space has only 144 basis elements, 145 requested"):
+        ProductSpace(FiniteGroup(4), FiniteGroup(6, 2)).first_elements(145)

@@ -1,5 +1,7 @@
 import itertools
 import math
+import re
+import time
 
 import numpy as np
 import pytest
@@ -17,7 +19,8 @@ from specon import (
     parse_region,
     parse_space,
 )
-from specon.spaces import MAX_BASIS_BYTES, BasisElement
+import specon.spaces as spaces
+from specon.spaces import MAX_BASIS_BYTES, BasisElement, _r2max
 
 TWO_PI = 2 * math.pi
 
@@ -80,6 +83,56 @@ class TestEnumeration:
         small = t.enumerate_basis(3.0)
         big = t.enumerate_basis(6.0)
         assert big[: len(small)] == small
+
+
+def stepping_r2max(lam):
+    """The search _r2max replaced: step from floor(lam^2) one integer at a
+    time.  Exact, and fast while lam^2 < 2^53; kept as the oracle."""
+    if lam < 0:
+        return -1
+    t = int(math.floor(lam * lam))
+    while math.sqrt(t + 1) <= lam:
+        t += 1
+    while t >= 0 and math.sqrt(t) > lam:
+        t -= 1
+    return t
+
+
+class TestCutoffGate:
+    def test_r2max_matches_the_stepping_search(self):
+        rng = np.random.default_rng(8)
+        roots = np.sqrt(rng.integers(0, 10**14, 500).astype(float))
+        lams = np.concatenate([
+            rng.uniform(0.0, 1e7, 500),
+            np.exp(rng.uniform(-20.0, math.log(1e7), 500)),
+            roots, np.nextafter(roots, 0.0), np.nextafter(roots, math.inf),
+            [0.0, 1.0, 1e-300, -1.0, -math.inf],
+        ])
+        for lam in lams.tolist():
+            assert _r2max(lam) == stepping_r2max(lam), lam
+
+    def test_r2max_returns_at_large_cutoffs(self):
+        start = time.perf_counter()
+        t = _r2max(1e12)
+        assert time.perf_counter() - start < 1.0
+        assert math.sqrt(t) <= 1e12 < math.sqrt(t + 1)
+
+    @pytest.mark.parametrize("lam", [math.inf, math.nan, 1e155, 1e300])
+    def test_r2max_names_an_unusable_cutoff(self, lam):
+        with pytest.raises(ValueError, match=re.escape(f"cutoff {lam!r}")):
+            _r2max(lam)
+
+    def test_sphere_degree_is_exact(self, monkeypatch):
+        # _lmax(cutoff) reads r2 = _r2max(cutoff): hand it every r2 < 10^6
+        monkeypatch.setattr(spaces, "_r2max", int)
+        s, l = Sphere2(), np.arange(1001)
+        want = np.searchsorted(l * (l + 1), np.arange(10**6), side="right") - 1
+        assert [s._lmax(r2) for r2 in range(10**6)] == want.tolist()
+        assert s._lmax(-1) == -1
+        # once 4 r2 + 1 passes 2^53 a float square root no longer separates
+        # l(l+1) - 1 from l(l+1)
+        for l in [10**7 + 3, 10**9 + 7, 2**40 + 5, 10**15 + 1]:
+            assert (s._lmax(l * (l + 1) - 1), s._lmax(l * (l + 1))) == (l - 1, l)
 
 
 class TestEvaluation:

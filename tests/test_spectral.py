@@ -12,6 +12,7 @@ from specon import (
     check_homogeneity,
     cover_by_unit_intervals,
     local_weyl,
+    parse_space,
     parse_spectrum,
     sogge_constant_estimate,
     spectrum_ball,
@@ -91,6 +92,25 @@ class TestLocalWeyl:
         x = [0.9, 1.7]
         vals = [local_weyl(Sphere2(), x, lam) for lam in np.linspace(0, 6, 13)]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("text,top", [
+        ("torus:d=1", 40), ("torus:d=2", 20), ("torus:d=3", 8), ("sphere2", 20),
+        ("zn:N=16,d=2", 12), ("product(torus:d=1,sphere2)", 8)])
+    def test_sequence_equals_scalar_calls(self, text, top):
+        # bit for bit: each sum is the pairwise np.sum over a prefix of one
+        # evaluation (a running sum, np.cumsum, moves the last bits)
+        space = parse_space(text)
+        lams = [2.5, math.sqrt(2), math.sqrt(13), 1.0] + np.arange(0.0, top + 0.25, 0.25).tolist()
+        for x in [space.extreme_points()[0], space.sample_points(1, np.random.default_rng(4))[0]]:
+            # each lambda on its own: its own enumeration and evaluation
+            want = [float(np.sum(np.abs(space.basis_matrix(
+                space.enumerate_basis(lam), np.atleast_2d(x))[0]) ** 2)) for lam in lams]
+            assert [local_weyl(space, x, lam) for lam in lams] == want
+            assert local_weyl(space, x, lams) == want
+            assert local_weyl(space, x, np.array(lams)) == want
+        assert local_weyl(space, x, []) == []
+        with pytest.raises(ValueError):
+            local_weyl(space, x, [1.0, -0.5])
 
     def test_integrates_to_global_count(self):
         # N(lambda) = integral of N_x(lambda)
