@@ -103,9 +103,10 @@ def _quad_for(space, max_freq, args, factor: float = 1.0):
 
 
 def _first_with_quad(space, n, args):
-    """The first ``n`` basis elements and a quadrature for their band."""
-    if isinstance(space, FiniteGroup):  # nodes independent of the band: size-check first
-        quad = _quad_for(space, 1.0, args)
+    """The first ``n`` basis elements and a quadrature for their band; a finite
+    spectrum's nodes do not depend on the band, so they are size-checked first."""
+    if (top := space.max_frequency()) is not None:
+        quad = _quad_for(space, top, args)
         space._check_points(quad.nodes, n)
         return space.first_elements(n), quad
     elements = space.first_elements(n)
@@ -274,30 +275,18 @@ def _check_lca(args, space, what="--inequality lca"):
     return _per_trial(args, one)
 
 
-def _indicator_coefficients(space, region, quad, elements) -> np.ndarray:
-    """<1_E, e_j> by quadrature; on a group one FFT gives all of them."""
-    indicator = region.contains_mask(quad.nodes)
-    if isinstance(space, FiniteGroup):
-        hat = space.weighted_fourier(quad, indicator)
-        return hat[space.flat_index(space._label_array(elements))] * space.order ** (-space.dim / 2)
-    v = space.basis_matrix(elements, quad.nodes)
-    return (v.conj().T * quad.weights) @ indicator.astype(complex)
-
-
 def _check_bourgain(args, space):
     if args.q is None:
         raise SpeconError("--inequality bourgain needs --q")
     region = parse_region(space, args.region)
-    n = args.n
-    if isinstance(space, FiniteGroup):
-        n = int(space.total_measure) if n is None else n
-        quad = _quad_for(space, 1.0, args)
-        elements = space.first_elements(n)
-    elif n is None:
+    top = space.max_frequency()
+    if args.n is None and top is None:
         raise SpeconError("--inequality bourgain needs --n on continuum spaces")
-    else:
-        elements, quad = _first_with_quad(space, n, args)
-    full_hat = _indicator_coefficients(space, region, quad, elements)
+    n = space.count_upto(top) if args.n is None else args.n
+    # no dense size check: a group's coefficients come from one FFT
+    elements = space.first_elements(n)
+    quad = _quad_for(space, max(el.frequency for el in elements), args)
+    full_hat = space.coefficients(elements, quad, region.contains_mask(quad.nodes))
 
     def one(rng):
         subset = generic_subset(RandomSubsetSpec(n, args.q, seed=int(rng.integers(2**63))))
@@ -424,6 +413,16 @@ def _number(kind, low: float, strict: bool = False):
 
 
 _COUNT = _number(int, 0)
+_POSITIVE = _number(int, 1)
+_NONNEGATIVE = _number(float, 0)
+
+
+def _exponent(text):
+    """--q: a float > 2 as ``_number`` types it, or inf (the sup norm)."""
+    return math.inf if float(text) == math.inf else _number(float, 2, strict=True)(text)
+
+
+_exponent.__name__ = "float"
 
 
 def _add_common(p):
@@ -435,9 +434,9 @@ def _add_common(p):
                    help=f"output path (default stdout; relative paths join ${OUTPUT_DIR_ENV})")
     p.add_argument("--config", default=None,
                    help="key=value file inserted as defaults before the flags")
-    p.add_argument("--quad-oversample", type=int, default=4,
+    p.add_argument("--quad-oversample", type=_POSITIVE, default=4,
                    help="multiply quadrature node counts (region resolution)")
-    p.add_argument("--match-tol", type=float, default=1e-9,
+    p.add_argument("--match-tol", type=_NONNEGATIVE, default=1e-9,
                    help="eigenvalue matching tolerance for spectral sets")
 
 
@@ -467,7 +466,7 @@ def build_parser():
     _add_common(p)
     p.add_argument("--spectrum", required=True)
     p.add_argument("--samples", type=_COUNT, default=200)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_NONNEGATIVE, default=1e-9)
     p.set_defaults(handler=cmd_homogeneity)
 
     p = sub.add_parser("concentrate", help="concentration matrix and its eigenpairs")
@@ -482,29 +481,29 @@ def build_parser():
     p.add_argument("--inequality", required=True, choices=list(CHECKS))
     p.add_argument("--region", default="full")
     p.add_argument("--spectrum", default=None)
-    p.add_argument("--q", type=float, default=None)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--q", type=_exponent, default=None)
+    p.add_argument("--n", type=_POSITIVE, default=None)
     p.add_argument("--trials", type=_COUNT, default=1)
     p.add_argument("--f-mode", choices=["bandlimited", "tails", "slepian"],
                    default="bandlimited")
     p.add_argument("--x-samples", type=_COUNT, default=256)
-    p.add_argument("--c-param", type=float, default=1.0)
+    p.add_argument("--c-param", type=_NONNEGATIVE, default=1.0)
     p.add_argument("--subsets", type=_COUNT, default=16)
     p.add_argument("--gmpt-trials", type=_COUNT, default=16)
     p.set_defaults(handler=cmd_check)
 
     p = sub.add_parser("lambda-q", help="generic subset and q-orthogonality estimate")
     _add_common(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=float, required=True)
+    p.add_argument("--n", type=_POSITIVE, required=True)
+    p.add_argument("--q", type=_exponent, required=True)
     p.add_argument("--trials", type=_COUNT, default=20)
     p.add_argument("--ascent-iterations", type=_COUNT, default=200)
     p.set_defaults(handler=cmd_lambda_q)
 
     p = sub.add_parser("gmpt", help="random near-half split with observed L2/L1 constant")
     _add_common(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--c-param", type=float, default=1.0)
+    p.add_argument("--n", type=_POSITIVE, required=True)
+    p.add_argument("--c-param", type=_NONNEGATIVE, default=1.0)
     p.add_argument("--trials", type=_COUNT, default=32)
     p.add_argument("--subsets", type=_COUNT, default=64)
     p.set_defaults(handler=cmd_gmpt)

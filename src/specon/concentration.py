@@ -127,9 +127,8 @@ def band_project(f_hat, sset: SpectralSet) -> BandlimitedFunction:
 def restrict_band(f: BandlimitedFunction, sset: SpectralSet) -> BandlimitedFunction:
     """Band-limiting projection of an expanded function onto another spectral
     set over the same space (coefficients matched by global index)."""
-    have = dict(zip(f.spectral_set.indices, f.coefficients))
-    return BandlimitedFunction(sset, np.array([have.get(j, 0.0) for j in sset.indices],
-                                              dtype=complex))
+    size = max([*f.spectral_set.indices, *sset.indices], default=-1) + 1
+    return band_project(f.full_coefficients(size), sset)
 
 
 def cutoff(f, region: Region, quad: Quadrature) -> np.ndarray:
@@ -301,13 +300,10 @@ def check_projection_bounds(f, region: Region, sset: SpectralSet, quad: Quadratu
     levels = concentration_levels(f, region, sset, quad)
     if isinstance(f, BandlimitedFunction):
         bf = restrict_band(f, sset)
-        bf_samples = bf.samples(quad)
     else:
-        vals = sample_values(f, quad)
-        v = sset.space.basis_matrix(sset.elements, quad.nodes)
-        coeffs = (v.conj().T * quad.weights) @ vals
-        bf_samples = v @ coeffs
-    pbf = float(quad.norm(bf_samples * region.contains_mask(quad.nodes), 2))
+        bf = BandlimitedFunction(sset, sset.space.coefficients(sset.elements, quad,
+                                                               sample_values(f, quad)))
+    pbf = float(quad.norm(bf.samples(quad) * region.contains_mask(quad.nodes), 2))
     fnorm = float(quad.norm(sample_values(f, quad), 2))
     energy = masked_band_energy(sset, region, quad)
 

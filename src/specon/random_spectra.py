@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CoarseQuadratureError, SpeconError
-from .spaces import FiniteGroup, ModelSpace, Quadrature
+from .spaces import ModelSpace, Quadrature
 
 DEFAULT_SEED = 12345
 # an ascent stops once a step no longer raises the best ratio by more than
@@ -45,7 +45,7 @@ class RandomSubsetSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.q <= 2:
+        if not self.q > 2:
             raise ValueError("generic subsets need q > 2")
 
     @property
@@ -67,7 +67,7 @@ def generic_subset(spec: RandomSubsetSpec) -> list[int]:
 
 def lq_norm(samples, quad: Quadrature, q: float) -> float:
     """Weighted L^q norm of node samples; q = inf returns the node maximum."""
-    if q < 1:
+    if not q >= 1:
         raise ValueError("q must be >= 1")
     return quad.norm(samples, q)
 
@@ -106,8 +106,8 @@ class LambdaQEstimate:
         }
 
 
-def _qnorm_resolution_check(space, elements, quad, q):
-    if isinstance(space, FiniteGroup) or math.isinf(q):
+def _qnorm_resolution_check(elements, quad, q):
+    if math.isinf(q):
         return
     fmax = max((el.frequency for el in elements), default=0.0)
     needed = int(math.ceil(q * fmax))
@@ -133,13 +133,13 @@ def estimate_cq(space: ModelSpace, subset, q: float, quad: Quadrature,
 
     q = 2 is allowed as a diagnostic: the ratio is identically one there.
     """
-    if q < 2:
+    if not q >= 2:
         raise ValueError("q must be >= 2 (q = 2 is the orthogonality diagnostic)")
     subset = list(subset)
     if not subset:
         raise ValueError("subset must be nonempty")
     elements = space.elements_by_index(subset)
-    _qnorm_resolution_check(space, elements, quad, q)
+    _qnorm_resolution_check(elements, quad, q)
 
     scale = math.sqrt(space.total_measure)
     psi = space.basis_matrix(elements, quad.nodes) * scale

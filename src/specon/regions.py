@@ -162,14 +162,8 @@ class BandUnion(Region):
         return mask
 
     def complement(self):
-        gaps, prev = [], 0.0
-        for a, b in self.intervals:
-            if a > prev:
-                gaps.append((prev, a))
-            prev = b
-        if prev < math.pi:
-            gaps.append((prev, math.pi))
-        return BandUnion(self.space, gaps)
+        gaps = _disjoint_cells([(band,) for band in self.intervals], 0.0, math.pi, 1)[1]
+        return BandUnion(self.space, [gap for gap, in gaps])
 
 
 def cap(space: Sphere2, theta0: float) -> BandUnion:

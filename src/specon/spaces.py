@@ -49,6 +49,14 @@ def _r2max(lam: float) -> int:
     return lo
 
 
+def _refuse_oversized(table: str, size: int, cause: str):
+    """SpeconError, before anything is allocated, for a ``table`` of ``size``
+    bytes over MAX_BASIS_BYTES."""
+    if size > MAX_BASIS_BYTES:
+        raise SpeconError(f"{table} needs {size:,} bytes ({size / 2**30:.1f} GiB), over the "
+                          f"{MAX_BASIS_BYTES / 2**30:g} GiB limit; {cause}")
+
+
 def _longitudes(n_phi: int) -> np.ndarray:
     """The n_phi equispaced longitudes of every ring of a sphere quadrature."""
     return (np.arange(n_phi) + 0.5) * (TWO_PI / n_phi)
@@ -70,12 +78,13 @@ class Quadrature:
     """Nodes and positive weights realizing integration over the space.
 
     ``exactness_degree`` is the largest combined frequency degree for which
-    products of two basis elements are integrated exactly.
+    products of two basis elements are integrated exactly (``math.inf`` when
+    every product is).
     """
 
     nodes: np.ndarray
     weights: np.ndarray
-    exactness_degree: int
+    exactness_degree: float
 
     @property
     def total_weight(self) -> float:
@@ -151,6 +160,12 @@ class ModelSpace:
         """Flat labels of a superset of the elements of frequency <= cutoff."""
         raise NotImplementedError
 
+    def _refuse_labels(self, rows: int, cutoff: float):
+        """Refuse a table of ``rows`` candidate labels over MAX_BASIS_BYTES."""
+        _refuse_oversized(f"candidate-label table on {self.kind} at cutoff {cutoff} "
+                          f"({rows:,} x {self.dim})", rows * self.dim * 8,
+                          "the cutoff sets the row count")
+
     def _describe(self, labels: np.ndarray):
         """(canonical labels, frequencies, joint rows) of flat labels;
         ValueError naming the space for a label of none of its elements."""
@@ -205,6 +220,12 @@ class ModelSpace:
         """Matrix V with V[i, j] = e_j(points[i])."""
         raise NotImplementedError
 
+    def coefficients(self, elements, quad: Quadrature, samples) -> np.ndarray:
+        """<g, e_j> = sum_x w_x g(x) conj(e_j(x)) by ``quad``, for node samples
+        ``g`` and each of ``elements``."""
+        v = self.basis_matrix(elements, quad.nodes)
+        return (v.conj().T * quad.weights) @ np.asarray(samples, dtype=complex)
+
     def _gram_blocks(self, elements, quad: Quadrature, mask) -> list:
         """The masked Gram's diagonal blocks as (positions, rows, weights, k), k inside rows first."""
         order = np.argsort(~mask, kind="stable")
@@ -223,15 +244,10 @@ class ModelSpace:
                 f"points for {self.kind} must have {self.coord_dim} coordinates, "
                 f"got shape {pts.shape}"
             )
-        size = pts.shape[0] * elements * 16
-        if size > MAX_BASIS_BYTES:
-            raise SpeconError(
-                f"basis matrix on {self.kind} of {pts.shape[0]} nodes x {elements} elements "
-                f"needs {size:,} bytes ({size / 2**30:.1f} GiB), over the "
-                f"{MAX_BASIS_BYTES / 2**30:g} GiB limit; "
-                f"the quadrature cutoff and oversample set the node count and the spectrum "
-                f"sets the element count"
-            )
+        _refuse_oversized(f"basis matrix on {self.kind} of {pts.shape[0]} nodes x "
+                          f"{elements} elements", pts.shape[0] * elements * 16,
+                          "the quadrature cutoff and oversample set the node count and the "
+                          "spectrum sets the element count")
         return pts
 
     # -- quadrature and sampling ---------------------------------------------
@@ -240,6 +256,12 @@ class ModelSpace:
         """Quadrature exact for products of two elements of frequency <= cutoff.
         ``oversample`` multiplies the node counts for region-resolution needs."""
         raise NotImplementedError
+
+    def _refuse_grid(self, nodes: int, cutoff: float, oversample: int):
+        """Refuse a quadrature of ``nodes`` nodes over MAX_BASIS_BYTES."""
+        _refuse_oversized(f"quadrature on {self.kind} at cutoff {cutoff} and oversample "
+                          f"{oversample} ({nodes:,} nodes)", nodes * (self.coord_dim + 1) * 8,
+                          "the cutoff and oversample set the node count")
 
     def sample_points(self, k: int, rng) -> np.ndarray:
         """k points drawn from the normalized volume measure."""
@@ -274,6 +296,7 @@ class Torus(ModelSpace):
 
     def _candidates(self, cutoff):
         r = math.isqrt(_r2max(cutoff))
+        self._refuse_labels((2 * r + 1) ** self.dim, cutoff)
         return np.indices((2 * r + 1,) * self.dim).reshape(self.dim, -1).T - r
 
     def _describe(self, labels):
@@ -309,6 +332,7 @@ class Torus(ModelSpace):
         # midpoint grid: exact for e^{ikx} with |k| < n per axis, and region
         # boundaries at cell edges never collide with nodes
         n = 2 * (math.ceil(cutoff) + 1) * max(1, int(oversample))
+        self._refuse_grid(n**self.dim, cutoff, oversample)
         axis = (np.arange(n) + 0.5) * (TWO_PI / n)
         grids = np.meshgrid(*([axis] * self.dim), indexing="ij")
         nodes = np.stack([g.ravel() for g in grids], axis=-1)
@@ -344,6 +368,7 @@ class Sphere2(ModelSpace):
 
     def _candidates(self, cutoff):
         lmax = self._lmax(cutoff)
+        self._refuse_labels((lmax + 1) ** 2, cutoff)
         l = np.repeat(np.arange(lmax + 1), 2 * np.arange(lmax + 1) + 1)
         # row l * l + l + m holds (l, m)
         return np.stack([l, np.arange(len(l)) - l * l - l], axis=1)
@@ -434,6 +459,7 @@ class Sphere2(ModelSpace):
         over = max(1, int(oversample))
         n_theta = (lmax + 1) * over
         n_phi = (2 * lmax + 1) * over
+        self._refuse_grid(n_theta * n_phi, cutoff, oversample)
         x, w = np.polynomial.legendre.leggauss(n_theta)
         theta = np.arccos(x)
         tt, pp = np.meshgrid(theta, _longitudes(n_phi), indexing="ij")
@@ -475,6 +501,7 @@ class FiniteGroup(ModelSpace):
         self.kind = f"zn:N={order},d={dim}"
 
     def _candidates(self, cutoff):
+        self._refuse_labels(self.order**self.dim, cutoff)
         return np.indices((self.order,) * self.dim).reshape(self.dim, -1).T
 
     def _describe(self, labels):
@@ -504,8 +531,9 @@ class FiniteGroup(ModelSpace):
         return np.ravel_multi_index(x.T, (self.order,) * self.dim)
 
     def build_quadrature(self, cutoff=None, oversample=1):
+        # the sum over every point integrates every product of characters
         nodes = self.points()
-        return Quadrature(nodes, np.ones(nodes.shape[0]), exactness_degree=2 * self.order)
+        return Quadrature(nodes, np.ones(nodes.shape[0]), exactness_degree=math.inf)
 
     def sample_points(self, k, rng):
         return rng.integers(0, self.order, size=(k, self.dim)).astype(float)
@@ -524,6 +552,11 @@ class FiniteGroup(ModelSpace):
         scattered = np.zeros(int(self.total_measure), dtype=complex)
         np.add.at(scattered, self.flat_index(quad.nodes), quad.weights * samples)
         return self.fourier(scattered)
+
+    def coefficients(self, elements, quad, samples):
+        """As on any space, gathered from one :meth:`weighted_fourier`."""
+        hat = self.weighted_fourier(quad, samples)
+        return hat[self.flat_index(self._label_array(elements))] * self.order ** (-self.dim / 2)
 
     def inverse_fourier(self, coeffs) -> np.ndarray:
         """Inverse with dual weight 1/N^d: f(x) = N^{-d} sum_k f_hat(k) chi_k(x)."""
@@ -555,6 +588,7 @@ class ProductSpace(ModelSpace):
         lb, fb, _ = self.second._describe(self.second._candidates(float(inner.max())))
         order = np.argsort(fb, kind="stable")
         counts = np.searchsorted(fb[order], inner, side="right")
+        self._refuse_labels(int(counts.sum()), cutoff)
         ia = np.repeat(np.arange(len(la)), counts)
         ib = order[np.arange(len(ia)) - np.repeat(np.cumsum(counts) - counts, counts)]
         return np.hstack([la[ia], lb[ib]])
@@ -608,26 +642,27 @@ class ProductSpace(ModelSpace):
     def build_quadrature(self, cutoff, oversample=1):
         qa = self.first.build_quadrature(cutoff, oversample)
         qb = self.second.build_quadrature(cutoff, oversample)
-        na, nb = qa.nodes.shape[0], qb.nodes.shape[0]
-        nodes = np.concatenate(
-            [np.repeat(qa.nodes, nb, axis=0), np.tile(qb.nodes, (na, 1))], axis=1
-        )
-        weights = np.repeat(qa.weights, nb) * np.tile(qb.weights, na)
-        return Quadrature(nodes, weights, exactness_degree=min(qa.exactness_degree, qb.exactness_degree))
+        self._refuse_grid(len(qa.weights) * len(qb.weights), cutoff, oversample)
+        weights = _row_pairs(qa.weights[:, None], qb.weights[:, None]).prod(axis=1)
+        return Quadrature(_row_pairs(qa.nodes, qb.nodes), weights,
+                          exactness_degree=min(qa.exactness_degree, qb.exactness_degree))
 
     def sample_points(self, k, rng):
         return np.concatenate([self.first.sample_points(k, rng), self.second.sample_points(k, rng)], axis=1)
 
     def extreme_points(self):
-        xa, xb = self.first.extreme_points(), self.second.extreme_points()
-        na, nb = xa.shape[0], xb.shape[0]
-        return np.concatenate([np.repeat(xa, nb, axis=0), np.tile(xb, (na, 1))], axis=1)
+        return _row_pairs(self.first.extreme_points(), self.second.extreme_points())
 
     def frequency_from_joint(self, joint):
         wa = self.first.joint_dim
         fa = self.first.frequency_from_joint(joint[:wa])
         fb = self.second.frequency_from_joint(joint[wa:])
         return math.hypot(fa, fb)
+
+
+def _row_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each row of ``a`` joined to each row of ``b``, rows of ``a`` major."""
+    return np.concatenate([np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1))], axis=1)
 
 
 def descriptor_float(x: float) -> str:
@@ -651,6 +686,22 @@ def split_top(text: str, sep: str) -> list[str]:
     return parts + [text[start:]]
 
 
+def _fields(body: str, keys: tuple) -> dict:
+    """The key=value fields of a descriptor body; ValueError naming a field
+    that is not key=value with a key of ``keys``, or whose key repeats."""
+    fields = {}
+    for token in body.split(","):
+        key, eq, value = token.partition("=")
+        key = key.strip()
+        if key in fields:
+            raise ValueError(f"repeated field {token!r}")
+        if key not in keys or not eq:
+            raise ValueError(f"unknown field {token!r}, expected "
+                             + ",".join(f"{k}=<int>" for k in keys))
+        fields[key] = value
+    return fields
+
+
 def parse_space(text: str) -> ModelSpace:
     """Build a space from a compact descriptor.
 
@@ -662,13 +713,13 @@ def parse_space(text: str) -> ModelSpace:
         return Sphere2()
     if s.startswith("torus:"):
         try:
-            fields = dict(kv.split("=") for kv in s[len("torus:"):].split(","))
+            fields = _fields(s[len("torus:"):], ("d",))
             return Torus(int(fields["d"]))
         except (ValueError, KeyError) as exc:
             raise DescriptorError(text, f"bad torus descriptor ({exc})") from exc
     if s.startswith("zn:"):
         try:
-            fields = dict(kv.split("=") for kv in s[len("zn:"):].split(","))
+            fields = _fields(s[len("zn:"):], ("N", "d"))
             return FiniteGroup(int(fields["N"]), int(fields.get("d", 1)))
         except (ValueError, KeyError) as exc:
             raise DescriptorError(text, f"bad finite-group descriptor ({exc})") from exc

@@ -94,6 +94,8 @@ def spectrum_level(space: Sphere2, degree: int, tol=DEFAULT_MATCH_TOL) -> Spectr
     """The single sphere level l = degree (all 2l+1 orders)."""
     if not isinstance(space, Sphere2):
         raise ValueError("level spectra are defined on the sphere")
+    if degree < 0:
+        raise ValueError(f"degree {degree} is negative")
     return SpectralSet(space, [math.sqrt(degree * (degree + 1))], tol=tol,
                        descriptor=f"level:l={degree}")
 

@@ -96,7 +96,7 @@ def check_generic_subset_uncertainty(f: BandlimitedFunction, region: Region,
     The measure is renormalized to total mass 1 so that the system's elements
     have modulus at most one (characters on tori and finite groups do).
     """
-    if q <= 2:
+    if not q > 2:
         raise ValueError("the generic-subset bound needs q > 2")
     sset = f.spectral_set
     levels = concentration_levels(f, region, sset, quad)

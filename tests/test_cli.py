@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import specon.cli as cli
+import specon.spaces as spaces
 from specon import (
     BandlimitedFunction,
     GramMatrix,
@@ -235,6 +236,19 @@ class TestCheckCommand:
         reports = json.loads(out)["reports"]
         assert any(r["inputs"]["epsilon_prime"] > 0 for r in reports)
 
+    @pytest.mark.parametrize("argv", [
+        ("check", "--inequality", "bourgain", "--space", "product(zn:N=4,d=1,zn:N=4,d=1)",
+         "--q", "4", "--region", "product(set:{0},set:{1})"),
+        ("lambda-q", "--space", "product(zn:N=8,d=1,zn:N=8,d=1)", "--n", "64", "--q", "8"),
+        ("lambda-q", "--space", "product(zn:N=4,d=1,torus:d=1)", "--n", "40", "--q", "6"),
+    ])
+    def test_products_of_groups_run(self, capsys, argv):
+        # a product of groups has a finite spectrum (bourgain defaults --n to
+        # all of it), and a group factor's quadrature caps no exactness degree
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert json.loads(out)["schema_version"] == 1
+
 
 class TestErrors:
     def test_bad_space_descriptor(self, capsys):
@@ -344,9 +358,51 @@ class TestErrors:
           "--ascent-iterations", "-1"), "argument --ascent-iterations"),
         (("gmpt", "--space", "torus:d=1", "--n", "8", "--trials", "-1"), "argument --trials"),
         (("donoho-stark", "--space", "zn:N=4", "--trials", "-1"), "argument --trials"),
+        # descriptors parse as written
+        (("basis", "--space", "torus:d=2,x=3", "--cutoff", "1"), "unknown field 'x=3'"),
+        (("basis", "--space", "torus:d=1,d=2", "--cutoff", "1"), "repeated field 'd=2'"),
+        (("basis", "--space", "zn:N=4,d=1,q=2"), "unknown field 'q=2'"),
+        (("basis", "--space", "product(zn:N=4,d=1,q=2,sphere2)", "--cutoff", "1"),
+         "unknown field 'q=2'"),
+        (("homogeneity", "--space", "sphere2", "--spectrum", "level:l=-1"), "'level:l=-1'"),
+        (("homogeneity", "--space", "sphere2", "--spectrum", "level:l=-3"), "'level:l=-3'"),
+        # numeric flags
+        (("concentrate", "--space", "torus:d=1", "--spectrum", "ball:2", "--region", "full",
+          "--quad-oversample", "0"), "argument --quad-oversample"),
+        (("concentrate", "--space", "torus:d=1", "--spectrum", "ball:2", "--region", "full",
+          "--quad-oversample", "-3"), "argument --quad-oversample"),
+        (("concentrate", "--space", "torus:d=2", "--spectrum", "ball:2", "--region", "full",
+          "--match-tol", "-1"), "argument --match-tol"),
+        (("concentrate", "--space", "torus:d=2", "--spectrum", "ball:2", "--region", "full",
+          "--match-tol", "nan"), "argument --match-tol"),
+        (("homogeneity", "--space", "sphere2", "--spectrum", "level:l=1", "--tol", "nan"),
+         "argument --tol"),
+        (("gmpt", "--space", "torus:d=1", "--n", "8", "--c-param", "nan"), "argument --c-param"),
+        (("check", "--inequality", "random-manifold", "--space", "torus:d=1", "--n", "8",
+          "--c-param", "-1"), "argument --c-param"),
+        (("check", "--inequality", "bourgain", "--space", "zn:N=16", "--q", "nan"),
+         "argument --q"),
+        (("check", "--inequality", "bourgain", "--space", "zn:N=16", "--q", "2"), "argument --q"),
+        (("lambda-q", "--space", "zn:N=16", "--n", "16", "--q", "-inf"), "argument --q"),
+        (("check", "--inequality", "bourgain", "--space", "torus:d=1", "--q", "4", "--n", "0",
+          "--region", "arc:0:1"), "argument --n"),
+        (("check", "--inequality", "random-manifold", "--space", "torus:d=1", "--n", "0",
+          "--region", "arc:0:1"), "argument --n"),
+        (("gmpt", "--space", "torus:d=1", "--n", "-2"), "argument --n"),
+        # sizes, refused under a limit lowered to 1 MiB
+        (("concentrate", "--space", "product(sphere2,sphere2)", "--spectrum", "ball:3",
+          "--region", "full"), "oversample 4 (57,600 nodes) needs 2,304,000 bytes"),
+        (("concentrate", "--space", "torus:d=2", "--spectrum", "ball:1", "--region", "full",
+          "--quad-oversample", "100"), "oversample 100 (160,000 nodes) needs 3,840,000 bytes"),
+        (("basis", "--space", "torus:d=6", "--cutoff", "3"),
+         "on torus:d=6 at cutoff 3.0 (117,649 x 6) needs 5,647,152 bytes"),
+        (("basis", "--space", "product(zn:N=16,d=2,zn:N=16,d=2)"), "(65,536 x 4) needs"),
+        (("basis", "--space", "torus:d=40", "--cutoff", "1"), "(12,157,665,459,056,928,801 x 40)"),
     ])
-    def test_bad_argument_exits_1_and_is_named(self, capsys, argv, named):
-        # exit 2 is kept for a failed report
+    def test_bad_argument_exits_1_and_is_named(self, capsys, monkeypatch, argv, named):
+        # exit 2 is kept for a failed report; a size guard that misfires
+        # allocates a few MB
+        monkeypatch.setattr(spaces, "MAX_BASIS_BYTES", 2**20)
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "")
         assert named in err and "Traceback" not in err

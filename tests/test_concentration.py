@@ -33,7 +33,6 @@ from specon import (
     spectrum_ball,
     spectrum_level,
 )
-from specon.cli import _indicator_coefficients
 
 TWO_PI = 2 * math.pi
 
@@ -448,8 +447,26 @@ class TestConcentrationLevels:
                 # the bourgain check's <1_E, e_j>, over characters in random order
                 pick = rng.permutation(size)[:size // 2]
                 want = (chars[:, pick].conj().T * quad.weights) @ region.contains_mask(quad.nodes)
-                got = _indicator_coefficients(g, region, quad, [chars_all[i] for i in pick])
+                got = g.coefficients([chars_all[i] for i in pick], quad,
+                                     region.contains_mask(quad.nodes))
                 assert np.abs(got - want).max() <= 1e-13
+
+    @pytest.mark.parametrize("space,cutoff", [
+        (Sphere2(), 3.0),
+        (ProductSpace(Torus(1), Sphere2()), 2.0),
+    ])
+    def test_continuum_coefficients_are_the_dense_quadrature_sums(self, space, cutoff):
+        quad = space.build_quadrature(cutoff, oversample=2)
+        rng = np.random.default_rng(3)
+        els = space.enumerate_basis(cutoff)
+        pick = [els[i] for i in rng.permutation(len(els))]
+        v = space.basis_matrix(pick, quad.nodes)
+        g = rng.normal(size=len(quad.weights)) + 1j * rng.normal(size=len(quad.weights))
+        want = (v.conj().T * quad.weights) @ g
+        assert np.abs(space.coefficients(pick, quad, g) - want).max() <= 1e-13
+        # the quadrature is exact on the band: samples of sum a_j e_j give back a
+        a = rng.normal(size=len(pick)) + 1j * rng.normal(size=len(pick))
+        assert np.abs(space.coefficients(pick, quad, v @ a) - a).max() <= 1e-12
 
     def test_level_identity(self):
         # L = (1 - eps^p)^{-1/p} by construction

@@ -335,6 +335,15 @@ class TestQuadrature:
         gram = (v.conj().T * q.weights) @ v
         assert np.abs(gram - np.eye(len(els))).max() < 1e-10
 
+    @pytest.mark.parametrize("other", [Torus(1), Sphere2(), FiniteGroup(4, 1)])
+    def test_a_group_factor_takes_the_other_factors_degree(self, other):
+        # the sum over every point of a group integrates every product of characters
+        g = FiniteGroup(8, 1)
+        assert g.build_quadrature(3.0).exactness_degree == math.inf
+        own = other.build_quadrature(3.0, oversample=2).exactness_degree
+        for p in (ProductSpace(g, other), ProductSpace(other, g)):
+            assert p.build_quadrature(3.0, oversample=2).exactness_degree == own
+
     def test_sphere_l8_gram_81_elements(self):
         s = Sphere2()
         els = s.enumerate_basis(math.sqrt(8 * 9))
@@ -401,6 +410,7 @@ class TestDescriptors:
         ("sphere2", Sphere2),
         ("zn:N=256,d=1", FiniteGroup),
         ("product(torus:d=1,sphere2)", ProductSpace),
+        ("product(zn:N=4,d=1,sphere2)", ProductSpace),
         ("product(product(torus:d=1,torus:d=1),zn:N=4,d=2)", ProductSpace),
     ])
     def test_parse(self, text, kind):
