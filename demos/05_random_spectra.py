@@ -37,7 +37,8 @@ print(f"generic subset of 256 indices at q=4: keep probability {spec.delta:.4f},
 
 g = FiniteGroup(256, 1)
 quad = g.build_quadrature()
-est = estimate_cq(g, subset, 4.0, quad, trials=12, seed=42)
+els = g.first_elements(256)
+est = estimate_cq(g, [els[i] for i in subset], 4.0, quad, trials=12, seed=42)
 print(f"\nq-orthogonality of the drawn character subset at q=4:")
 print(f"  certified lower estimate {est.c_lower:.4f}")
 print(f"  interpolation upper bound (#S)^(1/2-1/q) = {est.c_interp:.4f}")
@@ -45,7 +46,6 @@ print(f"  (a single character gives ratio exactly 1 under normalized measure)")
 
 # the generic-subset mass bound: a function spanned by the subset that is
 # L2-concentrated on E at level L forces mu(E) >= (L C(q))^{-1/(1/2-1/q)}
-els = g.first_elements(256)
 region = parse_region(g, "set:{" + ",".join(map(str, range(48))) + "}")
 v = g.basis_matrix(els, quad.nodes)
 coeffs = ((v.conj().T * quad.weights) @ region.contains_mask(quad.nodes).astype(complex))
@@ -59,7 +59,8 @@ print(f"  mass bound: {rep.lhs:.6f} <= {rep.rhs:.6f} ({'holds' if rep.holds else
 
 t = Torus(1)
 tq = t.build_quadrature(16.0, oversample=4)
-split = gmpt_split(t, tq, n=32, trials=24, subsets=48, seed=7)
+t_els = t.first_elements(32)
+split = gmpt_split(t, tq, t_els, trials=24, subsets=48, seed=7)
 print(f"\nrandom near-half split of 32 torus exponentials:")
 print(f"  |I| = {len(split.indices)} (deviation {split.size_deviation:.1f} "
       f"<= sqrt(32) = {math.sqrt(32):.2f})")
@@ -69,7 +70,7 @@ print(f"  sup-norm bound B = {split.b_sup:.4f}, "
 print(f"  size-constraint success fraction over draws: {split.success_fraction:.2f}")
 
 # the observed K feeds a mass bound for L1-concentrated functions on the side
-side = SpectralSet(t, [t.first_elements(32)[i].joint for i in split.indices], joint=True)
+side = SpectralSet(t, [t_els[i].joint for i in split.indices], joint=True)
 rng = np.random.default_rng(3)
 f = BandlimitedFunction(side, rng.normal(size=side.size) + 1j * rng.normal(size=side.size))
 rep = check_random_half_uncertainty(f, arc(t, 0.0, 4.0), tq,

@@ -22,6 +22,7 @@ from .random_spectra import (
     estimate_cq,
     generic_subset,
     gmpt_split,
+    qnorm_cutoff,
     trial_rng,
 )
 from .regions import parse_region
@@ -97,9 +98,8 @@ def emit_result(args, doc, header=None, rows=None) -> int:
 # -- shared construction ----------------------------------------------------------
 
 
-def _quad_for(space, max_freq, args, factor: float = 1.0):
-    cutoff = max(max_freq * factor, 1.0)
-    return space.build_quadrature(cutoff, oversample=args.quad_oversample)
+def _quad_for(space, max_freq, args):
+    return space.build_quadrature(max(max_freq, 1.0), oversample=args.quad_oversample)
 
 
 def _first_with_quad(space, n, args):
@@ -118,24 +118,30 @@ def _random_band_function(sset, rng) -> BandlimitedFunction:
     return BandlimitedFunction(sset, a)
 
 
-def _make_trial_f(space, sset, region, quad, rng, mode):
-    """Trial functions for the manifold checks: random coefficients over X_S,
-    random coefficients with a spectral tail, or the top concentration
-    eigenvector for the region."""
-    if mode == "bandlimited":
-        return _random_band_function(sset, rng)
+def _trial_draw(space, sset, region, quad, mode):
+    """The trial functions of the manifold checks as a draw from a trial's
+    generator, built once: random coefficients over X_S, random coefficients
+    with a spectral tail, or the region's top concentration eigenvector,
+    which draws nothing."""
+    if mode != "tails" and not sset.size:
+        raise SpeconError(f"spectrum {sset.descriptor!r} selects no eigenfunction of "
+                          f"{space.kind}: a {mode} trial function needs one")
+    if mode == "slepian":
+        top = BandlimitedFunction(sset, max_concentration(gram_matrix(sset, region, quad))[1])
+        return lambda rng: top
     if mode == "tails":
         ambient = spectrum_ball(space, sset.max_frequency + 2.0, tol=sset.tol)
-        f = _random_band_function(ambient, rng)
         # keep most mass on X_S so the bounds stay informative
-        inside = np.isin(ambient.indices, sset.indices)
-        coeffs = f.coefficients * np.where(inside, 1.0, 0.15)
-        return BandlimitedFunction(ambient, coeffs)
-    if mode == "slepian":
-        gram = gram_matrix(sset, region, quad)
-        _, vec = max_concentration(gram)
-        return BandlimitedFunction(sset, vec)
-    raise SpeconError(f"unknown f-mode {mode!r}")
+        damping = np.where(np.isin(ambient.indices, sset.indices), 1.0, 0.15)
+        return lambda rng: BandlimitedFunction(
+            ambient, _random_band_function(ambient, rng).coefficients * damping)
+    return lambda rng: _random_band_function(sset, rng)
+
+
+def _drawn_set(space, elements) -> SpectralSet:
+    """The spectral set of exactly ``elements``: a joint value identifies its
+    element, so at zero tolerance their own joint values match no other."""
+    return SpectralSet(space, [el.joint for el in elements], joint=True, tol=0.0)
 
 
 def _per_trial(args, one):
@@ -176,12 +182,10 @@ def cmd_weyl(args):
                          args.lam_step).tolist()
     if not lams:
         raise SpeconError("weyl needs --lambda, or a --lambda-max above half its --lambda-step")
-    point = (space.extreme_points()[0] if args.point is None
-             else np.asarray([float(c) for c in args.point.split(",")]))
+    point = space.extreme_points()[0] if args.point is None else args.point
     weyl_const = space.total_measure * space.unit_ball_volume / (2 * math.pi) ** space.dim
     rows = []
-    for lam, nx in zip(lams, local_weyl(space, point, lams)):
-        n = weyl_count(space, lam)
+    for lam, nx, n in zip(lams, local_weyl(space, point, lams), weyl_count(space, lams)):
         pred = weyl_const * lam**space.dim
         rows.append((lam, n, nx, pred, n / pred if pred > 0 else math.inf))
     return emit_rows(args, ["lambda", "count", "local_count", "weyl_prediction", "ratio"], rows)
@@ -239,9 +243,8 @@ def cmd_lambda_q(args):
     if not subset:
         raise SpeconError(f"the generic draw kept no indices (delta={spec.delta:.3g})")
     elements = space.elements_by_index(subset)
-    fmax = max(el.frequency for el in elements)
-    quad = _quad_for(space, fmax, args, factor=max(1.0, args.q / 2.0))
-    est = estimate_cq(space, subset, args.q, quad, trials=args.trials,
+    quad = _quad_for(space, qnorm_cutoff(elements, args.q), args)
+    est = estimate_cq(space, elements, args.q, quad, trials=args.trials,
                       ascent_iterations=args.ascent_iterations, seed=args.seed)
     doc = est.to_json_dict()
     doc["delta"] = spec.delta
@@ -252,8 +255,8 @@ def cmd_lambda_q(args):
 def cmd_gmpt(args):
     space = parse_space(args.space)
     elements, quad = _first_with_quad(space, args.n, args)
-    split = gmpt_split(space, quad, args.n, c_param=args.c_param, trials=args.trials,
-                       subsets=args.subsets, seed=args.seed, elements=elements)
+    split = gmpt_split(space, quad, elements, c_param=args.c_param, trials=args.trials,
+                       subsets=args.subsets, seed=args.seed)
     return emit_result(args, split.to_json_dict())
 
 
@@ -292,13 +295,9 @@ def _check_bourgain(args, space):
         subset = generic_subset(RandomSubsetSpec(n, args.q, seed=int(rng.integers(2**63))))
         coeffs = full_hat[subset]
         norm = np.linalg.norm(coeffs)
-        if norm < 1e-12:  # also an empty subset
-            return [], {}
-        sset = SpectralSet(space, [elements[i].joint for i in subset], joint=True,
-                           tol=args.match_tol)
-        if sset.size != len(subset):
-            return [], {}
-        f = BandlimitedFunction(sset, coeffs / norm)
+        # below roundoff the indicator has no coefficient here: a zero f is vacuous
+        f = BandlimitedFunction(_drawn_set(space, [elements[i] for i in subset]),
+                                coeffs / norm if norm >= 1e-12 else 0.0 * coeffs)
         c_upper = len(subset) ** (0.5 - 1.0 / args.q)
         rep = uncertainty.check_generic_subset_uncertainty(
             f, region, quad, args.q, c_upper, seed=args.seed)
@@ -324,6 +323,7 @@ def _check_manifold(args, space):
         mode = "bandlimited" if mode == "tails" else mode
     pad = 2.0 if mode == "tails" else 0.0
     quad = _quad_for(space, sset.max_frequency + pad, args)
+    draw = _trial_draw(space, sset, region, quad, mode)
     if args.inequality == "covering":
         covering = cover_by_unit_intervals(sset)
         lam_top = max(sset.values) if sset.values else 1.0
@@ -344,12 +344,7 @@ def _check_manifold(args, space):
         "joint": lambda f, rng: uncertainty.check_joint_uncertainty(
             f, region, sset, quad, rng=rng, seed=args.seed),
     }[args.inequality]
-
-    def one(rng):
-        f = _make_trial_f(space, sset, region, quad, rng, mode)
-        return check(f, rng), {}
-
-    return _per_trial(args, one)
+    return _per_trial(args, lambda rng: (check(draw(rng), rng), {}))
 
 
 def _check_random_manifold(args, space):
@@ -359,13 +354,11 @@ def _check_random_manifold(args, space):
     elements, quad = _first_with_quad(space, args.n, args)
 
     def one(rng):
-        split = gmpt_split(space, quad, args.n, c_param=args.c_param,
+        split = gmpt_split(space, quad, elements, c_param=args.c_param,
                            trials=args.gmpt_trials, subsets=args.subsets,
-                           seed=int(rng.integers(2**63)), elements=elements)
+                           seed=int(rng.integers(2**63)))
         side = split.indices or split.complement
-        sset = SpectralSet(space, [elements[i].joint for i in side], joint=True,
-                           tol=args.match_tol)
-        f = _random_band_function(sset, rng)
+        f = _random_band_function(_drawn_set(space, [elements[i] for i in side]), rng)
         rep = uncertainty.check_random_half_uncertainty(
             f, region, quad, k_emp=split.k_observed, n=args.n,
             b_sup=split.b_sup, seed=args.seed)
@@ -425,9 +418,20 @@ def _exponent(text):
 _exponent.__name__ = "float"
 
 
+def _point(text):
+    """--point: comma-separated finite floats; _check_points counts them."""
+    coords = np.array([float(c) for c in text.split(",")])
+    if not np.isfinite(coords).all():
+        raise argparse.ArgumentTypeError(f"coordinates must be finite, got {text!r}")
+    return coords
+
+
+_point.__name__ = "float"
+
+
 def _add_common(p):
     p.add_argument("--space", required=True, help="space descriptor, e.g. torus:d=2")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    p.add_argument("--seed", type=_COUNT, default=DEFAULT_SEED,
                    help=f"base seed (default {DEFAULT_SEED}, never time-based)")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--output", default=None,
@@ -459,7 +463,8 @@ def build_parser():
     p.add_argument("--lambda-max", dest="lam_max", type=_number(float, 0), default=None)
     p.add_argument("--lambda-step", dest="lam_step", type=_number(float, 0, strict=True),
                    default=1.0)
-    p.add_argument("--point", default=None, help="comma-separated coordinates for N_x")
+    p.add_argument("--point", type=_point, default=None,
+                   help="comma-separated finite coordinates for N_x")
     p.set_defaults(handler=cmd_weyl)
 
     p = sub.add_parser("homogeneity", help="constant-degeneracy-sum check per eigenvalue")
@@ -489,7 +494,7 @@ def build_parser():
     p.add_argument("--x-samples", type=_COUNT, default=256)
     p.add_argument("--c-param", type=_NONNEGATIVE, default=1.0)
     p.add_argument("--subsets", type=_COUNT, default=16)
-    p.add_argument("--gmpt-trials", type=_COUNT, default=16)
+    p.add_argument("--gmpt-trials", type=_POSITIVE, default=16)
     p.set_defaults(handler=cmd_check)
 
     p = sub.add_parser("lambda-q", help="generic subset and q-orthogonality estimate")
@@ -504,7 +509,7 @@ def build_parser():
     _add_common(p)
     p.add_argument("--n", type=_POSITIVE, required=True)
     p.add_argument("--c-param", type=_NONNEGATIVE, default=1.0)
-    p.add_argument("--trials", type=_COUNT, default=32)
+    p.add_argument("--trials", type=_POSITIVE, default=32)
     p.add_argument("--subsets", type=_COUNT, default=64)
     p.set_defaults(handler=cmd_gmpt)
 

@@ -106,23 +106,26 @@ class LambdaQEstimate:
         }
 
 
-def _qnorm_resolution_check(elements, quad, q):
-    if math.isinf(q):
-        return
+def qnorm_cutoff(elements, q: float) -> float:
+    """The quadrature cutoff at which node sums resolve q-norms on the span of
+    ``elements``: q/2 times their top frequency, or the band's own at q = inf,
+    as a node maximum is a lower estimate of the sup at any resolution."""
     fmax = max((el.frequency for el in elements), default=0.0)
-    needed = int(math.ceil(q * fmax))
-    if quad.exactness_degree < needed:
-        raise CoarseQuadratureError(
-            f"quadrature degree {quad.exactness_degree} is below the q-norm "
-            f"resolution heuristic {needed} (q={q}, max frequency {fmax:.3g})"
-        )
+    return fmax if math.isinf(q) else fmax * (q / 2.0)
 
 
-def estimate_cq(space: ModelSpace, subset, q: float, quad: Quadrature,
+def _qnorm_resolution_check(elements, quad, q):
+    needed = int(math.ceil(2 * qnorm_cutoff(elements, q)))
+    if not math.isinf(q) and quad.exactness_degree < needed:
+        raise CoarseQuadratureError(f"quadrature degree {quad.exactness_degree} is below the "
+                                    f"q-norm resolution heuristic {needed} (q={q})")
+
+
+def estimate_cq(space: ModelSpace, elements, q: float, quad: Quadrature,
                 trials: int = 20, ascent_iterations: int = 200,
                 seed: int = DEFAULT_SEED, extra_starts=()) -> LambdaQEstimate:
-    """Monte-Carlo lower estimate of the q-orthogonality constant of a basis
-    slice, refined by projected fixed-point ascent on the norm ratio.
+    """Monte-Carlo lower estimate of the q-orthogonality constant of the basis
+    slice ``elements``, refined by projected fixed-point ascent on the norm ratio.
 
     The measure is normalized to total mass one and the basis elements are
     rescaled by sqrt(|M|), so characters have modulus exactly one.  Trials
@@ -135,10 +138,8 @@ def estimate_cq(space: ModelSpace, subset, q: float, quad: Quadrature,
     """
     if not q >= 2:
         raise ValueError("q must be >= 2 (q = 2 is the orthogonality diagnostic)")
-    subset = list(subset)
-    if not subset:
-        raise ValueError("subset must be nonempty")
-    elements = space.elements_by_index(subset)
+    if not elements:
+        raise ValueError("elements must be nonempty")
     _qnorm_resolution_check(elements, quad, q)
 
     scale = math.sqrt(space.total_measure)
@@ -152,13 +153,12 @@ def estimate_cq(space: ModelSpace, subset, q: float, quad: Quadrature,
             num = float(np.abs(f).max())
         else:
             num = float(np.sum(w * np.abs(f) ** q) ** (1.0 / q))
-        return num / float(np.linalg.norm(a))
+        return num / float(np.linalg.norm(a)), f
 
     def ascend(a):
         a = a / np.linalg.norm(a)
-        best, best_a = ratio(a), a
+        (best, f), best_a = ratio(a), a
         for _ in range(ascent_iterations):
-            f = psi @ a
             mag = np.abs(f)
             if math.isinf(q):
                 k = int(np.argmax(mag))
@@ -170,14 +170,14 @@ def estimate_cq(space: ModelSpace, subset, q: float, quad: Quadrature,
             if gn == 0:
                 break
             a = g / gn
-            r = ratio(a)
+            r, f = ratio(a)
             if r > best:
                 best, best_a = r, a
             if abs(r - best) <= RATIO_TOL * max(best, 1.0) and r <= best:
                 break
         return best, best_a
 
-    m = len(subset)
+    m = len(elements)
     rng = trial_rng(seed, 0)
     starts = list(np.eye(m, dtype=complex)) + [np.asarray(x, dtype=complex) for x in extra_starts]
     starts += [rng.normal(size=m) + 1j * rng.normal(size=m) for _ in range(trials)]
@@ -193,15 +193,15 @@ def estimate_cq(space: ModelSpace, subset, q: float, quad: Quadrature,
             f"lower estimate {c_lower} exceeds the interpolation bound {c_interp} "
             "on a sup-normalized system; the quadrature under-resolves the q-norm"
         )
-    return LambdaQEstimate(subset=subset, q=q, c_lower=c_lower, c_interp=c_interp,
-                           trials=trials, ascent_iterations=ascent_iterations,
-                           seed=seed, measured_sup=measured_sup,
-                           best_coefficients=best_a)
+    return LambdaQEstimate(subset=[el.index for el in elements], q=q, c_lower=c_lower,
+                           c_interp=c_interp, trials=trials,
+                           ascent_iterations=ascent_iterations, seed=seed,
+                           measured_sup=measured_sup, best_coefficients=best_a)
 
 
 @dataclass
 class GmptSplit:
-    """A near-half index subset I of the first n basis elements together with
+    """A near-half subset I of positions in n basis elements together with
     the worst observed L2/L1 norm ratio over trial coefficient vectors, taken
     over both I and its complement.  ``b_sup`` is the sampled uniform bound
     of the system and ``benchmark`` the shape B log(n) loglog(n)^{5/2} the
@@ -239,22 +239,22 @@ class GmptSplit:
         }
 
 
-def gmpt_split(space: ModelSpace, quad: Quadrature, n: int, c_param: float = 1.0,
+def gmpt_split(space: ModelSpace, quad: Quadrature, elements, c_param: float = 1.0,
                trials: int = 32, subsets: int = 64,
-               seed: int = DEFAULT_SEED, elements=None) -> GmptSplit:
-    """Search random near-half subsets I of the first n basis elements for a
-    small worst-case L2/L1 ratio of coefficient combinations, on both I and
-    its complement.
+               seed: int = DEFAULT_SEED) -> GmptSplit:
+    """Search random near-half subsets I of the positions of ``elements`` (n of
+    them) for a small worst-case L2/L1 ratio of coefficient combinations, on
+    both I and its complement.
 
     The split is chosen as the best of ``subsets`` seeded random draws
     subject to |#I - n/2| <= c_param sqrt(n); the fraction of draws meeting
     the size constraint is recorded.  Norms use the volume measure, so the
     ratio is always at least |M|^{-1/2} (attained by constant-modulus
-    functions when they exist).  ``elements`` may pass the first n elements.
+    functions when they exist).
     """
+    n = len(elements)
     if n < 2 or n % 2 != 0:
         raise ValueError(f"n must be a positive even integer, got {n}")
-    elements = space.first_elements(n) if elements is None else elements
     v = space.basis_matrix(elements, quad.nodes)
     pts = space.extreme_points()
     b_sup = float(max(np.abs(v).max(), np.abs(space.basis_matrix(elements, pts)).max()))

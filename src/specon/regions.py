@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DescriptorError
 from .spaces import (TWO_PI, FiniteGroup, ModelSpace, ProductSpace, Sphere2, Torus,
-                     descriptor_float, split_top)
+                     descriptor_float, split_items, split_top)
 
 
 class Region:
@@ -292,10 +292,11 @@ def _parse_one(space, token):
                 raise ValueError("set descriptor must look like set:{...}")
             body = body[1:-1].strip()
             elements = []
-            for e in split_top(body, ",") if body else []:
+            for e in split_items(body):
                 e = e.strip()
                 if e.startswith("("):
-                    elements.append(tuple(int(c) for c in e.strip("()").split(",") if c.strip()))
+                    elements.append(tuple(int(c) for c in
+                                          split_items(e.strip("()").removesuffix(","))))
                 else:
                     elements.append(int(e))
             return FiniteSubset(space, elements, descriptor=t)
@@ -322,7 +323,10 @@ def parse_region(space: ModelSpace, text: str) -> Region:
     ``product(arc:0:1+arc:2:3,cap:1)``; constituents of the same shape family
     may be joined with ``+``.
     """
-    tokens = [t for t in split_top(text, "+") if t.strip()]
+    try:
+        tokens = split_items(text, "+")
+    except ValueError as exc:
+        raise DescriptorError(text, f"bad region descriptor ({exc})") from exc
     if not tokens:
         raise DescriptorError(text, "empty region descriptor")
     parts = [_parse_one(space, t) for t in tokens]

@@ -686,6 +686,15 @@ def split_top(text: str, sep: str) -> list[str]:
     return parts + [text[start:]]
 
 
+def split_items(text: str, sep: str = ",") -> list[str]:
+    """The items of ``split_top(text, sep)``, none for a blank ``text``;
+    ValueError for an empty item, as a doubled or trailing ``sep`` leaves."""
+    items = split_top(text, sep) if text.strip() else []
+    if not all(item.strip() for item in items):
+        raise ValueError(f"empty item in {text!r}")
+    return items
+
+
 def _fields(body: str, keys: tuple) -> dict:
     """The key=value fields of a descriptor body; ValueError naming a field
     that is not key=value with a key of ``keys``, or whose key repeats."""

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import DescriptorError
 from .random_spectra import DEFAULT_SEED
-from .spaces import ModelSpace, Sphere2, descriptor_float, split_top
+from .spaces import ModelSpace, Sphere2, descriptor_float, split_items
 
 DEFAULT_MATCH_TOL = 1e-9
 
@@ -120,16 +120,15 @@ def parse_spectrum(space: ModelSpace, text: str, tol=DEFAULT_MATCH_TOL) -> Spect
             body = t[len("list:"):].strip()
             if not (body.startswith("[") and body.endswith("]")):
                 raise ValueError("list descriptor must look like list:[...]")
-            vals = [float(v) for v in body[1:-1].split(",") if v.strip()]
+            vals = [float(v) for v in split_items(body[1:-1])]
             return SpectralSet(space, vals, tol=tol, descriptor=text.strip())
         if t.startswith("joint:"):
             body = t[len("joint:"):].strip()
             if not (body.startswith("[") and body.endswith("]")):
                 raise ValueError("joint descriptor must look like joint:[(..),..]")
-            body = body[1:-1].strip()
-            vals = []
-            for grp in split_top(body, ",") if body else []:
-                vals.append(tuple(float(c) for c in grp.strip().strip("()").split(",") if c.strip()))
+            # a tuple may end in one comma, as in Python's (0,)
+            vals = [tuple(float(c) for c in split_items(grp.strip().strip("()").removesuffix(",")))
+                    for grp in split_items(body[1:-1])]
             return SpectralSet(space, vals, joint=True, tol=tol, descriptor=text.strip())
     except DescriptorError:
         raise
@@ -141,11 +140,17 @@ def parse_spectrum(space: ModelSpace, text: str, tol=DEFAULT_MATCH_TOL) -> Spect
 # -- counting ------------------------------------------------------------------
 
 
-def weyl_count(space: ModelSpace, lam: float) -> int:
-    """N(lambda): eigenvalues with frequency <= lambda, with multiplicity."""
-    if lam < 0:
+def weyl_count(space: ModelSpace, lam):
+    """N(lambda): eigenvalues with frequency <= lambda, with multiplicity, or the
+    list of them for a sequence of lambdas: each is one np.searchsorted on the
+    sorted frequencies of one candidate table at the largest lambda."""
+    lams = np.atleast_1d(np.asarray(lam, float))
+    if (lams < 0).any():
         raise ValueError("lambda must be nonnegative")
-    return space.count_upto(lam)
+    if not np.ndim(lam):
+        return space.count_upto(lam)
+    table = space._describe(space._candidates(float(lams.max(initial=0.0))))[1]
+    return np.searchsorted(np.sort(table), lams, side="right").tolist()
 
 
 def local_weyl(space: ModelSpace, x, lam):

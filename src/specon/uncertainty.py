@@ -94,11 +94,20 @@ def check_generic_subset_uncertainty(f: BandlimitedFunction, region: Region,
     (L c_upper)^{-1/(1/2 - 1/q)}.
 
     The measure is renormalized to total mass 1 so that the system's elements
-    have modulus at most one (characters on tori and finite groups do).
+    have modulus at most one (characters on tori and finite groups do).  A
+    zero f gives a vacuous report with the inputs that do not depend on f.
     """
     if not q > 2:
         raise ValueError("the generic-subset bound needs q > 2")
     sset = f.spectral_set
+    rhs = region.measure / region.space.total_measure
+    if f.norm == 0.0:
+        inputs = _base_inputs(region, sset, quad)
+        inputs.update({"q": q, "c_upper": c_upper, "measure_normalized_to_1": True})
+        return InequalityReport(
+            name="bourgain", lhs=0.0, rhs=rhs, inputs=inputs, seed=seed,
+            caveats=["vacuous: f is zero, as when the region's indicator has no "
+                     "coefficient on the drawn subset"])
     levels = concentration_levels(f, region, sset, quad)
     exponent = 2.0 if math.isinf(q) else 1.0 / (0.5 - 1.0 / q)
     L = levels.L
@@ -112,7 +121,7 @@ def check_generic_subset_uncertainty(f: BandlimitedFunction, region: Region,
     return InequalityReport(
         name="bourgain",
         lhs=lhs,
-        rhs=region.measure / region.space.total_measure,
+        rhs=rhs,
         inputs=inputs,
         caveats=caveats,
         seed=seed,

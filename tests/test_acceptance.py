@@ -310,10 +310,11 @@ def test_09_lambda_q_estimator_sanity():
         rng = trial_rng(SEED + 5, t)
         subset = sorted(rng.choice(128, size=int(rng.integers(1, 17)),
                                    replace=False).tolist())
-        est = estimate_cq(g, subset, 4.0, quad, trials=6, ascent_iterations=60, seed=t)
+        est = estimate_cq(g, g.elements_by_index(subset), 4.0, quad, trials=6,
+                          ascent_iterations=60, seed=t)
         interp_ok &= est.c_lower <= est.c_interp * (1 + 1e-9)
 
-    single = estimate_cq(g, [7], 4.0, quad, trials=4, seed=1)
+    single = estimate_cq(g, g.elements_by_index([7]), 4.0, quad, trials=4, seed=1)
     single_ok = abs(single.c_lower - 1.0) < 1e-9
 
     monotone_ok = True
@@ -321,13 +322,14 @@ def test_09_lambda_q_estimator_sanity():
         rng = trial_rng(SEED + 6, t)
         small = sorted(rng.choice(128, size=6, replace=False).tolist())
         extension = sorted(set(small) | set(rng.choice(128, size=6, replace=False).tolist()))
-        est_small = estimate_cq(g, small, 4.0, quad, trials=5, ascent_iterations=60, seed=t)
+        est_small = estimate_cq(g, g.elements_by_index(small), 4.0, quad, trials=5,
+                                ascent_iterations=60, seed=t)
         pad = np.zeros(len(extension), dtype=complex)
         for i, idx in enumerate(extension):
             if idx in small:
                 pad[i] = est_small.best_coefficients[small.index(idx)]
-        est_big = estimate_cq(g, extension, 4.0, quad, trials=5, ascent_iterations=60,
-                              seed=t, extra_starts=[pad])
+        est_big = estimate_cq(g, g.elements_by_index(extension), 4.0, quad, trials=5,
+                              ascent_iterations=60, seed=t, extra_starts=[pad])
         monotone_ok &= est_big.c_lower >= est_small.c_lower - 1e-10
     announce(9, interp_ok and single_ok and monotone_ok,
              "interpolation cap respected on 25 runs; single-character ratio = 1; "
@@ -346,7 +348,7 @@ def test_10_random_half_chain():
         elements = space.first_elements(n)
         for t in range(100):
             rng = trial_rng(SEED + 7, t)
-            split = gmpt_split(space, quad, n - (n % 2), trials=12, subsets=8,
+            split = gmpt_split(space, quad, elements[:n - n % 2], trials=12, subsets=8,
                                seed=int(rng.integers(2**63)))
             side = split.indices or split.complement
             sset = SpectralSet(space, [elements[i].joint for i in side], joint=True)

@@ -150,6 +150,15 @@ class TestBasicCommands:
         assert doc["delta"] == pytest.approx(1 / 16)
         assert doc["c_lower"] <= doc["c_interp"] * (1 + 1e-9)
 
+    def test_lambda_q_sup_norm_on_a_continuum(self, capsys):
+        # q = inf builds the band's own quadrature: a node maximum is a lower
+        # estimate of the sup at any resolution
+        code, out, err = run_cli(capsys, "lambda-q", "--space", "torus:d=1", "--n", "64",
+                                 "--q", "inf", "--seed", "2")
+        assert code == 0, err
+        doc = json.loads(out)["result"]
+        assert doc["q"] == "inf" and doc["c_lower"] <= doc["c_interp"] * (1 + 1e-9)
+
     def test_gmpt(self, capsys):
         code, out, _ = run_cli(capsys, "gmpt", "--space", "torus:d=1", "--n", "8",
                                "--trials", "8", "--subsets", "16")
@@ -206,6 +215,43 @@ class TestCheckCommand:
         assert code == 0
         reports = json.loads(out)["reports"]
         assert reports and all(r["holds"] for r in reports)
+
+    def test_bourgain_reports_every_trial(self, capsys):
+        # with the full region, a draw that misses index 0 has no indicator
+        # coefficient: its trial reports as vacuous instead of vanishing
+        code, out, err = run_cli(capsys, "check", "--inequality", "bourgain",
+                                 "--space", "zn:N=16", "--q", "inf", "--trials", "5")
+        assert code == 0, err
+        reports = json.loads(out)["reports"]
+        assert [r["inputs"]["trial"] for r in reports] == [0, 1, 2, 3, 4]
+        assert all(r["inputs"]["subset_size"] == r["inputs"]["index_count"] for r in reports)
+        assert any(r["caveats"][:1] == ["vacuous: f is zero, as when the region's indicator "
+                                        "has no coefficient on the drawn subset"]
+                   for r in reports)
+
+    @pytest.mark.parametrize("argv,owner,name", [
+        (("check", "--inequality", "prop", "--space", "torus:d=2", "--region", "box:(0,2)x(1,3)",
+          "--spectrum", "ball:3", "--f-mode", "slepian", "--trials", "3"), cli, "gram_matrix"),
+        (("check", "--inequality", "covering", "--space", "sphere2", "--region", "cap:1.0",
+          "--spectrum", "ball:3", "--f-mode", "tails", "--trials", "3"), cli, "spectrum_ball"),
+        (("lambda-q", "--space", "zn:N=64", "--n", "64", "--q", "4", "--trials", "2"),
+         ModelSpace, "enumerate_basis"),
+    ])
+    def test_trial_independent_work_runs_once(self, capsys, monkeypatch, argv, owner, name):
+        # the slepian Gram, the tails ambient ball and the lambda-q enumeration
+        # do not depend on the trial
+        calls, method = [], getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(a) or method(*a, **k))
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert len(calls) == 1
+
+    def test_tails_mode_runs_on_an_empty_spectrum(self, capsys):
+        # the ambient tail gives a nonzero trial function where X_S is empty
+        code, out, err = run_cli(capsys, "check", "--inequality", "prop", "--space", "torus:d=1",
+                                 "--spectrum", "list:[]", "--f-mode", "tails")
+        assert code == 0, err
+        assert json.loads(out)["reports"][0]["inputs"]["index_count"] == 0
 
     def test_joint_tails_mode_draws_as_bandlimited(self, capsys):
         argv = ("check", "--inequality", "joint", "--space", "torus:d=2",
@@ -398,6 +444,36 @@ class TestErrors:
          "on torus:d=6 at cutoff 3.0 (117,649 x 6) needs 5,647,152 bytes"),
         (("basis", "--space", "product(zn:N=16,d=2,zn:N=16,d=2)"), "(65,536 x 4) needs"),
         (("basis", "--space", "torus:d=40", "--cutoff", "1"), "(12,157,665,459,056,928,801 x 40)"),
+        # trial counts, seeds and points
+        (("gmpt", "--space", "zn:N=16", "--n", "16", "--trials", "0"), "argument --trials"),
+        (("check", "--inequality", "random-manifold", "--space", "torus:d=1", "--n", "16",
+          "--gmpt-trials", "0"), "argument --gmpt-trials"),
+        (("check", "--inequality", "lca", "--space", "zn:N=4", "--seed", "-5"), "argument --seed"),
+        (("weyl", "--space", "torus:d=2", "--lambda", "3", "--point", "nan,0"), "argument --point"),
+        (("weyl", "--space", "torus:d=1", "--lambda", "3", "--point", "inf"), "argument --point"),
+        (("weyl", "--space", "torus:d=2", "--lambda", "3", "--point", "a,b"), "argument --point"),
+        (("weyl", "--space", "torus:d=2", "--lambda", "3", "--point", "1"), "2 coordinates"),
+        # empty spectra and empty descriptor items
+        (("check", "--inequality", "prop", "--space", "torus:d=1", "--spectrum", "list:[]",
+          "--f-mode", "slepian"), "'list:[]'"),
+        (("check", "--inequality", "prop", "--space", "torus:d=1", "--spectrum", "list:[]"),
+         "'list:[]'"),
+        (("check", "--inequality", "joint", "--space", "torus:d=1", "--spectrum", "joint:[]",
+          "--f-mode", "slepian"), "'joint:[]'"),
+        (("check", "--inequality", "prop", "--space", "torus:d=1", "--spectrum", "list:[1,,2]"),
+         "'list:[1,,2]'"),
+        (("check", "--inequality", "joint", "--space", "torus:d=1",
+          "--spectrum", "joint:[(1,,)]"), "'joint:[(1,,)]'"),
+        (("check", "--inequality", "prop", "--space", "torus:d=1", "--spectrum", "ball:1",
+          "--region", "arc:0:1+"), "'arc:0:1+'"),
+        # checks that need a kind of space, spectrum or size
+        (("check", "--inequality", "lca", "--space", "torus:d=1"),
+         "--inequality lca runs on finite groups"),
+        (("donoho-stark", "--space", "sphere2"), "donoho-stark runs on finite groups"),
+        (("check", "--inequality", "joint", "--space", "torus:d=1", "--spectrum", "ball:1"),
+         "--inequality joint needs a joint:[...] spectrum"),
+        (("check", "--inequality", "random-manifold", "--space", "torus:d=1"),
+         "--inequality random-manifold needs --n"),
     ])
     def test_bad_argument_exits_1_and_is_named(self, capsys, monkeypatch, argv, named):
         # exit 2 is kept for a failed report; a size guard that misfires
@@ -406,6 +482,16 @@ class TestErrors:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "")
         assert named in err and "Traceback" not in err
+
+    def test_config_errors_exit_1_and_are_named(self, capsys, tmp_path):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("space = zn:N=4\ntrials 5\n")
+        for argv, named in [(("--config",), "--config needs a file path"),
+                            (("--config", str(bad)), "config line without '=': 'trials 5'"),
+                            (("--config", str(tmp_path / "missing.cfg")), "cannot read config")]:
+            code, out, err = run_cli(capsys, "donoho-stark", *argv)
+            assert (code, out) == (1, "")
+            assert named in err and "Traceback" not in err
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -454,6 +540,19 @@ class TestDeterminismAndFormats:
         lines = out1.strip().split("\n")
         assert lines[0] == "schema_version,name,lhs,rhs,holds,slack,seed,inputs,caveats"
         assert len(lines) == 51
+
+    @pytest.mark.parametrize("argv", [
+        ("weyl", "--space", "sphere2", "--lambda-max", "3"),
+        ("concentrate", "--space", "torus:d=1", "--spectrum", "ball:2", "--region", "arc:0:3"),
+        ("lambda-q", "--space", "zn:N=64", "--n", "64", "--q", "4", "--trials", "2"),
+        ("gmpt", "--space", "torus:d=1", "--n", "8", "--trials", "4", "--subsets", "8"),
+    ])
+    def test_csv_tables_are_rectangular(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0, err
+        rows = list(csv.reader(io.StringIO(out)))
+        assert len(rows) >= 2 and rows[0][0] == "schema_version"
+        assert all(len(row) == len(rows[0]) for row in rows)
 
     def test_csv_keeps_runs_of_spaces_in_strings(self, capsys):
         argv = ("check", "--inequality", "prop", "--space", "torus:d=1",

@@ -89,13 +89,13 @@ class TestEstimateCq:
     def test_q2_diagnostic_ratio_is_one(self):
         g = FiniteGroup(32, 1)
         quad = g.build_quadrature()
-        est = estimate_cq(g, list(range(8)), 2.0, quad, trials=6, seed=1)
+        est = estimate_cq(g, g.first_elements(8), 2.0, quad, trials=6, seed=1)
         assert est.c_lower == pytest.approx(1.0, abs=1e-9)
 
     def test_single_character_ratio_one(self):
         g = FiniteGroup(64, 1)
         quad = g.build_quadrature()
-        est = estimate_cq(g, [5], 4.0, quad, trials=4, seed=2)
+        est = estimate_cq(g, g.elements_by_index([5]), 4.0, quad, trials=4, seed=2)
         assert est.c_lower == pytest.approx(1.0, abs=1e-9)
         assert est.measured_sup == pytest.approx(1.0, abs=1e-12)
 
@@ -103,7 +103,7 @@ class TestEstimateCq:
         g = FiniteGroup(256, 1)
         quad = g.build_quadrature()
         subset = generic_subset(RandomSubsetSpec(256, 4.0, seed=3))
-        est = estimate_cq(g, subset, 4.0, quad, trials=10, seed=3)
+        est = estimate_cq(g, g.elements_by_index(subset), 4.0, quad, trials=10, seed=3)
         assert est.c_interp == pytest.approx(len(subset) ** 0.25)
         assert 1.0 - 1e-9 <= est.c_lower <= est.c_interp * (1 + 1e-9)
 
@@ -114,19 +114,20 @@ class TestEstimateCq:
         for pair in range(5):
             small = sorted(rng.choice(128, size=6, replace=False).tolist())
             big = sorted(set(small) | set(rng.choice(128, size=6, replace=False).tolist()))
-            est_small = estimate_cq(g, small, 4.0, quad, trials=6, seed=pair)
+            est_small = estimate_cq(g, g.elements_by_index(small), 4.0, quad, trials=6,
+                                    seed=pair)
             pad = np.zeros(len(big), dtype=complex)
             for i, idx in enumerate(big):
                 if idx in small:
                     pad[i] = est_small.best_coefficients[small.index(idx)]
-            est_big = estimate_cq(g, big, 4.0, quad, trials=6, seed=pair,
+            est_big = estimate_cq(g, g.elements_by_index(big), 4.0, quad, trials=6, seed=pair,
                                   extra_starts=[pad])
             assert est_big.c_lower >= est_small.c_lower - 1e-10
 
     def test_infinite_q(self):
         g = FiniteGroup(32, 1)
         quad = g.build_quadrature()
-        est = estimate_cq(g, [0, 1, 2, 3], math.inf, quad, trials=6, seed=4)
+        est = estimate_cq(g, g.first_elements(4), math.inf, quad, trials=6, seed=4)
         assert est.c_interp == pytest.approx(2.0)
         assert 1.0 - 1e-9 <= est.c_lower <= 2.0 + 1e-9
 
@@ -134,14 +135,14 @@ class TestEstimateCq:
         t = Torus(1)
         quad = t.build_quadrature(2.0)  # 6 nodes: far below the q-norm heuristic
         with pytest.raises(CoarseQuadratureError):
-            estimate_cq(t, [0, 1, 2, 3, 4], 4.0, quad, trials=2, seed=5)
+            estimate_cq(t, t.first_elements(5), 4.0, quad, trials=2, seed=5)
 
     def test_sphere_exploratory_run(self):
         # eigenfunctions are not sup-normalized; the interpolation cap is not
         # enforced there, only recorded via measured_sup
         s = Sphere2()
         quad = s.build_quadrature(2 * math.sqrt(12.0), oversample=2)
-        est = estimate_cq(s, [0, 1, 5, 9], 4.0, quad, trials=6, seed=6)
+        est = estimate_cq(s, s.elements_by_index([0, 1, 5, 9]), 4.0, quad, trials=6, seed=6)
         assert est.measured_sup > 1.0
         assert est.c_lower >= 1.0 - 1e-9
 
@@ -150,7 +151,7 @@ class TestGmptSplit:
     def test_n2_single_character(self):
         t = Torus(1)
         quad = t.build_quadrature(2.0, oversample=16)
-        split = gmpt_split(t, quad, 2, trials=16, subsets=32, seed=13)
+        split = gmpt_split(t, quad, t.first_elements(2), trials=16, subsets=32, seed=13)
         assert len(split.indices) == 1
         assert split.k_observed == pytest.approx(TWO_PI**-0.5, rel=1e-10)
         assert split.b_sup == pytest.approx(TWO_PI**-0.5, rel=1e-12)
@@ -159,20 +160,21 @@ class TestGmptSplit:
         t = Torus(1)
         quad = t.build_quadrature(8.0, oversample=4)
         for seed in range(5):
-            split = gmpt_split(t, quad, 16, c_param=1.0, trials=8, subsets=16, seed=seed)
+            split = gmpt_split(t, quad, t.first_elements(16), c_param=1.0, trials=8,
+                               subsets=16, seed=seed)
             assert split.size_deviation <= math.sqrt(16)
             assert 0 < split.success_fraction <= 1
 
     def test_k_at_least_inverse_sqrt_measure(self):
         t = Torus(1)
         quad = t.build_quadrature(8.0, oversample=4)
-        split = gmpt_split(t, quad, 16, trials=8, subsets=16, seed=3)
+        split = gmpt_split(t, quad, t.first_elements(16), trials=8, subsets=16, seed=3)
         assert split.k_observed >= t.total_measure**-0.5 - 1e-12
 
     def test_torus_benchmark_reported(self):
         t = Torus(1)
         quad = t.build_quadrature(16.0, oversample=2)
-        split = gmpt_split(t, quad, 32, trials=8, subsets=16, seed=4)
+        split = gmpt_split(t, quad, t.first_elements(32), trials=8, subsets=16, seed=4)
         assert split.b_sup == pytest.approx(TWO_PI**-0.5, rel=1e-12)
         assert split.benchmark == pytest.approx(
             split.b_sup * math.log(32) * math.log(math.log(32)) ** 2.5)
@@ -180,7 +182,7 @@ class TestGmptSplit:
     def test_sphere_sup_attained_at_pole(self):
         s = Sphere2()
         quad = s.build_quadrature(math.sqrt(12.0), oversample=2)
-        split = gmpt_split(s, quad, 16, trials=8, subsets=16, seed=5)
+        split = gmpt_split(s, quad, s.first_elements(16), trials=8, subsets=16, seed=5)
         # zonal harmonic of degree 3 peaks at the poles: sqrt(7/4pi)
         assert split.b_sup == pytest.approx(math.sqrt(7 / (4 * math.pi)), rel=1e-10)
 
@@ -188,20 +190,20 @@ class TestGmptSplit:
         t = Torus(1)
         quad = t.build_quadrature(4.0)
         with pytest.raises(ValueError, match="even"):
-            gmpt_split(t, quad, 7)
+            gmpt_split(t, quad, t.first_elements(7))
 
     def test_no_draw_within_size_limit(self):
         # with c_param 0 a draw must keep exactly n/2 of 64 indices
         t = Torus(1)
         quad = t.build_quadrature(32.0)
         with pytest.raises(SpeconError, match="no subset met"):
-            gmpt_split(t, quad, 64, c_param=0.0, subsets=1, seed=12345)
+            gmpt_split(t, quad, t.first_elements(64), c_param=0.0, subsets=1, seed=12345)
 
     def test_deterministic(self):
         t = Torus(1)
         quad = t.build_quadrature(8.0, oversample=2)
-        a = gmpt_split(t, quad, 16, trials=8, subsets=16, seed=11)
-        b = gmpt_split(t, quad, 16, trials=8, subsets=16, seed=11)
+        a = gmpt_split(t, quad, t.first_elements(16), trials=8, subsets=16, seed=11)
+        b = gmpt_split(t, quad, t.first_elements(16), trials=8, subsets=16, seed=11)
         assert a.indices == b.indices
         assert a.k_observed == b.k_observed
 

@@ -66,6 +66,20 @@ class TestWeylCount:
         n = weyl_count(Torus(2), 100.0)
         assert abs(n / 100.0**2 - math.pi) / math.pi < 0.05
 
+    @pytest.mark.parametrize("text,top", [
+        ("torus:d=1", 40), ("torus:d=2", 20), ("torus:d=3", 6), ("sphere2", 40),
+        ("zn:N=64,d=2", 40), ("product(torus:d=1,sphere2)", 12),
+        ("product(zn:N=4,d=1,torus:d=1)", 12)])
+    def test_sequence_equals_scalar_calls(self, text, top):
+        space = parse_space(text)
+        lams = [2.5, math.sqrt(2), math.sqrt(13), 1.0] + np.arange(0.0, top + 0.25, 0.5).tolist()
+        want = [weyl_count(space, lam) for lam in lams]
+        assert weyl_count(space, lams) == want
+        assert weyl_count(space, np.array(lams)) == want
+        assert weyl_count(space, []) == []
+        with pytest.raises(ValueError):
+            weyl_count(space, [1.0, -0.5])
+
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             weyl_count(Torus(1), -1.0)
@@ -221,6 +235,21 @@ class TestSpectralSet:
     def test_empty(self):
         sset = SpectralSet(Torus(1), [])
         assert sset.size == 0
+
+    @pytest.mark.parametrize("text", [
+        "torus:d=1", "torus:d=3", "sphere2", "zn:N=8,d=2", "zn:N=9,d=1",
+        "product(torus:d=1,sphere2)", "product(zn:N=4,d=1,torus:d=2)"])
+    def test_zero_tolerance_joint_set_holds_exactly_the_drawn_elements(self, text):
+        # a joint value identifies its element on every space kind, so the
+        # drawn elements' own joint values match them and no other
+        space = parse_space(text)
+        elements = space.first_elements(9 if text == "zn:N=9,d=1" else 60)
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            drawn = sorted(rng.choice(len(elements), size=int(rng.integers(0, len(elements) + 1)),
+                                      replace=False).tolist())
+            sset = SpectralSet(space, [elements[i].joint for i in drawn], joint=True, tol=0.0)
+            assert sset.indices == drawn
 
     def test_parse(self):
         assert parse_spectrum(Sphere2(), "level:ℓ=3").size == 7

@@ -136,6 +136,21 @@ class TestGenericSubsetUncertainty:
             assert rep.holds
             assert rep.slack > 0
 
+    def test_zero_f_is_vacuous(self):
+        # the full region's indicator has no coefficient off the constant character
+        g = FiniteGroup(16, 1)
+        quad = g.build_quadrature()
+        region = parse_region(g, "set:{0,1,2,3}")
+        sset = SpectralSet(g, [(1.0,), (3.0,)], joint=True)
+        f = BandlimitedFunction(sset, np.zeros(2))
+        rep = check_generic_subset_uncertainty(f, region, quad, q=4.0, c_upper=2**0.25)
+        assert (rep.lhs, rep.rhs) == (0.0, 0.25)
+        assert rep.passed and rep.caveats[0].startswith("vacuous: f is zero")
+        assert rep.inputs == {"space": "zn:N=16,d=1", "region": "set:{0,1,2,3}",
+                              "region_measure": 4.0, "spectrum": "joint:[(1),(3)]",
+                              "index_count": 2, "nodes_inside": 4, "q": 4.0,
+                              "c_upper": 2**0.25, "measure_normalized_to_1": True}
+
     def test_q_at_most_2_rejected(self):
         t = Torus(1)
         quad = t.build_quadrature(1.0)
