@@ -52,7 +52,7 @@ coeffs = ((v.conj().T * quad.weights) @ region.contains_mask(quad.nodes).astype(
 coeffs = coeffs[subset]
 sset = SpectralSet(g, [els[i].joint for i in subset], joint=True)
 f = BandlimitedFunction(sset, coeffs / np.linalg.norm(coeffs))
-rep = check_generic_subset_uncertainty(f, region, quad, q=4.0, c_upper=est.c_interp)
+rep = check_generic_subset_uncertainty(f, region, quad, q=4.0)
 print(f"  mass bound: {rep.lhs:.6f} <= {rep.rhs:.6f} ({'holds' if rep.holds else 'FAILS'})")
 
 # ------------------------------------------------------ random-half splits

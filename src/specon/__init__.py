@@ -12,7 +12,6 @@ from .concentration import (
     ConcentrationLevels,
     GramMatrix,
     band_project,
-    check_projection_bounds,
     concentration_levels,
     cutoff,
     gram_matrix,
@@ -74,6 +73,7 @@ from .uncertainty import (
     check_group_uncertainty,
     check_homogeneous_uncertainty,
     check_joint_uncertainty,
+    check_projection_bounds,
     check_random_half_uncertainty,
     check_supnorm_uncertainty,
 )

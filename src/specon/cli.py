@@ -118,14 +118,21 @@ def _random_band_function(sset, rng) -> BandlimitedFunction:
     return BandlimitedFunction(sset, a)
 
 
+def _nonempty(sset, what):
+    """``sset``, or SpeconError when it selects no eigenfunction."""
+    if not sset.size:
+        raise SpeconError(f"spectrum {sset.descriptor!r} selects no eigenfunction of "
+                          f"{sset.space.kind}: {what} needs one")
+    return sset
+
+
 def _trial_draw(space, sset, region, quad, mode):
     """The trial functions of the manifold checks as a draw from a trial's
     generator, built once: random coefficients over X_S, random coefficients
     with a spectral tail, or the region's top concentration eigenvector,
     which draws nothing."""
-    if mode != "tails" and not sset.size:
-        raise SpeconError(f"spectrum {sset.descriptor!r} selects no eigenfunction of "
-                          f"{space.kind}: a {mode} trial function needs one")
+    if mode != "tails":
+        _nonempty(sset, f"a {mode} trial function")
     if mode == "slepian":
         top = BandlimitedFunction(sset, max_concentration(gram_matrix(sset, region, quad))[1])
         return lambda rng: top
@@ -193,7 +200,8 @@ def cmd_weyl(args):
 
 def cmd_homogeneity(args):
     space = parse_space(args.space)
-    sset = parse_spectrum(space, args.spectrum, tol=args.match_tol)
+    sset = _nonempty(parse_spectrum(space, args.spectrum, tol=args.match_tol),
+                     "a homogeneity check")
     checks = homogeneity_deviations(sset, args.samples, trial_rng(args.seed, 0), args.tol)
     samples = int(space.extreme_points().shape[0]) + args.samples
     reports = [InequalityReport(
@@ -209,7 +217,8 @@ def cmd_homogeneity(args):
 
 def cmd_concentrate(args):
     space = parse_space(args.space)
-    sset = parse_spectrum(space, args.spectrum, tol=args.match_tol)
+    sset = _nonempty(parse_spectrum(space, args.spectrum, tol=args.match_tol),
+                     "a concentration matrix")
     region = parse_region(space, args.region)
     quad = _quad_for(space, sset.max_frequency, args)
     gram = gram_matrix(sset, region, quad)
@@ -298,9 +307,8 @@ def _check_bourgain(args, space):
         # below roundoff the indicator has no coefficient here: a zero f is vacuous
         f = BandlimitedFunction(_drawn_set(space, [elements[i] for i in subset]),
                                 coeffs / norm if norm >= 1e-12 else 0.0 * coeffs)
-        c_upper = len(subset) ** (0.5 - 1.0 / args.q)
-        rep = uncertainty.check_generic_subset_uncertainty(
-            f, region, quad, args.q, c_upper, seed=args.seed)
+        rep = uncertainty.check_generic_subset_uncertainty(f, region, quad, args.q,
+                                                           seed=args.seed)
         return [rep], {"subset_size": len(subset)}
 
     return _per_trial(args, one)
@@ -321,6 +329,8 @@ def _check_manifold(args, space):
             raise SpeconError("--inequality joint needs a joint:[...] spectrum")
         # joint trials draw no spectral tail: tails mode draws as bandlimited
         mode = "bandlimited" if mode == "tails" else mode
+    elif args.inequality == "covering" and sset.is_joint:
+        raise SpeconError(f"--inequality covering needs a scalar spectrum, not {sset.descriptor!r}")
     pad = 2.0 if mode == "tails" else 0.0
     quad = _quad_for(space, sset.max_frequency + pad, args)
     draw = _trial_draw(space, sset, region, quad, mode)

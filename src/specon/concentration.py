@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import CoarseQuadratureError
 from .regions import Region
-from .reports import InequalityReport
 from .spaces import FiniteGroup, Quadrature
 from .spectral import SpectralSet
 
@@ -286,50 +285,3 @@ def masked_band_energy(sset: SpectralSet, region: Region, quad: Quadrature) -> f
     mask = region.contains_mask(quad.nodes)
     return float(np.sum(quad.weights * mask * np.sum(np.abs(v) ** 2, axis=1)))
 
-
-def check_projection_bounds(f, region: Region, sset: SpectralSet, quad: Quadrature,
-                            seed=None):
-    """Sandwich the norm of the cut-off band-limited projection:
-
-    lower:  (1 - eps - eps') |f|  <=  |P_E B_S f|
-    upper:  |P_E B_S f|  <=  sqrt(int_E sum_S |e_j|^2) |f|
-
-    Returns the two reports; the lower bound is evaluated even when
-    eps + eps' >= 1, where it is vacuously true.
-    """
-    levels = concentration_levels(f, region, sset, quad)
-    if isinstance(f, BandlimitedFunction):
-        bf = restrict_band(f, sset)
-    else:
-        bf = BandlimitedFunction(sset, sset.space.coefficients(sset.elements, quad,
-                                                               sample_values(f, quad)))
-    pbf = float(quad.norm(bf.samples(quad) * region.contains_mask(quad.nodes), 2))
-    fnorm = float(quad.norm(sample_values(f, quad), 2))
-    energy = masked_band_energy(sset, region, quad)
-
-    inputs = {
-        "space": sset.space.kind,
-        "region": region.descriptor,
-        "spectrum": sset.descriptor,
-        "epsilon": levels.epsilon,
-        "epsilon_prime": levels.epsilon_prime,
-        "f_norm": fnorm,
-        "projected_norm": pbf,
-        "nodes_inside": region.nodes_inside(quad),
-    }
-    lower = InequalityReport(
-        name="projection-lower",
-        lhs=levels.gap * fnorm,
-        rhs=pbf,
-        inputs=dict(inputs),
-        caveats=levels.caveats,
-        seed=seed,
-    )
-    upper = InequalityReport(
-        name="projection-upper",
-        lhs=pbf,
-        rhs=math.sqrt(max(energy, 0.0)) * fnorm,
-        inputs=dict(inputs),
-        seed=seed,
-    )
-    return lower, upper

@@ -76,11 +76,8 @@ def lq_norm(samples, quad: Quadrature, q: float) -> float:
 class LambdaQEstimate:
     """Certified lower estimate of a subset's q-orthogonality constant
     C(q) = sup |sum a_i psi_i|_q / |a|_2 under the normalized measure,
-    together with the interpolation upper bound (#S)^{1/2 - 1/q}.
-
-    The upper bound applies when the system is uniformly bounded by one,
-    which ``measured_sup`` records (characters are; sphere harmonics beyond
-    the constant are not).
+    together with its :func:`interpolation_bound` ``c_interp``.
+    ``measured_sup`` is the largest |psi_i| at the quadrature nodes.
     """
 
     subset: list[int]
@@ -112,6 +109,16 @@ def qnorm_cutoff(elements, q: float) -> float:
     as a node maximum is a lower estimate of the sup at any resolution."""
     fmax = max((el.frequency for el in elements), default=0.0)
     return fmax if math.isinf(q) else fmax * (q / 2.0)
+
+
+def interpolation_bound(space: ModelSpace, elements, q: float) -> float:
+    """(sum over ``elements`` of |M| sup |e_j|^2)^{1/2 - 1/q}, which bounds
+    their q-orthogonality constant under the normalized measure: the sup of
+    sum a_j psi_j is at most |a|_2 (sum sup |psi_j|^2)^{1/2}, and Hoelder
+    interpolates between that and the L2 norm.  For characters it is
+    (#S)^{1/2 - 1/q}."""
+    peaks = space._peak_squares(space._label_array(elements))
+    return float(peaks.sum()) ** (0.5 - (0.0 if math.isinf(q) else 1.0 / q))
 
 
 def _qnorm_resolution_check(elements, quad, q):
@@ -187,16 +194,20 @@ def estimate_cq(space: ModelSpace, elements, q: float, quad: Quadrature,
         r, a = ascend(s)
         if r > c_lower:
             c_lower, best_a = r, a
-    c_interp = m ** (0.5 - (0.0 if math.isinf(q) else 1.0 / q))
-    if measured_sup <= 1.0 + 1e-9 and c_lower > c_interp * (1.0 + 1e-9):
-        raise CoarseQuadratureError(
-            f"lower estimate {c_lower} exceeds the interpolation bound {c_interp} "
-            "on a sup-normalized system; the quadrature under-resolves the q-norm"
-        )
+    c_interp = interpolation_bound(space, elements, q)
+    if c_lower > c_interp * (1.0 + 1e-9):
+        raise CoarseQuadratureError(f"lower estimate {c_lower} exceeds the interpolation "
+                                    f"bound {c_interp}; the quadrature under-resolves the q-norm")
     return LambdaQEstimate(subset=[el.index for el in elements], q=q, c_lower=c_lower,
                            c_interp=c_interp, trials=trials,
                            ascent_iterations=ascent_iterations, seed=seed,
                            measured_sup=measured_sup, best_coefficients=best_a)
+
+
+def gmpt_benchmark(b_sup: float, n: int) -> float:
+    """The shape B log(n) loglog(n)^{5/2} of the generic-split theorem's
+    L2/L1 constant, for a system of n elements bounded by B."""
+    return b_sup * math.log(n) * math.log(math.log(n)) ** 2.5
 
 
 @dataclass
@@ -223,7 +234,7 @@ class GmptSplit:
 
     @property
     def benchmark(self) -> float:
-        return self.b_sup * math.log(self.n) * math.log(math.log(self.n)) ** 2.5
+        return gmpt_benchmark(self.b_sup, self.n)
 
     def to_json_dict(self) -> dict:
         return {

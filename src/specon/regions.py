@@ -332,7 +332,7 @@ def parse_region(space: ModelSpace, text: str) -> Region:
     parts = [_parse_one(space, t) for t in tokens]
     if len(parts) == 1:
         return parts[0]
-    family = FAMILIES.get(type(space))
-    if family is None:
-        raise DescriptorError(text, "cannot union region descriptors of different shapes")
-    return family(space, [a for p in parts for a in p.atoms], descriptor=text)
+    if type(space) not in FAMILIES:
+        raise DescriptorError(text, "unions of product regions are not supported; "
+                                    "a + union goes inside one factor of product(...)")
+    return FAMILIES[type(space)](space, [a for p in parts for a in p.atoms], descriptor=text)

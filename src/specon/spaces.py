@@ -171,6 +171,10 @@ class ModelSpace:
         ValueError naming the space for a label of none of its elements."""
         raise NotImplementedError
 
+    def _peak_squares(self, labels: np.ndarray) -> np.ndarray:
+        """|M| sup |e_j|^2 for canonical flat labels: 1 for characters."""
+        return np.ones(len(labels))
+
     def _flat(self, label) -> tuple:
         """A structured label as a flat tuple of ints."""
         flat = tuple(map(operator.index, label))
@@ -383,6 +387,10 @@ class Sphere2(ModelSpace):
 
     def count_upto(self, lam):
         return (self._lmax(lam) + 1) ** 2
+
+    def _peak_squares(self, labels):
+        # addition theorem: |Y_l^m|^2 <= (2l+1) / 4 pi, attained at the poles by m = 0
+        return 2.0 * labels[:, 0] + 1.0
 
     @staticmethod
     def _legendre(mm: int, lmax: int, x, s) -> np.ndarray:
@@ -602,6 +610,10 @@ class ProductSpace(ModelSpace):
         freqs = np.fromiter(map(math.hypot, fa.tolist(), fb.tolist()), float, len(labels))
         return np.hstack([la, lb]), freqs, np.hstack([ja, jb])
 
+    def _peak_squares(self, labels):
+        a = self.first.dim
+        return self.first._peak_squares(labels[:, :a]) * self.second._peak_squares(labels[:, a:])
+
     def _flat(self, label):
         first, second = label
         return self.first._flat(first) + self.second._flat(second)
@@ -697,7 +709,8 @@ def split_items(text: str, sep: str = ",") -> list[str]:
 
 def _fields(body: str, keys: tuple) -> dict:
     """The key=value fields of a descriptor body; ValueError naming a field
-    that is not key=value with a key of ``keys``, or whose key repeats."""
+    that is not key=value with a key of ``keys``, or whose key repeats, and
+    naming the first key when it is missing."""
     fields = {}
     for token in body.split(","):
         key, eq, value = token.partition("=")
@@ -708,6 +721,8 @@ def _fields(body: str, keys: tuple) -> dict:
             raise ValueError(f"unknown field {token!r}, expected "
                              + ",".join(f"{k}=<int>" for k in keys))
         fields[key] = value
+    if keys[0] not in fields:
+        raise ValueError(f"missing field {keys[0]}=<int>")
     return fields
 
 
@@ -724,13 +739,13 @@ def parse_space(text: str) -> ModelSpace:
         try:
             fields = _fields(s[len("torus:"):], ("d",))
             return Torus(int(fields["d"]))
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:
             raise DescriptorError(text, f"bad torus descriptor ({exc})") from exc
     if s.startswith("zn:"):
         try:
             fields = _fields(s[len("zn:"):], ("N", "d"))
             return FiniteGroup(int(fields["N"]), int(fields.get("d", 1)))
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:
             raise DescriptorError(text, f"bad finite-group descriptor ({exc})") from exc
     if s.startswith("product(") and s.endswith(")"):
         factors = []

@@ -19,8 +19,10 @@ from .concentration import (
     BandlimitedFunction,
     concentration_levels,
     masked_band_energy,
+    restrict_band,
     sample_values,
 )
+from .random_spectra import gmpt_benchmark, interpolation_bound
 from .regions import Region
 from .reports import InequalityReport
 from .spaces import FiniteGroup, Quadrature
@@ -85,21 +87,18 @@ def check_group_uncertainty(space: FiniteGroup, samples, seed=None) -> Inequalit
 
 
 def check_generic_subset_uncertainty(f: BandlimitedFunction, region: Region,
-                                     quad: Quadrature, q: float, c_upper: float,
-                                     c_upper_provenance: str = "interpolation",
-                                     seed=None) -> InequalityReport:
-    """Mass lower bound for functions spanned by a generic character subset:
-    if f is L2-concentrated on E at level L, and the subset's q-orthogonality
+                                     quad: Quadrature, q: float, seed=None) -> InequalityReport:
+    """Mass lower bound for functions spanned by a generic subset: if f is
+    L2-concentrated on E at level L, and its spectral set's q-orthogonality
     constant is at most c_upper, then the normalized measure of E is at least
-    (L c_upper)^{-1/(1/2 - 1/q)}.
-
-    The measure is renormalized to total mass 1 so that the system's elements
-    have modulus at most one (characters on tori and finite groups do).  A
-    zero f gives a vacuous report with the inputs that do not depend on f.
+    (L c_upper)^{-1/(1/2 - 1/q)}.  c_upper is the set's
+    :func:`interpolation_bound`, under the measure renormalized to total mass
+    1.  A zero f gives a vacuous report with the inputs that do not depend on f.
     """
     if not q > 2:
         raise ValueError("the generic-subset bound needs q > 2")
     sset = f.spectral_set
+    c_upper = interpolation_bound(sset.space, sset.elements, q)
     rhs = region.measure / region.space.total_measure
     if f.norm == 0.0:
         inputs = _base_inputs(region, sset, quad)
@@ -115,17 +114,35 @@ def check_generic_subset_uncertainty(f: BandlimitedFunction, region: Region,
     inputs = _base_inputs(region, sset, quad, levels)
     inputs.update({"q": q, "c_upper": c_upper, "level_L": L,
                    "measure_normalized_to_1": True})
-    caveats = []
-    if c_upper_provenance != "interpolation":
-        caveats.append(f"empirical C(q) upper bound ({c_upper_provenance})")
-    return InequalityReport(
-        name="bourgain",
-        lhs=lhs,
-        rhs=rhs,
-        inputs=inputs,
-        caveats=caveats,
-        seed=seed,
-    )
+    return InequalityReport(name="bourgain", lhs=lhs, rhs=rhs, inputs=inputs, seed=seed)
+
+
+def check_projection_bounds(f, region: Region, sset: SpectralSet, quad: Quadrature,
+                            seed=None) -> tuple[InequalityReport, InequalityReport]:
+    """Sandwich the norm of the cut-off band-limited projection:
+
+    lower:  (1 - eps - eps') |f|  <=  |P_E B_S f|
+    upper:  |P_E B_S f|  <=  sqrt(int_E sum_S |e_j|^2) |f|
+
+    Returns the two reports; the lower bound is evaluated even when
+    eps + eps' >= 1, where it is vacuously true.
+    """
+    levels = concentration_levels(f, region, sset, quad)
+    if isinstance(f, BandlimitedFunction):
+        bf = restrict_band(f, sset)
+    else:
+        bf = BandlimitedFunction(sset, sset.space.coefficients(sset.elements, quad,
+                                                               sample_values(f, quad)))
+    pbf = float(quad.norm(bf.samples(quad) * region.contains_mask(quad.nodes), 2))
+    fnorm = float(quad.norm(sample_values(f, quad), 2))
+    energy = masked_band_energy(sset, region, quad)
+    inputs = _base_inputs(region, sset, quad, levels)
+    inputs.update({"f_norm": fnorm, "projected_norm": pbf})
+    lower = InequalityReport(name="projection-lower", lhs=levels.gap * fnorm, rhs=pbf,
+                             inputs=dict(inputs), caveats=levels.caveats, seed=seed)
+    upper = InequalityReport(name="projection-upper", lhs=pbf,
+                             rhs=math.sqrt(max(energy, 0.0)) * fnorm, inputs=inputs, seed=seed)
+    return lower, upper
 
 
 def check_eigenfunction_mass_bound(f: BandlimitedFunction, region: Region,
@@ -294,7 +311,7 @@ def check_random_half_uncertainty(f: BandlimitedFunction, region: Region,
     })
     if b_sup is not None:
         inputs["b_sup"] = b_sup
-        inputs["benchmark"] = b_sup * math.log(n) * math.log(math.log(n)) ** 2.5
+        inputs["benchmark"] = gmpt_benchmark(b_sup, n)
     caveats = ["empirical K: observed L2/L1 ratio from a random-half split"]
     if not k_bounds_f:
         caveats.append("vacuous: observed K does not bound this trial's L2/L1 ratio")

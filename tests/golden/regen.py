@@ -1,0 +1,97 @@
+"""Committed CLI goldens: stdout, stderr and exit code of a fixed set of
+in-process ``specon`` invocations.
+
+The set is the cli-batch commands of the benchmark (``bench/workloads.py``)
+at seeds 7 and 12345, and the bad arguments of
+``tests/test_cli.py::TestErrors::test_bad_argument_exits_1_and_is_named``,
+run as that test runs them (``spaces.MAX_BASIS_BYTES`` lowered to 1 MiB).
+A ``concentrate`` stdout is stored as its sha256; everything else in full.
+The header records the numpy version and BLAS the goldens were written under.
+
+Rewrite the goldens from the working tree, from the repository root:
+
+    PYTHONPATH=src python tests/golden/regen.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import os
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+
+import numpy as np
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(os.path.dirname(HERE))
+GOLDEN = os.path.join(HERE, "cli.json")
+SEEDS = (7, 12345)
+HASHED = ("concentrate",)
+
+
+def environment() -> dict:
+    """The numpy version and the BLAS numpy was built against."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas.get('version', '')}".strip()
+    except (TypeError, KeyError):
+        blas = "unknown"
+    return {"numpy": np.__version__, "blas": blas}
+
+
+def cases() -> list[tuple[list[str], int | None]]:
+    """(argv, MAX_BASIS_BYTES override or None) of every golden invocation."""
+    for path in (os.path.join(ROOT, "bench"), os.path.join(ROOT, "tests")):
+        if path not in sys.path:
+            sys.path.insert(0, path)
+    import test_cli
+    import workloads
+
+    batch = [(argv + ["--seed", str(seed)], None)
+             for seed in SEEDS for argv in workloads._cli_commands(False)]
+    test = test_cli.TestErrors.test_bad_argument_exits_1_and_is_named
+    params = next(m for m in test.pytestmark if m.name == "parametrize").args[1]
+    return batch + [(list(argv), 2**20) for argv, _ in params]
+
+
+def run_case(argv, max_basis_bytes) -> dict:
+    """One invocation through ``cli.main``, as the golden file stores it."""
+    from specon import cli, spaces
+
+    limit = spaces.MAX_BASIS_BYTES
+    if max_basis_bytes is not None:
+        spaces.MAX_BASIS_BYTES = max_basis_bytes
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(list(argv))
+    finally:
+        spaces.MAX_BASIS_BYTES = limit
+    stdout = out.getvalue()
+    case = {"argv": list(argv), "max_basis_bytes": max_basis_bytes, "code": code}
+    if argv[0] in HASHED:
+        case["stdout_sha256"] = hashlib.sha256(stdout.encode()).hexdigest()
+    else:
+        case["stdout"] = stdout
+    case["stderr"] = err.getvalue()
+    return case
+
+
+def load() -> dict:
+    with open(GOLDEN, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def main():
+    doc = {"environment": environment(),
+           "cases": [run_case(argv, limit) for argv, limit in cases()]}
+    with open(GOLDEN, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1, ensure_ascii=False)
+        fh.write("\n")
+    print(f"wrote {len(doc['cases'])} cases to {os.path.relpath(GOLDEN, ROOT)}")
+
+
+if __name__ == "__main__":
+    main()

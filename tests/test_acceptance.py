@@ -293,8 +293,7 @@ def test_08_generic_subset_bound_z256():
             continue
         sset = SpectralSet(g, [els[i].joint for i in subset], joint=True)
         f = BandlimitedFunction(sset, coeffs / norm)
-        c_upper = len(subset) ** (0.5 - 0.25)
-        rep = check_generic_subset_uncertainty(f, region, quad, q=4.0, c_upper=c_upper)
+        rep = check_generic_subset_uncertainty(f, region, quad, q=4.0)
         evaluated += 1
         all_hold &= rep.holds
     announce(8, all_hold and evaluated >= 95,

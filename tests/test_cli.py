@@ -216,6 +216,16 @@ class TestCheckCommand:
         reports = json.loads(out)["reports"]
         assert reports and all(r["holds"] for r in reports)
 
+    @pytest.mark.parametrize("seed", ["5", "12345"])
+    def test_bourgain_on_the_sphere_holds(self, capsys, seed):
+        # draws with a zonal Y_l^0, l >= 1, need the certified constant: with
+        # (#S)^{1/2} in place of (sum of 2l+1)^{1/2} they failed at both seeds
+        code, out, err = run_cli(capsys, "check", "--inequality", "bourgain", "--space", "sphere2",
+                                 "--n", "441", "--q", "inf", "--region", "cap:0.3",
+                                 "--trials", "40", "--seed", seed)
+        assert code == 0, err
+        assert len(json.loads(out)["reports"]) == 40
+
     def test_bourgain_reports_every_trial(self, capsys):
         # with the full region, a draw that misses index 0 has no indicator
         # coefficient: its trial reports as vacuous instead of vanishing
@@ -474,6 +484,20 @@ class TestErrors:
          "--inequality joint needs a joint:[...] spectrum"),
         (("check", "--inequality", "random-manifold", "--space", "torus:d=1"),
          "--inequality random-manifold needs --n"),
+        (("check", "--inequality", "covering", "--space", "torus:d=1",
+          "--spectrum", "joint:[(1,)]"),
+         "--inequality covering needs a scalar spectrum, not 'joint:[(1,)]'"),
+        (("homogeneity", "--space", "torus:d=1", "--spectrum", "list:[]"),
+         "spectrum 'list:[]' selects no eigenfunction"),
+        (("concentrate", "--space", "torus:d=1", "--spectrum", "list:[]", "--region", "full"),
+         "spectrum 'list:[]' selects no eigenfunction"),
+        (("basis", "--space", "zn:d=2"), "missing field N=<int>): 'zn:d=2'"),
+        (("check", "--inequality", "prop", "--space", "product(torus:d=1,sphere2)",
+          "--spectrum", "ball:2", "--region", "product(arc:0:1,cap:1)+product(arc:2:3,cap:1)"),
+         "unions of product regions are not supported"),
+        (("check", "--inequality", "prop", "--space", "product(torus:d=1,sphere2)",
+          "--spectrum", "ball:2", "--region", "full+empty"),
+         "unions of product regions are not supported"),
     ])
     def test_bad_argument_exits_1_and_is_named(self, capsys, monkeypatch, argv, named):
         # exit 2 is kept for a failed report; a size guard that misfires

@@ -6,6 +6,7 @@ import pytest
 from specon import (
     CoarseQuadratureError,
     FiniteGroup,
+    ProductSpace,
     RandomSubsetSpec,
     SpeconError,
     Sphere2,
@@ -16,6 +17,7 @@ from specon import (
     lq_norm,
     trial_rng,
 )
+from specon.random_spectra import interpolation_bound, qnorm_cutoff
 
 TWO_PI = 2 * math.pi
 
@@ -138,13 +140,26 @@ class TestEstimateCq:
             estimate_cq(t, t.first_elements(5), 4.0, quad, trials=2, seed=5)
 
     def test_sphere_exploratory_run(self):
-        # eigenfunctions are not sup-normalized; the interpolation cap is not
-        # enforced there, only recorded via measured_sup
+        # harmonics beyond the constant exceed one in modulus (measured_sup);
+        # the interpolation bound sums 2l+1 over degrees 0, 1, 2 and 3
         s = Sphere2()
         quad = s.build_quadrature(2 * math.sqrt(12.0), oversample=2)
         est = estimate_cq(s, s.elements_by_index([0, 1, 5, 9]), 4.0, quad, trials=6, seed=6)
         assert est.measured_sup > 1.0
-        assert est.c_lower >= 1.0 - 1e-9
+        assert est.c_interp == pytest.approx(16 ** 0.25, rel=1e-15)
+        assert 1.0 - 1e-9 <= est.c_lower <= est.c_interp
+
+    @pytest.mark.parametrize("space", [Sphere2(), ProductSpace(Torus(1), Sphere2())])
+    @pytest.mark.parametrize("q", [3.0, 4.0, 6.0, math.inf])
+    def test_lower_estimate_within_the_bound(self, space, q):
+        # estimate_cq enforces c_lower <= c_interp on every space; checked here directly
+        for seed in range(3):
+            subset = generic_subset(RandomSubsetSpec(40, q, seed=seed)) or [0]
+            elements = space.elements_by_index(subset)
+            quad = space.build_quadrature(max(1.0, qnorm_cutoff(elements, q)), oversample=2)
+            est = estimate_cq(space, elements, q, quad, trials=4, ascent_iterations=50, seed=seed)
+            assert est.c_lower <= est.c_interp * (1 + 1e-9)
+            assert est.c_interp == interpolation_bound(space, elements, q)
 
 
 class TestGmptSplit:

@@ -166,8 +166,9 @@ class TestRegionFamilies:
 
     def test_union_of_products_is_refused(self):
         p = ProductSpace(Torus(1), Sphere2())
-        with pytest.raises(DescriptorError, match="different shapes"):
-            parse_region(p, "product(arc:0:1,cap:1)+product(arc:2:3,cap:1)")
+        for text in ("product(arc:0:1,cap:1)+product(arc:2:3,cap:1)", "full+empty"):
+            with pytest.raises(DescriptorError, match="unions of product regions are not supported"):
+                parse_region(p, text)
 
 
 class TestQuadratureMeasure:

@@ -168,6 +168,36 @@ class TestEvaluation:
                 ref = sph_harm_y(l, m, pts[:, 0], pts[:, 1])
                 assert np.abs(mine - ref).max() < 1e-12
 
+    def test_sphere_peak_squares_bound_the_harmonics(self):
+        # addition theorem: 4 pi |Y_l^m|^2 <= 2l + 1, attained at the pole by m = 0
+        s = Sphere2()
+        theta = np.linspace(0.0, math.pi, 20001)
+        elements = s.first_elements(121)  # l <= 10
+        peaks = s._peak_squares(s._label_array(elements))
+        for el, peak in zip(elements, peaks):
+            l, m = el.label
+            assert peak == 2 * l + 1
+            sup = 4 * math.pi * float(np.max(np.abs(sph_harm_y(l, m, theta, 0.0)) ** 2))
+            assert sup <= peak * (1 + 1e-12)
+            if m == 0:
+                pole = 4 * math.pi * abs(sph_harm_y(l, 0, 0.0, 0.0)) ** 2
+                assert pole == pytest.approx(peak, rel=1e-12, abs=0)
+
+    def test_character_and_product_peak_squares(self):
+        for space in (Torus(2), FiniteGroup(8, 2)):
+            assert space._peak_squares(space._label_array(space.first_elements(9))).tolist() \
+                == [1.0] * 9
+        for first, second in [(Torus(1), Sphere2()), (Sphere2(), Sphere2()),
+                              (Sphere2(), FiniteGroup(4, 1))]:
+            p = ProductSpace(first, second)
+            labels = p._label_array(p.first_elements(40))
+            a = first.dim
+            assert np.array_equal(p._peak_squares(labels),
+                                  first._peak_squares(labels[:, :a])
+                                  * second._peak_squares(labels[:, a:]))
+        p = ProductSpace(Sphere2(), Sphere2())
+        assert p._peak_squares(np.array([[2, 0, 3, 1]])).tolist() == [35.0]
+
     def test_sphere_high_degree_stable(self):
         # normalized ascending recurrence must not overflow at large degree
         s = Sphere2()

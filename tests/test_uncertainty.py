@@ -20,16 +20,21 @@ from specon import (
     check_joint_uncertainty,
     check_random_half_uncertainty,
     check_supnorm_uncertainty,
+    check_projection_bounds,
     concentration_levels,
     empty_region,
+    estimate_cq,
+    gmpt_split,
     full_region,
     gram_matrix,
     max_concentration,
     parse_region,
+    parse_space,
     sogge_constant_estimate,
     spectrum_ball,
     spectrum_level,
 )
+from specon.random_spectra import qnorm_cutoff
 
 TWO_PI = 2 * math.pi
 
@@ -96,7 +101,7 @@ class TestGenericSubsetUncertainty:
         quad = t.build_quadrature(1.0, oversample=8)
         sset = SpectralSet(t, [0.0])
         f = BandlimitedFunction(sset, np.array([1.0 + 0j]))
-        rep = check_generic_subset_uncertainty(f, full_region(t), quad, q=4.0, c_upper=1.0)
+        rep = check_generic_subset_uncertainty(f, full_region(t), quad, q=4.0)
         assert rep.lhs == pytest.approx(1.0)
         assert rep.rhs == pytest.approx(1.0)
         assert rep.holds
@@ -108,8 +113,7 @@ class TestGenericSubsetUncertainty:
         rng = np.random.default_rng(5)
         f = BandlimitedFunction(sset, rng.normal(size=5) + 1j * rng.normal(size=5))
         region = arc(t, 0.0, 5.0)
-        c_upper = math.sqrt(sset.size)
-        rep = check_generic_subset_uncertainty(f, region, quad, q=math.inf, c_upper=c_upper)
+        rep = check_generic_subset_uncertainty(f, region, quad, q=math.inf)
         levels_l = rep.inputs["level_L"]
         assert rep.lhs == pytest.approx(1.0 / (levels_l**2 * sset.size))
         assert rep.holds
@@ -131,8 +135,7 @@ class TestGenericSubsetUncertainty:
                 continue
             sset = SpectralSet(g, [els[i].joint for i in subset], joint=True)
             f = BandlimitedFunction(sset, coeffs / np.linalg.norm(coeffs))
-            c_upper = len(subset) ** (0.5 - 0.25)
-            rep = check_generic_subset_uncertainty(f, region, quad, q=4.0, c_upper=c_upper)
+            rep = check_generic_subset_uncertainty(f, region, quad, q=4.0)
             assert rep.holds
             assert rep.slack > 0
 
@@ -143,7 +146,7 @@ class TestGenericSubsetUncertainty:
         region = parse_region(g, "set:{0,1,2,3}")
         sset = SpectralSet(g, [(1.0,), (3.0,)], joint=True)
         f = BandlimitedFunction(sset, np.zeros(2))
-        rep = check_generic_subset_uncertainty(f, region, quad, q=4.0, c_upper=2**0.25)
+        rep = check_generic_subset_uncertainty(f, region, quad, q=4.0)
         assert (rep.lhs, rep.rhs) == (0.0, 0.25)
         assert rep.passed and rep.caveats[0].startswith("vacuous: f is zero")
         assert rep.inputs == {"space": "zn:N=16,d=1", "region": "set:{0,1,2,3}",
@@ -156,16 +159,21 @@ class TestGenericSubsetUncertainty:
         quad = t.build_quadrature(1.0)
         f = BandlimitedFunction(SpectralSet(t, [0.0]), np.array([1.0]))
         with pytest.raises(ValueError):
-            check_generic_subset_uncertainty(f, full_region(t), quad, q=2.0, c_upper=1.0)
+            check_generic_subset_uncertainty(f, full_region(t), quad, q=2.0)
 
-    def test_empirical_constant_gets_caveat(self):
-        t = Torus(1)
-        quad = t.build_quadrature(1.0, oversample=8)
-        f = BandlimitedFunction(SpectralSet(t, [0.0]), np.array([1.0]))
-        rep = check_generic_subset_uncertainty(
-            f, full_region(t), quad, q=4.0, c_upper=1.0,
-            c_upper_provenance="monte-carlo estimate")
-        assert rep.caveats
+    @pytest.mark.parametrize("descriptor", ["torus:d=1", "zn:N=64", "sphere2",
+                                            "product(torus:d=1,sphere2)"])
+    @pytest.mark.parametrize("q", [4.0, math.inf])
+    def test_constant_is_the_lambda_q_bound(self, descriptor, q):
+        # the check derives c_upper from its subset exactly as estimate_cq's c_interp
+        space = parse_space(descriptor)
+        elements = space.elements_by_index([0, 2, 3, 7, 11])
+        quad = space.build_quadrature(qnorm_cutoff(elements, q), oversample=2)
+        sset = SpectralSet(space, [el.joint for el in elements], joint=True, tol=0.0)
+        f = BandlimitedFunction(sset, np.ones(sset.size))
+        rep = check_generic_subset_uncertainty(f, parse_region(space, "full"), quad, q=q)
+        est = estimate_cq(space, sset.elements, q, quad, trials=1, ascent_iterations=2)
+        assert rep.inputs["c_upper"] == est.c_interp
 
 
 class TestEigenfunctionMassBound:
@@ -499,6 +507,17 @@ class TestRandomHalfUncertainty:
             assert rep.inputs["level_A"] >= prev_a - 1e-12
             prev_a = rep.inputs["level_A"]
 
+    def test_benchmark_is_the_splits(self):
+        t = Torus(1)
+        quad = t.build_quadrature(8.0, oversample=4)
+        elements = t.first_elements(16)
+        split = gmpt_split(t, quad, elements, trials=4, subsets=8, seed=3)
+        side = SpectralSet(t, [elements[i].joint for i in split.indices], joint=True, tol=0.0)
+        f = BandlimitedFunction(side, np.ones(side.size))
+        rep = check_random_half_uncertainty(f, arc(t, 0.0, 2.0), quad, k_emp=split.k_observed,
+                                            n=split.n, b_sup=split.b_sup)
+        assert rep.inputs["benchmark"] == split.benchmark
+
     def test_small_n_rejected(self):
         t = Torus(1)
         quad = t.build_quadrature(1.0)
@@ -551,3 +570,17 @@ class TestReportMechanics:
         assert dumps_stable("\n\r\t\x00\x1f") == '"\\n\\r\\t\\u0000\\u001f"'
         rep = InequalityReport(name="x", lhs=0.0, rhs=1.0, caveats=[controls])
         assert json.loads(reports_to_json([rep]))["reports"][0]["caveats"] == [controls]
+
+
+class TestProjectionBounds:
+    def test_inputs_start_with_the_mass_checks_inputs(self):
+        t = Torus(1)
+        quad = t.build_quadrature(3.0, oversample=8)
+        sset = spectrum_ball(t, 2.0)
+        f = BandlimitedFunction(spectrum_ball(t, 3.0), np.arange(1.0, 8.0))
+        region = arc(t, 0.5, 3.0)
+        mass = check_homogeneous_uncertainty(f, region, sset, quad, seed=1)
+        shared = {k: v for k, v in mass.inputs.items() if k != "homogeneity_max_deviation"}
+        for rep in check_projection_bounds(f, region, sset, quad):
+            assert list(rep.inputs) == [*shared, "f_norm", "projected_norm"]
+            assert {k: rep.inputs[k] for k in shared} == shared
