@@ -8,12 +8,13 @@ Four kinds of space are supported:
   normalized to unit L2 norm,
 * cartesian products of any two of the above (tensor-product eigenbasis).
 
-Every space enumerates its basis in nondecreasing frequency order (ties broken
-lexicographically on the label), evaluates elements at points, and builds a
-quadrature rule that integrates products of any two basis elements below a
-requested frequency cutoff exactly.  The frequency convention is the square
-root of the (-Laplacian) eigenvalue: ``|m|`` on the torus, ``sqrt(l(l+1))`` on
-the sphere.
+Every space states its (-Laplacian) eigenvalues as integers, enumerates its
+basis in nondecreasing eigenvalue order (ties broken lexicographically on the
+label), evaluates elements at points, and builds a quadrature rule that
+integrates products of any two basis elements below a requested frequency
+cutoff exactly.  A frequency is the square root of an integer eigenvalue:
+``|m|`` on the torus, ``sqrt(l(l+1))`` on the sphere; a product adds its
+factors' eigenvalues, so equal eigenvalues share one frequency.
 """
 
 from __future__ import annotations
@@ -119,15 +120,16 @@ class ModelSpace:
 
     def enumerate_basis(self, cutoff: float) -> list[BasisElement]:
         """All basis elements with frequency <= cutoff, sorted by
-        (frequency, label).  The position in this list is the element's global
+        (eigenvalue, label).  The position in this list is the element's global
         index and does not depend on the cutoff."""
         if not math.isfinite(cutoff):
             raise ValueError(f"cutoff must be finite, got {cutoff}")
         if cutoff < 0:
             raise ValueError(f"cutoff must be nonnegative, got {cutoff}")
-        labels, freqs, _ = self._describe(self._candidates(cutoff))
-        labels, freqs = labels[freqs <= cutoff], freqs[freqs <= cutoff]
-        return self._elements(labels[np.lexsort((*labels.T[::-1], freqs))])
+        labels, eigs, _ = self._describe(self._candidates(cutoff))
+        keep = eigs <= _r2max(cutoff)
+        labels, eigs = labels[keep], eigs[keep]
+        return self._elements(labels[np.lexsort((*labels.T[::-1], eigs))])
 
     def first_elements(self, n: int) -> list[BasisElement]:
         """The first ``n`` elements of the global enumeration: the cutoff
@@ -143,14 +145,25 @@ class ModelSpace:
         els = self.first_elements(max(indices) + 1)
         return [els[i] for i in indices]
 
-    def count_upto(self, lam: float) -> int:
-        """Number of eigenvalues (with multiplicity) of frequency <= lam."""
-        if lam < 0:
-            return 0
-        return int(np.count_nonzero(self._describe(self._candidates(lam))[1] <= lam))
+    def count_upto(self, lam):
+        """Number of eigenvalues (with multiplicity) of frequency <= lam, or
+        the list of them for a sequence of lambdas."""
+        counts = self._counts(np.atleast_1d(np.asarray(lam, float)).tolist())
+        return counts if np.ndim(lam) else counts[0]
+
+    def _counts(self, lams: list) -> list:
+        """count_upto of each of ``lams``: searchsorted on the sorted
+        eigenvalues of one candidate table at the largest."""
+        eigs = np.sort(self._describe(self._candidates(max(lams + [0.0])))[1])
+        return np.searchsorted(eigs, [_r2max(x) for x in lams], side="right").tolist()
 
     def max_frequency(self):
         """Largest frequency in the spectrum, or None if unbounded."""
+        top = self._max_eigenvalue()
+        return None if top is None else math.sqrt(top)
+
+    def _max_eigenvalue(self):
+        """Largest eigenvalue (an int), or None if unbounded."""
         return None
 
     # A space states its spectrum once, on flat labels (rows of ``dim`` ints):
@@ -167,7 +180,7 @@ class ModelSpace:
                           "the cutoff sets the row count")
 
     def _describe(self, labels: np.ndarray):
-        """(canonical labels, frequencies, joint rows) of flat labels;
+        """(canonical labels, integer eigenvalues, joint rows) of flat labels;
         ValueError naming the space for a label of none of its elements."""
         raise NotImplementedError
 
@@ -203,7 +216,8 @@ class ModelSpace:
 
     def _elements(self, labels, numbered: bool = True) -> list[BasisElement]:
         """Elements for rows of flat labels, indexed by row (or -1)."""
-        labels, freqs, joints = (a.tolist() for a in self._describe(labels))
+        labels, eigs, joints = self._describe(labels)
+        labels, freqs, joints = labels.tolist(), np.sqrt(eigs).tolist(), joints.tolist()
         return [BasisElement(j if numbered else -1, self._structured(lab), f, tuple(jt))
                 for j, (lab, f, jt) in enumerate(zip(labels, freqs, joints))]
 
@@ -276,10 +290,10 @@ class ModelSpace:
         used to seed sup-norm estimates."""
         return np.zeros((1, self.coord_dim))
 
-    def frequency_from_joint(self, joint) -> float:
-        """Scalar frequency of a joint eigenvalue tuple (its Euclidean norm on
-        tori and groups)."""
-        return float(np.linalg.norm(np.asarray(joint, float)))
+    def _eigenvalue_from_joint(self, joint) -> float:
+        """The eigenvalue of a joint eigenvalue tuple (its squared norm on tori
+        and groups)."""
+        return sum(c * c for c in joint)
 
     def __repr__(self):
         return f"{type(self).__name__}({self.kind!r})"
@@ -287,7 +301,7 @@ class ModelSpace:
 
 class Torus(ModelSpace):
     """Flat torus R^d / (2 pi Z)^d; eigenfunctions (2 pi)^{-d/2} e^{i<m, x>}
-    indexed by m in Z^d with frequency |m|."""
+    indexed by m in Z^d with eigenvalue |m|^2."""
 
     def __init__(self, dim: int):
         if dim < 1:
@@ -304,12 +318,10 @@ class Torus(ModelSpace):
         return np.indices((2 * r + 1,) * self.dim).reshape(self.dim, -1).T - r
 
     def _describe(self, labels):
-        return labels, np.sqrt(np.sum(labels * labels, axis=1)), labels.astype(float)
+        return labels, np.sum(labels * labels, axis=1), labels.astype(float)
 
-    def count_upto(self, lam: float) -> int:
-        if lam < 0:
-            return 0
-        return self._lattice_count(_r2max(lam), self.dim)
+    def _counts(self, lams):
+        return [self._lattice_count(_r2max(x), self.dim) if x >= 0 else 0 for x in lams]
 
     @staticmethod
     def _lattice_count(r2: int, d: int) -> int:
@@ -353,7 +365,7 @@ class Sphere2(ModelSpace):
     Points are (colatitude theta, longitude phi).  Normalization makes the
     basis orthonormal under the area measure (total 4 pi); the phase follows
     the Condon-Shortley convention, so Y_l^{-m} = (-1)^m conj(Y_l^m).
-    Frequency is sqrt(l(l+1)); the joint eigenvalue is (m, l(l+1)) for the
+    The eigenvalue is l(l+1); the joint eigenvalue is (m, l(l+1)) for the
     commuting pair (rotation generator, -Laplacian).
     """
 
@@ -383,10 +395,10 @@ class Sphere2(ModelSpace):
         if len(bad):
             raise ValueError(f"label {tuple(bad[0].tolist())} inconsistent with {self.kind}")
         lam = l * (l + 1)
-        return labels, np.sqrt(lam), np.stack([m, lam], axis=1).astype(float)
+        return labels, lam, np.stack([m, lam], axis=1).astype(float)
 
-    def count_upto(self, lam):
-        return (self._lmax(lam) + 1) ** 2
+    def _counts(self, lams):
+        return [(self._lmax(x) + 1) ** 2 for x in lams]
 
     def _peak_squares(self, labels):
         # addition theorem: |Y_l^m|^2 <= (2l+1) / 4 pi, attained at the poles by m = 0
@@ -483,15 +495,15 @@ class Sphere2(ModelSpace):
     def extreme_points(self):
         return np.array([[0.0, 0.0], [math.pi, 0.0]])
 
-    def frequency_from_joint(self, joint):
-        return math.sqrt(max(0.0, float(joint[1])))
+    def _eigenvalue_from_joint(self, joint):
+        return max(0.0, joint[1])
 
 
 class FiniteGroup(ModelSpace):
     """Finite abelian group Z_N^d under counting measure (total mass N^d).
 
     Characters chi_k(x) = exp(2 pi i <k, x> / N) are normalized by N^{-d/2} to
-    unit L2 norm.  The frequency of a character is the Euclidean norm of its
+    unit L2 norm.  The eigenvalue of a character is the squared norm of its
     centered residue vector (components mapped to (-N/2, N/2]); the joint
     eigenvalue is that centered vector.  The dual measure assigns weight
     1/N^d per character, so Fourier inversion holds exactly (see
@@ -515,11 +527,10 @@ class FiniteGroup(ModelSpace):
     def _describe(self, labels):
         k = labels % self.order
         centered = np.where(k <= self.order // 2, k, k - self.order)
-        return k, np.sqrt(np.sum(centered * centered, axis=1)), centered.astype(float)
+        return k, np.sum(centered * centered, axis=1), centered.astype(float)
 
-    def max_frequency(self):
-        half = self.order // 2
-        return math.sqrt(self.dim * half * half)
+    def _max_eigenvalue(self):
+        return self.dim * (self.order // 2) ** 2
 
     def basis_matrix(self, elements, points):
         pts = self._check_points(points, len(elements))
@@ -575,9 +586,8 @@ class FiniteGroup(ModelSpace):
 class ProductSpace(ModelSpace):
     """Cartesian product of two model spaces with the tensor-product basis.
 
-    Coordinates concatenate; the joint eigenvalue concatenates; the scalar
-    frequency is the hypotenuse of the factor frequencies (the product
-    Laplacian eigenvalue adds)."""
+    Coordinates concatenate; the joint eigenvalue concatenates; the
+    eigenvalue is the sum of the factors' eigenvalues."""
 
     def __init__(self, first: ModelSpace, second: ModelSpace):
         self.first = first
@@ -589,13 +599,12 @@ class ProductSpace(ModelSpace):
         self.kind = f"product({first.kind},{second.kind})"
 
     def _candidates(self, cutoff):
-        la, fa, _ = self.first._describe(self.first._candidates(cutoff))
-        # pair each first element with the second elements below a slight
-        # superset of its residual band; enumerate_basis filters exactly
-        inner = np.sqrt(np.maximum(0.0, cutoff * cutoff - fa * fa)) * (1 + 1e-12) + 1e-12
-        lb, fb, _ = self.second._describe(self.second._candidates(float(inner.max())))
-        order = np.argsort(fb, kind="stable")
-        counts = np.searchsorted(fb[order], inner, side="right")
+        # pair each first element with the second elements whose eigenvalue
+        # is at most its integer residual
+        la, ea, _ = self.first._describe(self.first._candidates(cutoff))
+        lb, eb, _ = self.second._describe(self.second._candidates(cutoff))
+        order = np.argsort(eb, kind="stable")
+        counts = np.searchsorted(eb[order], _r2max(cutoff) - ea, side="right")
         self._refuse_labels(int(counts.sum()), cutoff)
         ia = np.repeat(np.arange(len(la)), counts)
         ib = order[np.arange(len(ia)) - np.repeat(np.cumsum(counts) - counts, counts)]
@@ -603,12 +612,9 @@ class ProductSpace(ModelSpace):
 
     def _describe(self, labels):
         a = self.first.dim
-        la, fa, ja = self.first._describe(labels[:, :a])
-        lb, fb, jb = self.second._describe(labels[:, a:])
-        # math.hypot, not np.hypot: the two differ in the last bit, and the
-        # frequencies set the enumeration order
-        freqs = np.fromiter(map(math.hypot, fa.tolist(), fb.tolist()), float, len(labels))
-        return np.hstack([la, lb]), freqs, np.hstack([ja, jb])
+        la, ea, ja = self.first._describe(labels[:, :a])
+        lb, eb, jb = self.second._describe(labels[:, a:])
+        return np.hstack([la, lb]), ea + eb, np.hstack([ja, jb])
 
     def _peak_squares(self, labels):
         a = self.first.dim
@@ -622,11 +628,9 @@ class ProductSpace(ModelSpace):
         a = self.first.dim
         return self.first._structured(flat[:a]), self.second._structured(flat[a:])
 
-    def max_frequency(self):
-        a, b = self.first.max_frequency(), self.second.max_frequency()
-        if a is None or b is None:
-            return None
-        return math.hypot(a, b)
+    def _max_eigenvalue(self):
+        a, b = self.first._max_eigenvalue(), self.second._max_eigenvalue()
+        return None if a is None or b is None else a + b
 
     def _split(self, pts):
         c = self.first.coord_dim
@@ -665,11 +669,10 @@ class ProductSpace(ModelSpace):
     def extreme_points(self):
         return _row_pairs(self.first.extreme_points(), self.second.extreme_points())
 
-    def frequency_from_joint(self, joint):
+    def _eigenvalue_from_joint(self, joint):
         wa = self.first.joint_dim
-        fa = self.first.frequency_from_joint(joint[:wa])
-        fb = self.second.frequency_from_joint(joint[wa:])
-        return math.hypot(fa, fb)
+        return (self.first._eigenvalue_from_joint(joint[:wa])
+                + self.second._eigenvalue_from_joint(joint[wa:]))
 
 
 def _row_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:

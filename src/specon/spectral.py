@@ -72,7 +72,7 @@ class SpectralSet:
         if not self.values:
             return 0.0
         if self.is_joint:
-            return max(self.space.frequency_from_joint(v) for v in self.values)
+            return math.sqrt(max(self.space._eigenvalue_from_joint(v) for v in self.values))
         return max(self.values)
 
     def scalar_values(self):
@@ -142,15 +142,10 @@ def parse_spectrum(space: ModelSpace, text: str, tol=DEFAULT_MATCH_TOL) -> Spect
 
 def weyl_count(space: ModelSpace, lam):
     """N(lambda): eigenvalues with frequency <= lambda, with multiplicity, or the
-    list of them for a sequence of lambdas: each is one np.searchsorted on the
-    sorted frequencies of one candidate table at the largest lambda."""
-    lams = np.atleast_1d(np.asarray(lam, float))
-    if (lams < 0).any():
+    list of them for a sequence of lambdas (:meth:`ModelSpace.count_upto`)."""
+    if (np.asarray(lam, float) < 0).any():
         raise ValueError("lambda must be nonnegative")
-    if not np.ndim(lam):
-        return space.count_upto(lam)
-    table = space._describe(space._candidates(float(lams.max(initial=0.0))))[1]
-    return np.searchsorted(np.sort(table), lams, side="right").tolist()
+    return space.count_upto(lam)
 
 
 def local_weyl(space: ModelSpace, x, lam):

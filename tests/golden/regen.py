@@ -11,10 +11,18 @@ The header records the numpy version and BLAS the goldens were written under.
 Rewrite the goldens from the working tree, from the repository root:
 
     PYTHONPATH=src python tests/golden/regen.py
+
+or, writing nothing, print each stored case whose rerun differs (its argv, a
+unified diff of stdout and stderr, or both sha256 of a hashed stdout, and both
+exit codes) and exit 1 if any does:
+
+    PYTHONPATH=src python tests/golden/regen.py --diff
 """
 
 from __future__ import annotations
 
+import argparse
+import difflib
 import hashlib
 import io
 import json
@@ -93,5 +101,28 @@ def main():
     print(f"wrote {len(doc['cases'])} cases to {os.path.relpath(GOLDEN, ROOT)}")
 
 
+def diff() -> int:
+    """Print how each stored case's rerun differs from it; 1 if any does."""
+    changed = 0
+    for case in load()["cases"]:
+        now = run_case(case["argv"], case["max_basis_bytes"])
+        if now == case:
+            continue
+        changed += 1
+        print(" ".join(case["argv"]))
+        if case.get("stdout_sha256") != now.get("stdout_sha256"):
+            print(f"stdout sha256: {case['stdout_sha256']} -> {now['stdout_sha256']}")
+        for key in ("stdout", "stderr"):
+            if key in case:
+                sys.stdout.writelines(difflib.unified_diff(
+                    case[key].splitlines(True), now[key].splitlines(True),
+                    f"golden {key}", f"rerun {key}"))
+        print(f"exit code: {case['code']} -> {now['code']}\n")
+    return 1 if changed else 0
+
+
 if __name__ == "__main__":
-    main()
+    parser = argparse.ArgumentParser(description="Rewrite the CLI goldens from the working tree.")
+    parser.add_argument("--diff", action="store_true",
+                        help="write nothing; print each stored case whose rerun differs")
+    sys.exit(diff() if parser.parse_args().diff else main())

@@ -12,26 +12,29 @@ from specon import FiniteGroup, ProductSpace, SpectralSet, Sphere2, Torus
 
 
 def brute_force(space, cutoff):
-    """(label, frequency, joint) of every element with frequency <= cutoff,
-    sorted by (frequency, label), from loops over a box of labels."""
+    """(label, frequency, joint, eigenvalue) of every element with frequency
+    <= cutoff, sorted by (eigenvalue, label), from loops over a box of labels.
+    Eigenvalues are integers, a product's the sum of its factors', and a
+    frequency is the square root of its eigenvalue."""
     if isinstance(space, Torus):
         r = int(cutoff)
-        rows = [(m, math.sqrt(sum(c * c for c in m)), tuple(float(c) for c in m))
+        rows = [(m, sum(c * c for c in m), tuple(float(c) for c in m))
                 for m in itertools.product(range(-r, r + 1), repeat=space.dim)]
     elif isinstance(space, Sphere2):
-        rows = [((l, m), math.sqrt(l * (l + 1)), (float(m), float(l * (l + 1))))
+        rows = [((l, m), l * (l + 1), (float(m), float(l * (l + 1))))
                 for l in range(int(cutoff) + 1) for m in range(-l, l + 1)]
     elif isinstance(space, FiniteGroup):
         n = space.order
         rows = []
         for k in itertools.product(range(n), repeat=space.dim):
             c = [ki if ki <= n // 2 else ki - n for ki in k]
-            rows.append((k, math.sqrt(sum(ci * ci for ci in c)), tuple(float(ci) for ci in c)))
+            rows.append((k, sum(ci * ci for ci in c), tuple(float(ci) for ci in c)))
     else:
-        rows = [((la, lb), math.hypot(fa, fb), ja + jb)
-                for la, fa, ja in brute_force(space.first, cutoff)
-                for lb, fb, jb in brute_force(space.second, cutoff)]
-    return sorted((row for row in rows if row[1] <= cutoff), key=lambda row: (row[1], row[0]))
+        rows = [((la, lb), ea + eb, ja + jb)
+                for la, _, ja, ea in brute_force(space.first, cutoff)
+                for lb, _, jb, eb in brute_force(space.second, cutoff)]
+    rows = [(label, math.sqrt(e), joint, e) for label, e, joint in rows]
+    return sorted((row for row in rows if row[1] <= cutoff), key=lambda row: (row[3], row[0]))
 
 
 LEAVES = st.one_of(
@@ -62,7 +65,7 @@ def test_enumeration_matches_brute_force(space, cutoff, data):
     els = space.enumerate_basis(cutoff)
     want = brute_force(space, cutoff)
     assert len(els) == len(want)
-    for j, (el, (label, freq, joint)) in enumerate(zip(els, want)):
+    for j, (el, (label, freq, joint, _)) in enumerate(zip(els, want)):
         assert el.index == j
         assert el.label == label
         assert el.frequency == freq

@@ -22,4 +22,5 @@ def test_cli_matches_goldens():
         f"under numpy {golden['environment']['numpy']} with {golden['environment']['blas']}; "
         f"this run has numpy {env['numpy']} with {env['blas']}"
         + (" (the same)" if env == golden["environment"] else "")
-        + ":\n" + "\n".join(changed))
+        + "; PYTHONPATH=src python tests/golden/regen.py --diff prints the differences:\n"
+        + "\n".join(changed))
