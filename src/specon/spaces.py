@@ -599,12 +599,13 @@ class ProductSpace(ModelSpace):
         self.kind = f"product({first.kind},{second.kind})"
 
     def _candidates(self, cutoff):
-        # pair each first element with the second elements whose eigenvalue
-        # is at most its integer residual
+        # pair each first element with the second elements of eigenvalue at most its
+        # residual; capping r2 at the largest pair sum keeps huge cutoffs in int64
         la, ea, _ = self.first._describe(self.first._candidates(cutoff))
         lb, eb, _ = self.second._describe(self.second._candidates(cutoff))
+        r2 = min(_r2max(cutoff), int(ea.max(initial=0)) + int(eb.max(initial=0)))
         order = np.argsort(eb, kind="stable")
-        counts = np.searchsorted(eb[order], _r2max(cutoff) - ea, side="right")
+        counts = np.searchsorted(eb[order], r2 - ea, side="right")
         self._refuse_labels(int(counts.sum()), cutoff)
         ia = np.repeat(np.arange(len(la)), counts)
         ib = order[np.arange(len(ia)) - np.repeat(np.cumsum(counts) - counts, counts)]

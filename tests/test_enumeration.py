@@ -108,3 +108,9 @@ def test_first_elements_beyond_a_finite_spectrum():
         FiniteGroup(6, 2).first_elements(37)
     with pytest.raises(ValueError, match="space has only 144 basis elements, 145 requested"):
         ProductSpace(FiniteGroup(4), FiniteGroup(6, 2)).first_elements(145)
+
+
+def test_a_finite_spectrum_takes_any_cutoff():
+    # 1e10 squared is past int64: every element of a product of groups is below it
+    space = ProductSpace(FiniteGroup(4), FiniteGroup(6, 2))
+    assert len(space.enumerate_basis(1e10)) == space.count_upto(1e10) == 144
