@@ -34,7 +34,7 @@ from .reports import (
     reports_to_csv,
     reports_to_json,
 )
-from .spaces import FiniteGroup, parse_space
+from .spaces import FiniteGroup, _refuse_oversized, parse_space
 from .spectral import (
     SpectralSet,
     cover_by_unit_intervals,
@@ -185,6 +185,9 @@ def cmd_weyl(args):
     space = parse_space(args.space)
     lams = [args.lam] if args.lam is not None else []
     if args.lam_max is not None:
+        rows = max(0, math.ceil((args.lam_max - args.lam_step / 2) / args.lam_step))
+        _refuse_oversized(f"weyl table of {rows:,} lambdas", rows * 8,
+                          "--lambda-max over --lambda-step sets the row count")
         lams = np.arange(args.lam_step, args.lam_max + args.lam_step / 2,
                          args.lam_step).tolist()
     if not lams:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CoarseQuadratureError, SpeconError
-from .spaces import ModelSpace, Quadrature
+from .spaces import ModelSpace, Quadrature, _refuse_oversized
 
 DEFAULT_SEED = 12345
 # an ascent stops once a step no longer raises the best ratio by more than
@@ -60,6 +60,8 @@ class RandomSubsetSpec:
 def generic_subset(spec: RandomSubsetSpec) -> list[int]:
     """Indices kept by independent coin flips of bias delta; deterministic
     given the spec's seed."""
+    _refuse_oversized(f"generic-subset draw of {spec.n:,} indices", spec.n * 8,
+                      "n sets the draw size")
     rng = trial_rng(spec.seed, 0)
     keep = rng.random(spec.n) < spec.delta
     return [int(i) for i in np.flatnonzero(keep)]
@@ -148,6 +150,9 @@ def estimate_cq(space: ModelSpace, elements, q: float, quad: Quadrature,
     if not elements:
         raise ValueError("elements must be nonempty")
     _qnorm_resolution_check(elements, quad, q)
+    m = len(elements)
+    _refuse_oversized(f"estimate_cq start table of ({m:,} + {trials:,} trials) x {m:,}",
+                      (m + trials) * m * 16, "the trial count and the subset size set its size")
 
     scale = math.sqrt(space.total_measure)
     psi = space.basis_matrix(elements, quad.nodes) * scale
@@ -184,7 +189,6 @@ def estimate_cq(space: ModelSpace, elements, q: float, quad: Quadrature,
                 break
         return best, best_a
 
-    m = len(elements)
     rng = trial_rng(seed, 0)
     starts = list(np.eye(m, dtype=complex)) + [np.asarray(x, dtype=complex) for x in extra_starts]
     starts += [rng.normal(size=m) + 1j * rng.normal(size=m) for _ in range(trials)]
@@ -207,6 +211,8 @@ def estimate_cq(space: ModelSpace, elements, q: float, quad: Quadrature,
 def gmpt_benchmark(b_sup: float, n: int) -> float:
     """The shape B log(n) loglog(n)^{5/2} of the generic-split theorem's
     L2/L1 constant, for a system of n elements bounded by B."""
+    if n < 4:
+        raise ValueError(f"n must be an even integer >= 4, got {n}")
     return b_sup * math.log(n) * math.log(math.log(n)) ** 2.5
 
 
@@ -266,6 +272,9 @@ def gmpt_split(space: ModelSpace, quad: Quadrature, elements, c_param: float = 1
     n = len(elements)
     if n < 2 or n % 2 != 0:
         raise ValueError(f"n must be a positive even integer, got {n}")
+    nodes = len(quad.weights)
+    _refuse_oversized(f"gmpt trial block of {trials:,} trials x ({n:,} elements + {nodes:,} "
+                      f"nodes)", trials * (n + nodes) * 16, "the trial count sets the row count")
     v = space.basis_matrix(elements, quad.nodes)
     pts = space.extreme_points()
     b_sup = float(max(np.abs(v).max(), np.abs(space.basis_matrix(elements, pts)).max()))

@@ -282,7 +282,13 @@ class ModelSpace:
                           "the cutoff and oversample set the node count")
 
     def sample_points(self, k: int, rng) -> np.ndarray:
-        """k points drawn from the normalized volume measure."""
+        """k points drawn from the normalized volume measure, refused before
+        allocation over MAX_BASIS_BYTES."""
+        _refuse_oversized(f"sample table on {self.kind} ({k:,} points x {self.coord_dim})",
+                          k * self.coord_dim * 8, "the sample count sets the row count")
+        return self._sample(k, rng)
+
+    def _sample(self, k: int, rng) -> np.ndarray:
         raise NotImplementedError
 
     def extreme_points(self) -> np.ndarray:
@@ -355,7 +361,7 @@ class Torus(ModelSpace):
         weights = np.full(nodes.shape[0], (TWO_PI / n) ** self.dim)
         return Quadrature(nodes, weights, exactness_degree=n - 1)
 
-    def sample_points(self, k, rng):
+    def _sample(self, k, rng):
         return rng.uniform(0.0, TWO_PI, size=(k, self.dim))
 
 
@@ -487,7 +493,7 @@ class Sphere2(ModelSpace):
         nodes = np.stack([tt.ravel(), pp.ravel()], axis=-1)
         return Quadrature(nodes, ww, exactness_degree=min(2 * n_theta - 1, n_phi - 1))
 
-    def sample_points(self, k, rng):
+    def _sample(self, k, rng):
         theta = np.arccos(rng.uniform(-1.0, 1.0, size=k))
         phi = rng.uniform(0.0, TWO_PI, size=k)
         return np.stack([theta, phi], axis=-1)
@@ -554,7 +560,7 @@ class FiniteGroup(ModelSpace):
         nodes = self.points()
         return Quadrature(nodes, np.ones(nodes.shape[0]), exactness_degree=math.inf)
 
-    def sample_points(self, k, rng):
+    def _sample(self, k, rng):
         return rng.integers(0, self.order, size=(k, self.dim)).astype(float)
 
     # -- exact Fourier pair ---------------------------------------------------
@@ -664,8 +670,8 @@ class ProductSpace(ModelSpace):
         return Quadrature(_row_pairs(qa.nodes, qb.nodes), weights,
                           exactness_degree=min(qa.exactness_degree, qb.exactness_degree))
 
-    def sample_points(self, k, rng):
-        return np.concatenate([self.first.sample_points(k, rng), self.second.sample_points(k, rng)], axis=1)
+    def _sample(self, k, rng):
+        return np.concatenate([self.first._sample(k, rng), self.second._sample(k, rng)], axis=1)
 
     def extreme_points(self):
         return _row_pairs(self.first.extreme_points(), self.second.extreme_points())

@@ -2,13 +2,16 @@
 on random spaces and cutoffs, products and nested products included."""
 
 import itertools
+import json
 import math
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from specon import FiniteGroup, ProductSpace, SpectralSet, Sphere2, Torus
+from specon import (FiniteGroup, ProductSpace, SpectralSet, Sphere2, Torus, parse_space,
+                    spectrum_ball, weyl_count)
+from specon.cli import main
 
 
 def brute_force(space, cutoff):
@@ -114,3 +117,30 @@ def test_a_finite_spectrum_takes_any_cutoff():
     # 1e10 squared is past int64: every element of a product of groups is below it
     space = ProductSpace(FiniteGroup(4), FiniteGroup(6, 2))
     assert len(space.enumerate_basis(1e10)) == space.count_upto(1e10) == 144
+
+
+class TestProductTies:
+    """On product(torus:d=1,sphere2) eleven elements share the eigenvalue
+    6 = 2^2 + 1*2 = 0 + 2*3, so they share one frequency, sqrt(6); a float
+    hypot of the factor frequencies gives two values a bit apart."""
+
+    SPACE = "product(torus:d=1,sphere2)"
+
+    def test_the_class_is_contiguous_with_one_frequency_in_label_order(self):
+        els = parse_space(self.SPACE).enumerate_basis(2.5)
+        six = [el for el in els if el.joint[0] ** 2 + el.joint[2] == 6]
+        assert len(six) == 11
+        assert [el.index for el in six] == list(range(six[0].index, six[0].index + 11))
+        assert {el.frequency for el in six} == {math.sqrt(6)}
+        assert [el.label for el in six] == sorted(el.label for el in six)
+
+    @pytest.mark.parametrize("lam", [2.449489742783178, 2.4494897427831783])
+    def test_counts_take_the_whole_class(self, lam):
+        space = parse_space(self.SPACE)
+        assert weyl_count(space, lam) == space.count_upto(lam) == 25
+
+    def test_a_ball_lists_each_eigenvalue_once(self, capsys):
+        assert len(spectrum_ball(parse_space(self.SPACE), 2.5).values) == 6
+        code = main(["homogeneity", "--space", self.SPACE, "--spectrum", "ball:2.5"])
+        assert code == 0
+        assert len(json.loads(capsys.readouterr().out)["reports"]) == 6

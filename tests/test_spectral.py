@@ -74,11 +74,18 @@ class TestWeylCount:
         space = parse_space(text)
         lams = [2.5, math.sqrt(2), math.sqrt(13), 1.0] + np.arange(0.0, top + 0.25, 0.5).tolist()
         want = [weyl_count(space, lam) for lam in lams]
+        assert want == [len(space.enumerate_basis(lam)) for lam in lams]
+        assert want == [space.count_upto(lam) for lam in lams]
+        assert space.count_upto(lams) == want
         assert weyl_count(space, lams) == want
         assert weyl_count(space, np.array(lams)) == want
         assert weyl_count(space, []) == []
         with pytest.raises(ValueError):
             weyl_count(space, [1.0, -0.5])
+
+    def test_a_sequence_uses_the_closed_form(self):
+        # a table of every candidate label of Torus(2) at 1e4 would need 6.0 GiB
+        assert weyl_count(Torus(2), [1e4]) == [weyl_count(Torus(2), 1e4)] == [314159053]
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
