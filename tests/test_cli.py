@@ -454,22 +454,6 @@ class TestErrors:
          "on torus:d=6 at cutoff 3.0 (117,649 x 6) needs 5,647,152 bytes"),
         (("basis", "--space", "product(zn:N=16,d=2,zn:N=16,d=2)"), "(65,536 x 4) needs"),
         (("basis", "--space", "torus:d=40", "--cutoff", "1"), "(12,157,665,459,056,928,801 x 40)"),
-        (("homogeneity", "--space", "sphere2", "--spectrum", "ball:1", "--samples", "100000"),
-         "sample table on sphere2 (100,000 points x 2) needs 1,600,000 bytes"),
-        (("check", "--inequality", "supnorm", "--space", "torus:d=1", "--spectrum", "ball:1",
-          "--region", "arc:0:1", "--x-samples", "200000"),
-         "sample table on torus:d=1 (200,000 points x 1) needs 1,600,000 bytes"),
-        (("gmpt", "--space", "torus:d=1", "--n", "8", "--trials", "10000"),
-         "gmpt trial block of 10,000 trials x (8 elements + 40 nodes) needs 7,680,000 bytes"),
-        (("check", "--inequality", "random-manifold", "--space", "torus:d=1", "--n", "8",
-          "--region", "arc:0:1", "--gmpt-trials", "10000"),
-         "gmpt trial block of 10,000 trials x (8 elements + 40 nodes) needs 7,680,000 bytes"),
-        (("lambda-q", "--space", "torus:d=1", "--n", "200000", "--q", "4"),
-         "generic-subset draw of 200,000 indices needs 1,600,000 bytes"),
-        (("lambda-q", "--space", "zn:N=16", "--n", "16", "--q", "4", "--trials", "50000"),
-         "estimate_cq start table of (3 + 50,000 trials) x 3 needs 2,400,144 bytes"),
-        (("weyl", "--space", "torus:d=1", "--lambda-max", "100", "--lambda-step", "0.0001"),
-         "weyl table of 1,000,000 lambdas needs 8,000,000 bytes"),
         # trial counts, seeds and points
         (("gmpt", "--space", "zn:N=16", "--n", "16", "--trials", "0"), "argument --trials"),
         (("check", "--inequality", "random-manifold", "--space", "torus:d=1", "--n", "16",
@@ -515,6 +499,23 @@ class TestErrors:
           "--spectrum", "ball:2", "--region", "full+empty"),
          "unions of product regions are not supported"),
         (("gmpt", "--space", "torus:d=1", "--n", "2"), "n must be an even integer >= 4, got 2"),
+        # working tables, refused under the same lowered limit
+        (("homogeneity", "--space", "sphere2", "--spectrum", "ball:1", "--samples", "100000"),
+         "sample table on sphere2 (100,000 points x 2) needs 1,600,000 bytes"),
+        (("check", "--inequality", "supnorm", "--space", "torus:d=1", "--spectrum", "ball:1",
+          "--region", "arc:0:1", "--x-samples", "200000"),
+         "sample table on torus:d=1 (200,000 points x 1) needs 1,600,000 bytes"),
+        (("gmpt", "--space", "torus:d=1", "--n", "8", "--trials", "10000"),
+         "gmpt trial block of 10,000 trials x (8 elements + 40 nodes) needs 7,680,000 bytes"),
+        (("check", "--inequality", "random-manifold", "--space", "torus:d=1", "--n", "8",
+          "--region", "arc:0:1", "--gmpt-trials", "10000"),
+         "gmpt trial block of 10,000 trials x (8 elements + 40 nodes) needs 7,680,000 bytes"),
+        (("lambda-q", "--space", "torus:d=1", "--n", "200000", "--q", "4"),
+         "generic-subset draw of 200,000 indices needs 1,600,000 bytes"),
+        (("lambda-q", "--space", "zn:N=16", "--n", "16", "--q", "4", "--trials", "50000"),
+         "estimate_cq start table of (3 + 50,000 trials) x 3 needs 2,400,144 bytes"),
+        (("weyl", "--space", "torus:d=1", "--lambda-max", "100", "--lambda-step", "0.0001"),
+         "weyl table of 1,000,000 lambdas needs 8,000,000 bytes"),
     ])
     def test_bad_argument_exits_1_and_is_named(self, capsys, monkeypatch, argv, named):
         # exit 2 is kept for a failed report; a size guard that misfires
