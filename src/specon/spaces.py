@@ -58,6 +58,40 @@ def _refuse_oversized(table: str, size: int, cause: str):
                           f"{MAX_BASIS_BYTES / 2**30:g} GiB limit; {cause}")
 
 
+def _phase_table(kind: str, coords, freqs):
+    """(table, rows, cols): e^{i c f} is [table, conj(table)][rows, cols] for coordinates c
+    and integers f, with cos and sin taken of the distinct c and |f| only."""
+    u, rows = np.unique(coords, return_inverse=True)
+    f, cols = np.unique(np.abs(freqs), return_inverse=True)
+    _refuse_oversized(f"phase table on {kind} of {len(u):,} coordinates x {len(f):,} "
+                      f"frequencies", len(u) * len(f) * 24, "the points and labels set its size")
+    table = np.empty((len(u), len(f)), dtype=complex)
+    np.cos(u[:, None] * f, out=table.real)
+    np.sin(u[:, None] * f, out=table.imag)
+    return table, rows.reshape(coords.shape), cols.reshape(freqs.shape) + len(f) * (freqs < 0)
+
+
+def _factor(table, rows, cols, take=lambda t, c: np.concatenate([t, t.conj()], axis=1)[:, c]):
+    """The function of a row block b giving take(table[rows[b]], cols); take runs once
+    on a whole table that fits one block, as the few distinct coordinates of a grid give."""
+    if len(table) * len(cols) <= 2**14:
+        return lambda b, whole=take(table, cols): whole[rows[b]]
+    return lambda b: take(table[rows[b]], cols)
+
+
+def _gathered(shape, factors, width=0) -> np.ndarray:
+    """The complex matrix of ``shape`` whose entries are products over :func:`_factor`s, in row
+    blocks of 2^14 cells (of ``width`` columns if wider): the gathers stay small next to it."""
+    out = np.empty(shape, dtype=complex)
+    step = max(1, 2**14 // max(1, shape[1], width))
+    for r in range(0, shape[0], step):
+        b = slice(r, r + step)
+        out[b] = factors[0](b)
+        for factor in factors[1:]:
+            out[b] *= factor(b)
+    return out
+
+
 def _longitudes(n_phi: int) -> np.ndarray:
     """The n_phi equispaced longitudes of every ring of a sphere quadrature."""
     return (np.arange(n_phi) + 0.5) * (TWO_PI / n_phi)
@@ -338,15 +372,11 @@ class Torus(ModelSpace):
 
     def basis_matrix(self, elements, points):
         pts = self._check_points(points, len(elements))
-        freqs = self._label_array(elements).astype(float)
-        # cos and sin of the real phase, written in place: complex exp of an
-        # imaginary array is an order of magnitude slower
-        phase = pts @ freqs.T
-        out = np.empty(phase.shape, dtype=complex)
-        np.cos(phase, out=out.real)
-        np.sin(phase, out=out.imag)
-        out *= TWO_PI ** (-self.dim / 2)
-        return out
+        # a tensor product of (2 pi)^{-1/2} e^{i m_k x_k}: one table serves every axis
+        table, rows, cols = _phase_table(self.kind, pts, self._label_array(elements))
+        table *= TWO_PI ** -0.5
+        return _gathered((len(pts), len(elements)),
+                         [_factor(table, rows[:, k], cols[:, k]) for k in range(self.dim)])
 
     def build_quadrature(self, cutoff, oversample=1):
         if not math.isfinite(cutoff):
@@ -410,44 +440,43 @@ class Sphere2(ModelSpace):
         # addition theorem: |Y_l^m|^2 <= (2l+1) / 4 pi, attained at the poles by m = 0
         return 2.0 * labels[:, 0] + 1.0
 
-    @staticmethod
-    def _legendre(mm: int, lmax: int, x, s) -> np.ndarray:
-        """Rows l = mm..lmax of Y_l^mm / e^{i mm phi} at x = cos(theta), s = sin(theta),
-        by the normalized ascending recurrence, bounded well past l ~ 150."""
-        leg = np.empty((lmax - mm + 1, len(x)))
+    def _legendre(self, labels, x):
+        """(table, rows): Y_l^m / e^{i m phi} at x = cos(theta) for each order m = |m_j| of
+        ``labels`` and l = m..max l_j, rows[j] the row of labels[j], by one normalized ascending
+        recurrence in l for all those orders at once, bounded well past l ~ 150."""
+        orders, at = np.unique(np.abs(labels[:, 1]), return_inverse=True)
+        size = np.zeros(len(orders), dtype=int)
+        np.maximum.at(size, at, labels[:, 0] - orders[at] + 1)
+        _refuse_oversized(f"Legendre table on {self.kind} of {size.sum():,} degrees x {len(x):,} "
+                          f"colatitudes", int(size.sum()) * len(x) * 8, "the labels and points")
+        m, first = np.repeat(orders, size), np.cumsum(size) - size
+        l = m + np.arange(len(m)) - np.repeat(first, size)
+        leg, s = np.empty((len(m), len(x))), np.sqrt(np.maximum(0.0, 1.0 - x * x))
         p = np.full(len(x), math.sqrt(1.0 / (4.0 * math.pi)))
-        for k in range(1, mm + 1):
-            p = -math.sqrt((2 * k + 1) / (2.0 * k)) * s * p
-        leg[0] = p
-        if len(leg) > 1:
-            leg[1] = math.sqrt(2 * mm + 3) * x * p
-        for l in range(mm + 2, lmax + 1):
-            a = math.sqrt((4 * l * l - 1) / (l * l - mm * mm))
-            b = math.sqrt(((l - 1) ** 2 - mm * mm) / (4 * (l - 1) ** 2 - 1))
-            leg[l - mm] = a * (x * leg[l - mm - 1] - b * leg[l - mm - 2])
-        return leg
+        for k in range(int(orders.max(initial=-1)) + 1):
+            p = -math.sqrt((2 * k + 1) / (2.0 * k)) * s * p if k else p
+            leg[first[orders == k]] = p
+        r = np.flatnonzero(l == m + 1)
+        leg[r] = (np.sqrt(2 * m[r] + 3)[:, None] * x) * leg[r - 1]
+        with np.errstate(divide="ignore", invalid="ignore"):   # rows l < m + 2 take neither
+            a = np.sqrt((4 * l * l - 1) / (l * l - m * m))[:, None]
+            b = np.sqrt(((l - 1) ** 2 - m * m) / (4 * (l - 1) ** 2 - 1))[:, None]
+        for depth in range(2, int(size.max(initial=0))):
+            r = np.flatnonzero(l - m == depth)
+            leg[r] = a[r] * (x * leg[r - 1] - b[r] * leg[r - 2])
+        return leg, first[at] + labels[:, 0] - orders[at]
 
     def basis_matrix(self, elements, points):
         pts = self._check_points(points, len(elements))
-        theta, phi = pts[:, 0], pts[:, 1]
-        x = np.cos(theta)
-        s = np.sqrt(np.maximum(0.0, 1.0 - x * x))
-        out = np.empty((pts.shape[0], len(elements)), dtype=complex)
-
         labels = self._label_array(elements)
-        orders = np.abs(labels[:, 1])
-        for mm in np.unique(orders).tolist():
-            cols = np.flatnonzero(orders == mm)
-            ls, ms = labels[cols, 0], labels[cols, 1]
-            leg = self._legendre(mm, int(ls.max()), x, s)
-            eim = np.empty(pts.shape[0], dtype=complex)
-            np.cos(mm * phi, out=eim.real)
-            np.sin(mm * phi, out=eim.imag)
-            pos = ms >= 0
-            out[:, cols[pos]] = (leg[ls[pos] - mm] * eim).T
-            # Y_l^{-m} = (-1)^m conj(Y_l^m)
-            out[:, cols[~pos]] = (((-1) ** mm) * leg[ls[~pos] - mm] * np.conj(eim)).T
-        return out
+        # tables on the distinct colatitudes and longitudes; Y_l^{-m} = (-1)^m conj(Y_l^m)
+        u, at = np.unique(pts[:, 0], return_inverse=True)
+        leg, rows = self._legendre(labels, np.cos(u))
+        sign = np.where(labels[:, 1] < 0, (-1.0) ** np.abs(labels[:, 1]), 1.0)
+        eim, ph, cols = _phase_table(self.kind, pts[:, 1], labels[:, 1])
+        return _gathered((len(pts), len(elements)), [
+            _factor(leg.T, at, rows, lambda t, c: t[:, c] * sign), _factor(eim, ph, cols)],
+            width=len(leg))
 
     def _gram_blocks(self, elements, quad, mask):
         """One block per order m on the theta-major rings build_quadrature emits
@@ -467,15 +496,13 @@ class Sphere2(ModelSpace):
                                         f"up to |m| = {top}; refine the quadrature")
         inside = rings[2][:, 0]
         order = np.argsort(~inside, kind="stable")
-        x = np.cos(rings[0][order, 0])
-        s = np.sqrt(np.maximum(0.0, 1.0 - x * x))
+        leg, rows = self._legendre(labels, np.cos(rings[0][order, 0]))
         w = rings[1].sum(axis=1)[order]
         blocks = []
         for m in np.unique(labels[:, 1]).tolist():
             cols = np.flatnonzero(labels[:, 1] == m)
             # Y_l^{-m} = (-1)^m conj(Y_l^m): orders m and -m have equal blocks
-            leg = self._legendre(abs(m), int(labels[cols, 0].max()), x, s)
-            blocks.append((cols, leg[labels[cols, 0] - abs(m)].T, w, int(inside.sum())))
+            blocks.append((cols, leg[rows[cols]].T, w, int(inside.sum())))
         return blocks
 
     def build_quadrature(self, cutoff, oversample=1):
@@ -653,14 +680,8 @@ class ProductSpace(ModelSpace):
         va = self.first.basis_matrix(self.first._elements(ua, numbered=False), pa)
         vb = self.second.basis_matrix(self.second._elements(ub, numbered=False), pb)
         ia, ib = ia.ravel(), ib.ravel()
-        out = np.empty((pts.shape[0], len(elements)), dtype=complex)
-        # gather in row blocks of 2^14 cells, so the two gathered factors stay
-        # small next to the output
-        step = max(1, 2**14 // max(1, len(elements)))
-        for r in range(0, pts.shape[0], step):
-            rows = slice(r, r + step)
-            np.multiply(va[rows][:, ia], vb[rows][:, ib], out=out[rows])
-        return out
+        return _gathered((len(pts), len(elements)), [lambda b: va[b][:, ia],
+                                                     lambda b: vb[b][:, ib]])
 
     def build_quadrature(self, cutoff, oversample=1):
         qa = self.first.build_quadrature(cutoff, oversample)

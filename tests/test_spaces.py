@@ -293,6 +293,84 @@ class TestKernelOracles:
             pts = space.sample_points(5, np.random.default_rng(0))
             assert space.basis_matrix([], pts).shape == (5, 0)
 
+    @pytest.mark.parametrize("d,radius", [(1, 40), (2, 40), (3, 5)])
+    def test_torus_on_grid_nodes(self, d, radius):
+        # repeated coordinates, |m| up to 40 on every axis
+        t = Torus(d)
+        rng = np.random.default_rng(d)
+        labels = [m for m in itertools.product(range(-radius, radius + 1), repeat=d)
+                  if max(map(abs, m)) in (0, 1, radius) or rng.random() < 0.02]
+        rng.shuffle(labels)
+        pts = t.build_quadrature(radius).nodes
+        v = t.basis_matrix([t._element(m) for m in labels], pts)
+        phase = pts @ np.array(labels, dtype=float).T
+        assert np.abs(v - np.exp(1j * phase) / TWO_PI ** (d / 2)).max() < 1e-14
+
+    def test_sphere_on_grid_nodes(self):
+        # every degree up to 40, on rings that repeat each colatitude and longitude
+        s = Sphere2()
+        rng = np.random.default_rng(40)
+        labels = [(l, m) for l in range(41) for m in range(-l, l + 1)
+                  if l <= 6 or abs(m) in (0, 1, l) or rng.random() < 0.05]
+        rng.shuffle(labels)
+        pts = s.build_quadrature(math.sqrt(40 * 41)).nodes
+        v = s.basis_matrix([s._element(lab) for lab in labels], pts)
+        l, m = np.array(labels).T
+        ref = sph_harm_y(l[None, :], m[None, :], pts[:, :1], pts[:, 1:])
+        assert np.abs(v - ref).max() < 1e-12
+
+
+class TestDistinctCoordinateTables:
+    """Each kernel tables its factors on the distinct coordinates of the points
+    it is given, so a batch must not depend on what else is in it."""
+
+    @staticmethod
+    def _labels(space, rng):
+        # shuffled, with duplicates and negative m
+        els = list(space.enumerate_basis(4.0))
+        els += [els[i] for i in rng.choice(len(els), 8)]
+        rng.shuffle(els)
+        return els
+
+    @pytest.mark.parametrize("space", [Torus(1), Torus(2), Torus(3), Sphere2(),
+                                       ProductSpace(Torus(1), Sphere2())], ids=repr)
+    def test_batch_equals_one_point_at_a_time(self, space):
+        rng = np.random.default_rng(5)
+        els = self._labels(space, rng)
+        assert space._label_array(els).min() < 0
+        grid = space.build_quadrature(3.0).nodes
+        for pts in [grid, space.sample_points(40, rng), space.extreme_points(),
+                    np.concatenate([grid[::5], space.extreme_points(), grid[:7]])]:
+            v = space.basis_matrix(els, pts)
+            single = np.concatenate([space.basis_matrix(els, pts[i:i + 1])
+                                     for i in range(len(pts))])
+            assert np.array_equal(v, single)
+            columns = np.stack([space.values(el, pts) for el in els], axis=1)
+            assert np.array_equal(v, columns)
+
+    def test_legendre_table_is_sized_before_it_is_allocated(self, monkeypatch):
+        # a lone Y_150^0 at 10^4 points: a 160 kB basis matrix, but its
+        # recurrence holds 151 degrees at each of 10^4 colatitudes
+        monkeypatch.setattr(spaces, "MAX_BASIS_BYTES", 2**20)
+        s = Sphere2()
+        pts = s.sample_points(10**4, np.random.default_rng(0))
+        with pytest.raises(SpeconError, match=r"Legendre table on sphere2 of 151 degrees x "
+                                              r"10,000 colatitudes needs 12,080,000 bytes"):
+            s.basis_matrix([s._element((150, 0))], pts)
+        assert s.basis_matrix([s._element((150, 150))], pts).shape == (10**4, 1)
+
+    def test_phase_table_is_sized_before_it_is_allocated(self, monkeypatch):
+        # 65 nonnegative frequencies at 1000 distinct points: the table is as
+        # wide as the basis matrix and holds its phases too
+        monkeypatch.setattr(spaces, "MAX_BASIS_BYTES", 1_250_000)
+        t = Torus(1)
+        pts = t.sample_points(1000, np.random.default_rng(0))
+        with pytest.raises(SpeconError, match=r"phase table on torus:d=1 of 1,000 "
+                                              r"coordinates x 65 frequencies needs 1,560,000"):
+            t.basis_matrix([t._element((k,)) for k in range(65)], pts)
+        assert t.basis_matrix([t._element((k,)) for k in range(-32, 33)], pts).shape \
+            == (1000, 65)
+
 
 class TestFlatIndex:
     @pytest.mark.parametrize("order,dim", [(5, 1), (4, 2), (3, 3)])
