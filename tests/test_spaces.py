@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -347,6 +348,38 @@ class TestDistinctCoordinateTables:
             assert np.array_equal(v, single)
             columns = np.stack([space.values(el, pts) for el in els], axis=1)
             assert np.array_equal(v, columns)
+
+    @pytest.mark.parametrize("space,cutoff,grid", [
+        (Torus(2), 5.0, False), (Torus(2), 5.0, True), (Sphere2(), 10.5, False),
+        (Sphere2(), 10.5, True)], ids=["torus-random", "torus-grid", "sphere-random",
+                                       "sphere-grid"])
+    def test_transient_memory_per_cell(self, space, cutoff, grid):
+        # 16 bytes a cell hold the matrix; the tables and the block gathers stay
+        # within the 8 more that the dense phase array took
+        els = space.enumerate_basis(cutoff)
+        pts = (space.build_quadrature(cutoff, oversample=8).nodes if grid
+               else space.sample_points(20000, np.random.default_rng(1)))
+        tracemalloc.start()
+        try:
+            v = space.basis_matrix(els, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * v.size
+
+    def test_lone_high_degree_gathers_in_small_blocks(self):
+        # Y_150^0 on 20000 points: the recurrence's 151 rows dominate, and the
+        # gathers from them stay within a block of 2^14 cells; the 2 MiB over
+        # it are the matrix, the phase table and the per-point index arrays
+        s = Sphere2()
+        pts = s.sample_points(20000, np.random.default_rng(2))
+        tracemalloc.start()
+        try:
+            s.basis_matrix([s._element((150, 0))], pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 151 * 20000 * 8 + 2**21
 
     def test_legendre_table_is_sized_before_it_is_allocated(self, monkeypatch):
         # a lone Y_150^0 at 10^4 points: a 160 kB basis matrix, but its
