@@ -49,6 +49,10 @@ from . import uncertainty
 
 OUTPUT_DIR_ENV = "SPECON_OUTPUT_DIR"
 PHASE_TIE_TOL = 1e-9
+# peak bytes of one emitted weyl row, as tuple, floats, JSON dict and text:
+# tracemalloc read 996 to 1,041 bytes a row over whole JSON tables of 10^4 and
+# 10^5 rows on torus:d=1 and sphere2, and about half that as CSV
+WEYL_ROW_BYTES = 1_050
 
 
 # -- emission -------------------------------------------------------------------
@@ -187,6 +191,8 @@ def cmd_weyl(args):
     if args.lam_max is not None:
         rows = max(0, math.ceil((args.lam_max - args.lam_step / 2) / args.lam_step))
         _refuse_oversized(f"weyl table of {rows:,} lambdas", rows * 8,
+                          "--lambda-max over --lambda-step sets the row count")
+        _refuse_oversized(f"weyl output of {rows:,} rows", rows * WEYL_ROW_BYTES,
                           "--lambda-max over --lambda-step sets the row count")
         lams = np.arange(args.lam_step, args.lam_max + args.lam_step / 2,
                          args.lam_step).tolist()

@@ -220,9 +220,9 @@ def gmpt_benchmark(b_sup: float, n: int) -> float:
 class GmptSplit:
     """A near-half subset I of positions in n basis elements together with
     the worst observed L2/L1 norm ratio over trial coefficient vectors, taken
-    over both I and its complement.  ``b_sup`` is the sampled uniform bound
-    of the system and ``benchmark`` the shape B log(n) loglog(n)^{5/2} the
-    observed constant is compared against."""
+    over both I and its complement.  ``b_sup`` is the exact uniform bound
+    max_j sup |e_j| of the system and ``benchmark`` the shape
+    B log(n) loglog(n)^{5/2} the observed constant is compared against."""
 
     indices: list[int]
     n: int
@@ -276,8 +276,9 @@ def gmpt_split(space: ModelSpace, quad: Quadrature, elements, c_param: float = 1
     _refuse_oversized(f"gmpt trial block of {trials:,} trials x ({n:,} elements + {nodes:,} "
                       f"nodes)", trials * (n + nodes) * 16, "the trial count sets the row count")
     v = space.basis_matrix(elements, quad.nodes)
-    pts = space.extreme_points()
-    b_sup = float(max(np.abs(v).max(), np.abs(space.basis_matrix(elements, pts)).max()))
+    # max_j sup |e_j|, exactly: the peak squares hold |M| sup |e_j|^2
+    b_sup = math.sqrt(float(space._peak_squares(space._label_array(elements)).max())
+                      / space.total_measure)
 
     limit = c_param * math.sqrt(n)
     best = None

@@ -567,7 +567,11 @@ class FiniteGroup(ModelSpace):
 
     def basis_matrix(self, elements, points):
         pts = self._check_points(points, len(elements))
-        x = np.rint(pts).astype(int) % self.order
+        off = np.flatnonzero((~np.isfinite(pts) | (np.rint(pts) != pts)).any(axis=1))
+        if len(off):
+            raise ValueError(f"point {tuple(pts[off[0]].tolist())} is not a point of {self.kind}: "
+                             "its coordinates must be integers")
+        x = pts.astype(int) % self.order
         ks = self._label_array(elements).astype(float)
         phase = np.exp(2j * math.pi * (x @ ks.T) / self.order)
         return phase * self.order ** (-self.dim / 2)

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,6 +72,19 @@ class TestBasicCommands:
         code, out, _ = run_cli(capsys, "weyl", "--space", "sphere2", "--lambda-max", "40")
         assert code == 0 and len(json.loads(out)["rows"]) == 40
         assert sorted(calls) == ["basis_matrix", "enumerate_basis"]
+
+    def test_weyl_row_cost_matches_its_size_guard(self, capsys):
+        # the guard books WEYL_ROW_BYTES an emitted row: a 4000-row JSON table
+        # peaks within a quarter of that under tracemalloc
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(capsys, "weyl", "--space", "torus:d=1",
+                                   "--lambda-max", "40", "--lambda-step", "0.01")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and len(json.loads(out)["rows"]) == 4000
+        assert 0.75 <= peak / (4000 * cli.WEYL_ROW_BYTES) <= 1.25
 
     def test_homogeneity_pass_and_fail_exit_codes(self, capsys):
         code, out, _ = run_cli(capsys, "homogeneity", "--space", "sphere2",
@@ -516,6 +530,10 @@ class TestErrors:
          "estimate_cq start table of (3 + 50,000 trials) x 3 needs 2,400,144 bytes"),
         (("weyl", "--space", "torus:d=1", "--lambda-max", "100", "--lambda-step", "0.0001"),
          "weyl table of 1,000,000 lambdas needs 8,000,000 bytes"),
+        (("weyl", "--space", "zn:N=4", "--lambda", "1", "--point", "0.5"),
+         "point (0.5,) is not a point of zn:N=4,d=1"),
+        (("weyl", "--space", "torus:d=1", "--lambda-max", "100", "--lambda-step", "0.01"),
+         "weyl output of 10,000 rows needs 10,500,000 bytes"),
     ])
     def test_bad_argument_exits_1_and_is_named(self, capsys, monkeypatch, argv, named):
         # exit 2 is kept for a failed report; a size guard that misfires

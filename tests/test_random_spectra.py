@@ -201,6 +201,34 @@ class TestGmptSplit:
         # zonal harmonic of degree 3 peaks at the poles: sqrt(7/4pi)
         assert split.b_sup == pytest.approx(math.sqrt(7 / (4 * math.pi)), rel=1e-10)
 
+    @pytest.mark.parametrize("space,n,peak", [
+        (Torus(1), 8, 1.0), (Torus(2), 10, 1.0), (Sphere2(), 36, 11.0),
+        (FiniteGroup(16, 1), 16, 1.0), (ProductSpace(Torus(1), Sphere2()), 12, 3.0)],
+        ids=repr)
+    def test_b_sup_is_exact(self, space, n, peak):
+        # max_j sup |e_j| = sqrt(max_j |M| sup |e_j|^2 / |M|): (2 pi)^{-d/2} on a
+        # torus, sqrt((2 l + 1) / 4 pi) at the top degree l of the sphere, N^{-1/2}
+        # on Z_N, and their product on a product
+        els = space.first_elements(n)
+        quad = space.build_quadrature(max(el.frequency for el in els))
+        split = gmpt_split(space, quad, els, trials=4, subsets=8, seed=1)
+        assert split.b_sup == math.sqrt(peak / space.total_measure)
+        closed = {"torus:d=1": TWO_PI**-0.5, "torus:d=2": 1 / TWO_PI,
+                  "sphere2": math.sqrt(11 / (4 * math.pi)), "zn:N=16,d=1": 0.25,
+                  "product(torus:d=1,sphere2)": math.sqrt(3 / (8 * math.pi**2))}[space.kind]
+        assert split.b_sup == pytest.approx(closed, rel=2**-52, abs=0)
+
+    def test_one_basis_evaluation_per_split(self, monkeypatch):
+        # the exact b_sup needs no evaluation at the extreme points
+        seen = []
+        basis_matrix = Sphere2.basis_matrix
+        monkeypatch.setattr(Sphere2, "basis_matrix", lambda self, els, pts:
+                            seen.append(len(pts)) or basis_matrix(self, els, pts))
+        s = Sphere2()
+        quad = s.build_quadrature(math.sqrt(12.0))
+        gmpt_split(s, quad, s.first_elements(16), trials=4, subsets=8, seed=2)
+        assert seen == [len(quad.nodes)]
+
     def test_odd_n_rejected(self):
         t = Torus(1)
         quad = t.build_quadrature(4.0)

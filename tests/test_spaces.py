@@ -213,6 +213,20 @@ class TestEvaluation:
         expected = 8**-0.5 * np.exp(2j * math.pi * 3 * 5 / 8)
         assert g.values(el, x)[0] == pytest.approx(expected)
 
+    def test_group_refuses_points_off_the_group(self):
+        g = FiniteGroup(4, 1)
+        el = [g._element((1,))]
+        for bad in [0.5, -1.25, math.nan, math.inf]:
+            with pytest.raises(ValueError, match=re.escape(f"point ({bad},) is not a point "
+                                                           f"of zn:N=4,d=1")):
+                g.basis_matrix(el, [[0.0], [bad]])
+        # integer coordinates reduce mod N
+        assert np.array_equal(g.basis_matrix(el, [[-3.0], [5.0]]),
+                              g.basis_matrix(el, [[1.0], [1.0]]))
+        p = ProductSpace(Torus(1), g)
+        with pytest.raises(ValueError, match=re.escape("point (2.5,) is not a point of zn:N=4")):
+            p.basis_matrix(p.first_elements(2), [[0.3, 2.5]])
+
     def test_label_mismatch_rejected(self):
         t2 = Torus(2)
         t3 = Torus(3)
