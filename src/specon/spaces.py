@@ -80,8 +80,9 @@ def _factor(table, rows, cols, take=lambda t, c: np.concatenate([t, t.conj()], a
 
 
 def _gathered(shape, factors, width=0) -> np.ndarray:
-    """The complex matrix of ``shape`` whose entries are products over :func:`_factor`s, in row
-    blocks of 2^14 cells (of ``width`` columns if wider): the gathers stay small next to it."""
+    """The complex matrix of ``shape`` whose entries are products over ``factors`` (functions
+    of a row block, as :func:`_factor` makes), filled in blocks of 2^14 cells (of ``width``
+    columns if wider) so that each gather stays small next to the matrix."""
     out = np.empty(shape, dtype=complex)
     step = max(1, 2**14 // max(1, shape[1], width))
     for r in range(0, shape[0], step):
