@@ -310,7 +310,7 @@ class TestKernelOracles:
 
     @pytest.mark.parametrize("d,radius", [(1, 40), (2, 40), (3, 5)])
     def test_torus_on_grid_nodes(self, d, radius):
-        # repeated coordinates, |m| up to 40 on every axis
+        # repeated coordinates, and |m_k| up to the radius on every axis
         t = Torus(d)
         rng = np.random.default_rng(d)
         labels = [m for m in itertools.product(range(-radius, radius + 1), repeat=d)
