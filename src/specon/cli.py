@@ -141,7 +141,7 @@ def _trial_draw(space, sset, region, quad, mode):
         top = BandlimitedFunction(sset, max_concentration(gram_matrix(sset, region, quad))[1])
         return lambda rng: top
     if mode == "tails":
-        ambient = spectrum_ball(space, sset.max_frequency + 2.0, tol=sset.tol)
+        ambient = spectrum_ball(space, sset.max_frequency + 2.0)
         # keep most mass on X_S so the bounds stay informative
         damping = np.where(np.isin(ambient.indices, sset.indices), 1.0, 0.15)
         return lambda rng: BandlimitedFunction(
@@ -151,8 +151,8 @@ def _trial_draw(space, sset, region, quad, mode):
 
 def _drawn_set(space, elements) -> SpectralSet:
     """The spectral set of exactly ``elements``: a joint value identifies its
-    element, so at zero tolerance their own joint values match no other."""
-    return SpectralSet(space, [el.joint for el in elements], joint=True, tol=0.0)
+    element, so their own joint values select no other."""
+    return SpectralSet(space, [el.joint for el in elements], joint=True)
 
 
 def _per_trial(args, one):
@@ -209,8 +209,7 @@ def cmd_weyl(args):
 
 def cmd_homogeneity(args):
     space = parse_space(args.space)
-    sset = _nonempty(parse_spectrum(space, args.spectrum, tol=args.match_tol),
-                     "a homogeneity check")
+    sset = _nonempty(parse_spectrum(space, args.spectrum), "a homogeneity check")
     checks = homogeneity_deviations(sset, args.samples, trial_rng(args.seed, 0), args.tol)
     samples = int(space.extreme_points().shape[0]) + args.samples
     reports = [InequalityReport(
@@ -226,8 +225,7 @@ def cmd_homogeneity(args):
 
 def cmd_concentrate(args):
     space = parse_space(args.space)
-    sset = _nonempty(parse_spectrum(space, args.spectrum, tol=args.match_tol),
-                     "a concentration matrix")
+    sset = _nonempty(parse_spectrum(space, args.spectrum), "a concentration matrix")
     region = parse_region(space, args.region)
     quad = _quad_for(space, sset.max_frequency, args)
     gram = gram_matrix(sset, region, quad)
@@ -326,7 +324,7 @@ def _check_bourgain(args, space):
 def _spectrum(args, space):
     if args.spectrum is None:
         raise SpeconError(f"--inequality {args.inequality} needs --spectrum")
-    return parse_spectrum(space, args.spectrum, tol=args.match_tol)
+    return parse_spectrum(space, args.spectrum)
 
 
 def _check_manifold(args, space):
@@ -459,8 +457,6 @@ def _add_common(p):
                    help="key=value file inserted as defaults before the flags")
     p.add_argument("--quad-oversample", type=_POSITIVE, default=4,
                    help="multiply quadrature node counts (region resolution)")
-    p.add_argument("--match-tol", type=_NONNEGATIVE, default=1e-9,
-                   help="eigenvalue matching tolerance for spectral sets")
 
 
 def build_parser():
@@ -478,8 +474,9 @@ def build_parser():
 
     p = sub.add_parser("weyl", help="eigenvalue counting tables N and N_x")
     _add_common(p)
-    p.add_argument("--lambda", dest="lam", type=_number(float, 0), default=None)
-    p.add_argument("--lambda-max", dest="lam_max", type=_number(float, 0), default=None)
+    lam = p.add_mutually_exclusive_group()
+    lam.add_argument("--lambda", dest="lam", type=_number(float, 0), default=None)
+    lam.add_argument("--lambda-max", dest="lam_max", type=_number(float, 0), default=None)
     p.add_argument("--lambda-step", dest="lam_step", type=_number(float, 0, strict=True),
                    default=1.0)
     p.add_argument("--point", type=_point, default=None,

@@ -566,13 +566,17 @@ class FiniteGroup(ModelSpace):
     def _max_eigenvalue(self):
         return self.dim * (self.order // 2) ** 2
 
-    def basis_matrix(self, elements, points):
-        pts = self._check_points(points, len(elements))
+    def _group_points(self, points, elements: int = 0) -> np.ndarray:
+        """Checked points as int rows mod N; ValueError naming one off the group."""
+        pts = self._check_points(points, elements)
         off = np.flatnonzero((~np.isfinite(pts) | (np.rint(pts) != pts)).any(axis=1))
         if len(off):
             raise ValueError(f"point {tuple(pts[off[0]].tolist())} is not a point of {self.kind}: "
                              "its coordinates must be integers")
-        x = pts.astype(int) % self.order
+        return np.mod(pts, self.order).astype(int)  # exact float mod, then a cast that fits
+
+    def basis_matrix(self, elements, points):
+        x = self._group_points(points, len(elements))
         ks = self._label_array(elements).astype(float)
         phase = np.exp(2j * math.pi * (x @ ks.T) / self.order)
         return phase * self.order ** (-self.dim / 2)
@@ -582,10 +586,9 @@ class FiniteGroup(ModelSpace):
         return self._candidates(0.0).astype(float)
 
     def flat_index(self, points) -> np.ndarray:
-        """Position of each point (coordinates rounded and reduced mod N) in
-        the order of :meth:`points` and :meth:`fourier`."""
-        x = np.rint(self._check_points(points)).astype(int) % self.order
-        return np.ravel_multi_index(x.T, (self.order,) * self.dim)
+        """Position of each point (coordinates reduced mod N) in the order of
+        :meth:`points` and :meth:`fourier`; a point off the group is refused."""
+        return np.ravel_multi_index(self._group_points(points).T, (self.order,) * self.dim)
 
     def build_quadrature(self, cutoff=None, oversample=1):
         # the sum over every point integrates every product of characters

@@ -4,6 +4,7 @@ unit-interval coverings, and empirical sup-norm constants."""
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,23 +13,19 @@ from .errors import DescriptorError
 from .random_spectra import DEFAULT_SEED
 from .spaces import ModelSpace, Sphere2, descriptor_float, split_items
 
-DEFAULT_MATCH_TOL = 1e-9
-
 
 class SpectralSet:
     """A finite set S of eigenvalues (scalar frequencies or joint tuples)
-    together with the induced index set X_S = {j : lambda_j in S}.
-
-    Matching uses a tolerance (default 1e-9) so that a degeneracy class
-    computed in floating point is always captured whole; the index set counts
-    multiplicity.
+    together with the induced index set X_S = {j : lambda_j in S}, counting
+    multiplicity.  Selection is exact: eigenvalues are integers, so a class
+    shares its frequency and joint tuple bit for bit.  A value that selects
+    no element is off the spectrum: ValueError names it and the space.
     """
 
     def __init__(self, space: ModelSpace, values, joint: bool = False,
-                 tol: float = DEFAULT_MATCH_TOL, descriptor: str | None = None):
+                 descriptor: str | None = None):
         self.space = space
         self.is_joint = bool(joint)
-        self.tol = float(tol)
         if joint:
             vals = sorted({tuple(float(c) for c in v) for v in values})
             for v in vals:
@@ -43,24 +40,29 @@ class SpectralSet:
                 raise ValueError("frequencies are nonnegative")
         self.values = tuple(vals)
         if descriptor is None:
-            if joint:
-                descriptor = "joint:[" + ",".join(
-                    "(" + ",".join(map(descriptor_float, v)) + ")" for v in vals) + "]"
-            else:
-                descriptor = "list:[" + ",".join(map(descriptor_float, vals)) + "]"
+            descriptor = ("joint:[" if joint else "list:[") + ",".join(map(self._text, vals)) + "]"
         self.descriptor = descriptor
         self.elements = self._match()
         self.indices = [el.index for el in self.elements]
 
+    def _text(self, value) -> str:
+        """A value as its descriptor writes it."""
+        return ("(" + ",".join(map(descriptor_float, value)) + ")" if self.is_joint
+                else descriptor_float(value))
+
     def _match(self):
+        """The elements whose frequency (joint tuple) is a value: one enumeration
+        at max_frequency holds them all, as _r2max(sqrt(e)) >= e."""
         if not self.values:
             return []
-        els = self.space.enumerate_basis(self.max_frequency + self.tol)
-        have = np.array([el.joint if self.is_joint else (el.frequency,) for el in els])
-        hit = np.zeros(len(els), dtype=bool)
-        for v in self.values:
-            hit |= np.max(np.abs(have - v), axis=1) <= self.tol
-        return [el for el, h in zip(els, hit.tolist()) if h]
+        key = operator.attrgetter("joint" if self.is_joint else "frequency")
+        wanted = set(self.values)
+        picked = [el for el in self.space.enumerate_basis(self.max_frequency) if key(el) in wanted]
+        missing = wanted.difference(map(key, picked))
+        if missing:
+            raise ValueError(f"{self._text(min(missing))} is not in the spectrum of "
+                             f"{self.space.kind}")
+        return picked
 
     @property
     def size(self) -> int:
@@ -84,28 +86,27 @@ class SpectralSet:
         return f"SpectralSet({self.descriptor!r}, #X_S={self.size})"
 
 
-def spectrum_ball(space: ModelSpace, lam: float, tol=DEFAULT_MATCH_TOL) -> SpectralSet:
+def spectrum_ball(space: ModelSpace, lam: float) -> SpectralSet:
     """All distinct frequencies <= lam."""
     freqs = sorted({el.frequency for el in space.enumerate_basis(lam)})
-    return SpectralSet(space, freqs, tol=tol, descriptor=f"ball:{descriptor_float(lam)}")
+    return SpectralSet(space, freqs, descriptor=f"ball:{descriptor_float(lam)}")
 
 
-def spectrum_level(space: Sphere2, degree: int, tol=DEFAULT_MATCH_TOL) -> SpectralSet:
+def spectrum_level(space: Sphere2, degree: int) -> SpectralSet:
     """The single sphere level l = degree (all 2l+1 orders)."""
     if not isinstance(space, Sphere2):
         raise ValueError("level spectra are defined on the sphere")
     if degree < 0:
         raise ValueError(f"degree {degree} is negative")
-    return SpectralSet(space, [math.sqrt(degree * (degree + 1))], tol=tol,
-                       descriptor=f"level:l={degree}")
+    return SpectralSet(space, [math.sqrt(degree * (degree + 1))], descriptor=f"level:l={degree}")
 
 
-def parse_spectrum(space: ModelSpace, text: str, tol=DEFAULT_MATCH_TOL) -> SpectralSet:
+def parse_spectrum(space: ModelSpace, text: str) -> SpectralSet:
     """Build a spectral set from a descriptor.
 
     Examples: ``level:l=3`` (sphere degree, ``ℓ`` accepted), ``ball:5``
-    (frequencies <= 5, ``ball:λ≤5`` accepted), ``list:[1.0,2.236]``,
-    ``joint:[(1,2),(0,0)]``.
+    (frequencies <= 5, ``ball:λ≤5`` accepted), ``list:[1,2.23606797749979]``,
+    ``joint:[(1,2),(0,0)]``; a value off the spectrum is refused.
     """
     t = text.strip().replace("ℓ", "l").replace("λ≤", "").replace("lambda<=", "")
     try:
@@ -113,15 +114,15 @@ def parse_spectrum(space: ModelSpace, text: str, tol=DEFAULT_MATCH_TOL) -> Spect
             body = t[len("level:"):]
             if body.startswith("l="):
                 body = body[2:]
-            return spectrum_level(space, int(body), tol=tol)
+            return spectrum_level(space, int(body))
         if t.startswith("ball:"):
-            return spectrum_ball(space, float(t[len("ball:"):]), tol=tol)
+            return spectrum_ball(space, float(t[len("ball:"):]))
         if t.startswith("list:"):
             body = t[len("list:"):].strip()
             if not (body.startswith("[") and body.endswith("]")):
                 raise ValueError("list descriptor must look like list:[...]")
             vals = [float(v) for v in split_items(body[1:-1])]
-            return SpectralSet(space, vals, tol=tol, descriptor=text.strip())
+            return SpectralSet(space, vals, descriptor=text.strip())
         if t.startswith("joint:"):
             body = t[len("joint:"):].strip()
             if not (body.startswith("[") and body.endswith("]")):
@@ -129,7 +130,7 @@ def parse_spectrum(space: ModelSpace, text: str, tol=DEFAULT_MATCH_TOL) -> Spect
             # a tuple may end in one comma, as in Python's (0,)
             vals = [tuple(float(c) for c in split_items(grp.strip().strip("()").removesuffix(",")))
                     for grp in split_items(body[1:-1])]
-            return SpectralSet(space, vals, joint=True, tol=tol, descriptor=text.strip())
+            return SpectralSet(space, vals, joint=True, descriptor=text.strip())
     except DescriptorError:
         raise
     except (ValueError, TypeError) as exc:
@@ -163,17 +164,14 @@ def local_weyl(space: ModelSpace, x, lam):
 
 
 def check_homogeneity(space: ModelSpace, value, sample_points, tol: float = 1e-9,
-                      joint: bool = False, match_tol: float = DEFAULT_MATCH_TOL):
+                      joint: bool = False):
     """Test whether the degeneracy class of ``value`` has a constant summed
     square modulus, equal to multiplicity / |M|, at the sample points.
 
     Returns (holds, max_deviation).  Sampling cannot certify the identity
     everywhere; it can only refute it, which is what the tolerance check does.
     """
-    sset = SpectralSet(space, [value], joint=joint, tol=match_tol)
-    if not sset.elements:
-        raise ValueError(f"{value!r} is not in the spectrum of {space.kind} "
-                         f"(within {match_tol})")
+    sset = SpectralSet(space, [value], joint=joint)
     pts = space._check_points(np.asarray(sample_points, float))
     v = space.basis_matrix(sset.elements, pts)
     sums = np.sum(np.abs(v) ** 2, axis=1)
@@ -188,8 +186,8 @@ def homogeneity_deviations(sset: SpectralSet, samples: int, rng, tol: float):
     ``rng``."""
     space = sset.space
     pts = np.concatenate([space.extreme_points(), space.sample_points(samples, rng)])
-    return [check_homogeneity(space, value, pts, tol=tol, joint=sset.is_joint,
-                              match_tol=sset.tol) for value in sset.values]
+    return [check_homogeneity(space, value, pts, tol=tol, joint=sset.is_joint)
+            for value in sset.values]
 
 
 @dataclass(frozen=True)

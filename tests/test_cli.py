@@ -442,9 +442,9 @@ class TestErrors:
         (("concentrate", "--space", "torus:d=1", "--spectrum", "ball:2", "--region", "full",
           "--quad-oversample", "-3"), "argument --quad-oversample"),
         (("concentrate", "--space", "torus:d=2", "--spectrum", "ball:2", "--region", "full",
-          "--match-tol", "-1"), "argument --match-tol"),
+          "--match-tol", "-1"), "unrecognized arguments: --match-tol"),
         (("concentrate", "--space", "torus:d=2", "--spectrum", "ball:2", "--region", "full",
-          "--match-tol", "nan"), "argument --match-tol"),
+          "--match-tol", "nan"), "unrecognized arguments: --match-tol"),
         (("homogeneity", "--space", "sphere2", "--spectrum", "level:l=1", "--tol", "nan"),
          "argument --tol"),
         (("gmpt", "--space", "torus:d=1", "--n", "8", "--c-param", "nan"), "argument --c-param"),
@@ -534,6 +534,17 @@ class TestErrors:
          "point (0.5,) is not a point of zn:N=4,d=1"),
         (("weyl", "--space", "torus:d=1", "--lambda-max", "100", "--lambda-step", "0.01"),
          "weyl output of 10,000 rows needs 10,500,000 bytes"),
+        (("weyl", "--space", "torus:d=1", "--lambda", "3", "--lambda-max", "2"),
+         "argument --lambda-max: not allowed with argument --lambda"),
+    ] + [
+        # values off the spectrum; 15 is the uncentered residue of the joint value -1
+        ((*command, "--space", space, "--spectrum", spectrum),
+         f"bad spectrum descriptor ({value} is not in the spectrum of {space}): {spectrum!r}")
+        for space, spectrum, value in [("torus:d=2", "list:[1,2.236]", "2.236"),
+                                       ("torus:d=1", "list:[0.5]", "0.5"),
+                                       ("zn:N=16,d=1", "joint:[(1,),(15,)]", "(15)")]
+        for command in [("check", "--inequality", "prop"), ("check", "--inequality", "covering"),
+                        ("concentrate", "--region", "full"), ("homogeneity",)]
     ])
     def test_bad_argument_exits_1_and_is_named(self, capsys, monkeypatch, argv, named):
         # exit 2 is kept for a failed report; a size guard that misfires

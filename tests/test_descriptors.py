@@ -2,6 +2,8 @@
 descriptor the library emits rebuilds an equivalent object."""
 
 import math
+import os
+import re
 
 import numpy as np
 import pytest
@@ -175,11 +177,18 @@ class TestExactFloats:
         assert parse_region(s, band.descriptor).intervals == band.intervals
 
     def test_spectra_round_trip_exactly(self):
-        t2 = Torus(2)
-        for sset in [SpectralSet(t2, [math.sqrt(2), math.sqrt(5)]),
-                     SpectralSet(t2, [(1 / 3, 2.0), (0.1, -1.0)], joint=True),
-                     spectrum_ball(t2, math.sqrt(5))]:
-            assert parse_spectrum(t2, sset.descriptor).values == sset.values
+        # to the same values and the same spectral index set
+        t2, s = Torus(2), Sphere2()
+        irrational = SpectralSet(t2, [math.sqrt(2), math.sqrt(5)])
+        assert irrational.descriptor == "list:[1.4142135623730951,2.23606797749979]"
+        for space, sset in [(t2, irrational),
+                            (t2, SpectralSet(t2, [(1.0, 2.0), (0.0, -1.0)], joint=True)),
+                            (t2, spectrum_ball(t2, math.sqrt(5))),
+                            (s, SpectralSet(s, [math.sqrt(6), math.sqrt(12)])),
+                            (s, SpectralSet(s, [(-1.0, 2.0), (3.0, 12.0)], joint=True))]:
+            back = parse_spectrum(space, sset.descriptor)
+            assert back.values == sset.values
+            assert back.indices == sset.indices and sset.indices
 
     def test_short_descriptors_unchanged(self):
         t, s = Torus(1), Sphere2()
@@ -189,6 +198,36 @@ class TestExactFloats:
         assert parse_region(Torus(2), "box:(0,1)x(0,2)").descriptor == "box:(0,1)x(0,2)"
         assert BandUnion(s, [(0.5, 1.2)]).descriptor == "band:0.5:1.2"
         assert spectrum_ball(t, 5).descriptor == "ball:5"
+
+
+# a space of each descriptor kind in the README's table
+README_SPACES = {"arc": "torus:d=1", "box": "torus:d=2", "cap": "sphere2", "band": "sphere2",
+                 "full": "torus:d=1", "empty": "sphere2", "product": "product(torus:d=1,sphere2)",
+                 "level": "sphere2", "ball": "torus:d=2", "list": "torus:d=2",
+                 "joint": "torus:d=2"}
+
+
+def test_readme_descriptor_examples_parse():
+    with open(os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md"),
+              encoding="utf-8") as fh:
+        rows = {m.group(1): re.findall(r"`([^`]+)`", m.group(2))
+                for m in re.finditer(r"^\| (space|region|spectrum) \|(.*)\|$", fh.read(), re.M)}
+    assert sorted(rows) == ["region", "space", "spectrum"]
+    for text in rows["space"]:
+        parse_space(text)
+    kinds = set()
+    # `+` names the union operator, not a region
+    for text in [text for text in rows["region"] if text != "+"]:
+        kinds.add(kind := text.split(":")[0].split("(")[0])
+        if kind == "set":
+            space = parse_space("zn:N=16,d=2" if "(" in text else "zn:N=16")
+        else:
+            space = parse_space(README_SPACES[kind])
+        assert parse_region(space, text).measure >= 0
+    for text in rows["spectrum"]:
+        kinds.add(kind := text.split(":")[0])
+        assert parse_spectrum(parse_space(README_SPACES[kind]), text).size > 0
+    assert kinds == set(README_SPACES) | {"set"}
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))

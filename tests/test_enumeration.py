@@ -4,6 +4,7 @@ on random spaces and cutoffs, products and nested products included."""
 import itertools
 import json
 import math
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from specon import (FiniteGroup, ProductSpace, SpectralSet, Sphere2, Torus, parse_space,
                     spectrum_ball, weyl_count)
 from specon.cli import main
+from specon.spaces import descriptor_float
 
 
 def brute_force(space, cutoff):
@@ -78,24 +80,28 @@ def test_enumeration_matches_brute_force(space, cutoff, data):
     n = data.draw(st.integers(1, len(els)))
     assert space.first_elements(n) == els[:n]
 
-    # spectral index sets are the tolerance match over the enumeration
-    tol = 1e-9
+    # spectral index sets select exactly the brute-force classes of their values
     joint = data.draw(st.booleans())
     picked = data.draw(st.lists(st.sampled_from(want), min_size=1, max_size=4))
-    shift = data.draw(st.sampled_from([0.0, tol / 4, -tol / 4, 0.5]))
+    key = 2 if joint else 1
+    values = [row[key] for row in picked]
+    sset = SpectralSet(space, values, joint=joint)
+    ball = brute_force(space, sset.max_frequency)
+    assert sset.indices == [j for j, row in enumerate(ball) if row[key] in values]
+
+    # a value moved off its class, by one ulp or by 0.5, is refused by name
+    move = data.draw(st.sampled_from([lambda c: math.nextafter(c, math.inf),
+                                      lambda c: c + 0.5]))
     if joint:
-        values = [tuple(c + shift for c in row[2]) for row in picked]
+        k = data.draw(st.integers(0, space.joint_dim - 1))
+        moved = tuple(move(c) if i == k else c for i, c in enumerate(values[0]))
+        text = "(" + ",".join(map(descriptor_float, moved)) + ")"
     else:
-        values = [max(0.0, row[1] + shift) for row in picked]
-    sset = SpectralSet(space, values, joint=joint, tol=tol)
-
-    def near(row):
-        if joint:
-            return any(max(abs(a - b) for a, b in zip(row[2], v)) <= tol for v in values)
-        return any(abs(row[1] - v) <= tol for v in values)
-
-    ball = brute_force(space, sset.max_frequency + tol)
-    assert sset.indices == [j for j, row in enumerate(ball) if near(row)]
+        moved = move(values[0])
+        text = descriptor_float(moved)
+    with pytest.raises(ValueError, match=re.escape(f"{text} is not in the spectrum of "
+                                                   f"{space.kind}")):
+        SpectralSet(space, values + [moved], joint=joint)
 
 
 @pytest.mark.parametrize("space", [Torus(1), Torus(3), Sphere2(), FiniteGroup(6, 2),

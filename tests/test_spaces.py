@@ -214,18 +214,31 @@ class TestEvaluation:
         assert g.values(el, x)[0] == pytest.approx(expected)
 
     def test_group_refuses_points_off_the_group(self):
+        # evaluation and membership read points by one rule: set:{0} does not
+        # round 0.4 into itself
         g = FiniteGroup(4, 1)
         el = [g._element((1,))]
-        for bad in [0.5, -1.25, math.nan, math.inf]:
-            with pytest.raises(ValueError, match=re.escape(f"point ({bad},) is not a point "
-                                                           f"of zn:N=4,d=1")):
-                g.basis_matrix(el, [[0.0], [bad]])
-        # integer coordinates reduce mod N
+        members = parse_region(g, "set:{0}")
+        for bad in [0.4, 0.5, -1.25, math.nan, math.inf]:
+            for refuse in [lambda pts: g.basis_matrix(el, pts), g.flat_index,
+                           members.contains_mask, members.complement().contains_mask,
+                           lambda pts: members.contains(pts[1])]:
+                with pytest.raises(ValueError, match=re.escape(f"point ({bad},) is not a point "
+                                                               f"of zn:N=4,d=1")):
+                    refuse([[0.0], [bad]])
+        # integer coordinates reduce mod N, exactly past int64: 2^63 = 2 mod 3
         assert np.array_equal(g.basis_matrix(el, [[-3.0], [5.0]]),
                               g.basis_matrix(el, [[1.0], [1.0]]))
+        assert members.contains_mask([[0.0], [4.0], [-4.0], [1.0]]).tolist() == [
+            True, True, True, False]
+        huge = [[2.0**63], [-(2.0**63)], [1e300]]
+        assert FiniteGroup(3, 1).flat_index(huge).tolist() == [2, 1, 0]
         p = ProductSpace(Torus(1), g)
-        with pytest.raises(ValueError, match=re.escape("point (2.5,) is not a point of zn:N=4")):
-            p.basis_matrix(p.first_elements(2), [[0.3, 2.5]])
+        for refuse in [lambda pts: p.basis_matrix(p.first_elements(2), pts),
+                       parse_region(p, "product(full,set:{0})").contains_mask]:
+            with pytest.raises(ValueError, match=re.escape("point (2.5,) is not a point of "
+                                                           "zn:N=4")):
+                refuse([[0.3, 2.5]])
 
     def test_label_mismatch_rejected(self):
         t2 = Torus(2)
@@ -425,7 +438,7 @@ class TestFlatIndex:
         g = FiniteGroup(order, dim)
         pts = g.points()
         assert g.flat_index(pts).tolist() == list(range(order**dim))
-        assert g.flat_index(pts + order * np.arange(-1, dim - 1) + 0.2).tolist() == \
+        assert g.flat_index(pts + order * np.arange(-1, dim - 1)).tolist() == \
             list(range(order**dim))
         # the transform of a character chi_k peaks at position flat_index(k)
         for k in pts[[1, -1]]:

@@ -184,10 +184,11 @@ class TestHomogeneity:
 
 
 class TestCovering:
+    # torus:d=2 frequencies: 0, 1, sqrt(2), 2, sqrt(5), sqrt(8), 3, sqrt(10), sqrt(13), ...
     def test_greedy_example(self):
-        t = Torus(1)
-        cov = cover_by_unit_intervals(SpectralSet(t, [0.5, 1.2, 3.0, 3.9]))
-        assert cov.starts == (0.5, 3.0)
+        t = Torus(2)
+        cov = cover_by_unit_intervals(SpectralSet(t, [1.0, math.sqrt(2), 3.0, math.sqrt(13)]))
+        assert cov.starts == (1.0, 3.0)
         assert cov.n == 2
 
     def test_single_point(self):
@@ -195,14 +196,15 @@ class TestCovering:
         assert cov.starts == (2.0,)
 
     def test_gaps(self):
-        cov = cover_by_unit_intervals(SpectralSet(Torus(1), [0.0, 1.5, 3.0]))
-        assert cov.starts == (0.0, 1.5, 3.0)
+        cov = cover_by_unit_intervals(SpectralSet(Torus(2), [0.0, math.sqrt(2), 3.0]))
+        assert cov.starts == (0.0, math.sqrt(2), 3.0)
 
     def test_covers_every_point(self):
         rng = np.random.default_rng(17)
+        freqs = spectrum_ball(Torus(2), 20.0).values
         for _ in range(20):
-            vals = np.sort(rng.uniform(0, 20, size=rng.integers(1, 12)))
-            sset = SpectralSet(Torus(1), vals)
+            vals = rng.choice(freqs, size=rng.integers(1, 12), replace=False)
+            sset = SpectralSet(Torus(2), vals)
             cov = cover_by_unit_intervals(sset)
             assert all(cov.covers(v) for v in sset.values)
             # greedy minimality: each interval starts at an uncovered point
@@ -254,7 +256,7 @@ class TestSpectralSet:
         for _ in range(20):
             drawn = sorted(rng.choice(len(elements), size=int(rng.integers(0, len(elements) + 1)),
                                       replace=False).tolist())
-            sset = SpectralSet(space, [elements[i].joint for i in drawn], joint=True, tol=0.0)
+            sset = SpectralSet(space, [elements[i].joint for i in drawn], joint=True)
             assert sset.indices == drawn
 
     def test_parse(self):

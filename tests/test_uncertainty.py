@@ -169,7 +169,7 @@ class TestGenericSubsetUncertainty:
         space = parse_space(descriptor)
         elements = space.elements_by_index([0, 2, 3, 7, 11])
         quad = space.build_quadrature(qnorm_cutoff(elements, q), oversample=2)
-        sset = SpectralSet(space, [el.joint for el in elements], joint=True, tol=0.0)
+        sset = SpectralSet(space, [el.joint for el in elements], joint=True)
         f = BandlimitedFunction(sset, np.ones(sset.size))
         rep = check_generic_subset_uncertainty(f, parse_region(space, "full"), quad, q=q)
         est = estimate_cq(space, sset.elements, q, quad, trials=1, ascent_iterations=2)
@@ -512,7 +512,7 @@ class TestRandomHalfUncertainty:
         quad = t.build_quadrature(8.0, oversample=4)
         elements = t.first_elements(16)
         split = gmpt_split(t, quad, elements, trials=4, subsets=8, seed=3)
-        side = SpectralSet(t, [elements[i].joint for i in split.indices], joint=True, tol=0.0)
+        side = SpectralSet(t, [elements[i].joint for i in split.indices], joint=True)
         f = BandlimitedFunction(side, np.ones(side.size))
         rep = check_random_half_uncertainty(f, arc(t, 0.0, 2.0), quad, k_emp=split.k_observed,
                                             n=split.n, b_sup=split.b_sup)
