@@ -17,8 +17,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DescriptorError
-from .spaces import (TWO_PI, FiniteGroup, ModelSpace, ProductSpace, Sphere2, Torus,
-                     descriptor_float, split_items, split_top)
+from .spaces import (TWO_PI, FiniteGroup, ModelSpace, ProductSpace, Sphere2, Torus, bracketed,
+                     descriptor_errors, descriptor_float, split_items, split_product, split_top)
 
 
 class Region:
@@ -185,7 +185,7 @@ class FiniteSubset(Region):
             if len(e) != space.dim:
                 raise ValueError(f"element {e!r} needs {space.dim} coordinates")
         if flat is None:
-            flat = np.unique(space.flat_index(np.array(rows, dtype=int).reshape(-1, space.dim)))
+            flat = np.unique(space.flat_index(np.array(rows, dtype=float).reshape(-1, space.dim)))
         self._flat = flat
         if descriptor:
             self.descriptor = descriptor
@@ -263,55 +263,27 @@ def empty_region(space: ModelSpace) -> Region:
 
 def _parse_one(space, token):
     t = token.strip()
-    if t == "full":
-        return full_region(space)
-    if t == "empty":
-        return empty_region(space)
-    try:
-        if t.startswith("arc:"):
-            _, a, b = t.split(":")
-            return arc(space, float(a), float(b))
-        if t.startswith("box:"):
-            parts = t[len("box:"):].split("x")
-            box = []
-            for p in parts:
-                p = p.strip()
-                if not (p.startswith("(") and p.endswith(")")):
-                    raise ValueError(f"interval {p!r} must look like (a,b)")
-                a, b = p[1:-1].split(",")
-                box.append((float(a), float(b)))
-            return BoxUnion(space, [tuple(box)])
-        if t.startswith("cap:"):
-            return cap(space, float(t[len("cap:"):]))
-        if t.startswith("band:"):
-            _, a, b = t.split(":")
-            return BandUnion(space, [(float(a), float(b))], descriptor=t)
-        if t.startswith("set:"):
-            body = t[len("set:"):].strip()
-            if not (body.startswith("{") and body.endswith("}")):
-                raise ValueError("set descriptor must look like set:{...}")
-            body = body[1:-1].strip()
-            elements = []
-            for e in split_items(body):
-                e = e.strip()
-                if e.startswith("("):
-                    elements.append(tuple(int(c) for c in
-                                          split_items(e.strip("()").removesuffix(","))))
-                else:
-                    elements.append(int(e))
-            return FiniteSubset(space, elements, descriptor=t)
-        if t.startswith("product(") and t.endswith(")"):
+    kind, _, body = t.partition(":")
+    with descriptor_errors(token, "region"):
+        if t in ("full", "empty"):
+            return _whole(space, t == "full")
+        if (factors := split_product(t)) is not None:
             if not isinstance(space, ProductSpace):
                 raise ValueError("product regions live on product spaces")
-            parts = split_top(t[len("product("):-1], ",")
-            if len(parts) != 2:
-                raise ValueError("product region needs two comma-separated parts")
-            return ProductRegion(space, parse_region(space.first, parts[0]),
-                                 parse_region(space.second, parts[1]))
-    except DescriptorError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise DescriptorError(token, f"bad region descriptor ({exc})") from exc
+            return ProductRegion(space, parse_region(space.first, factors[0]),
+                                 parse_region(space.second, factors[1]))
+        if kind in ("arc", "band"):
+            a, b = map(float, body.split(":"))
+            return arc(space, a, b) if kind == "arc" else BandUnion(space, [(a, b)], descriptor=t)
+        if kind == "box":
+            box = [tuple(map(float, bracketed(p))) for p in split_top(body, "x")]
+            return BoxUnion(space, [box])
+        if kind == "cap":
+            return cap(space, float(body))
+        if kind == "set":
+            # an element is a tuple in (), as on Z_N^d for d > 1, or a bare integer
+            return FiniteSubset(space, [tuple(map(int, bracketed(e))) if "(" in e else int(e)
+                                        for e in bracketed(body, "{}")], descriptor=t)
     raise DescriptorError(token, "unrecognized region descriptor")
 
 
@@ -323,10 +295,8 @@ def parse_region(space: ModelSpace, text: str) -> Region:
     ``product(arc:0:1+arc:2:3,cap:1)``; constituents of the same shape family
     may be joined with ``+``.
     """
-    try:
+    with descriptor_errors(text, "region"):
         tokens = split_items(text, "+")
-    except ValueError as exc:
-        raise DescriptorError(text, f"bad region descriptor ({exc})") from exc
     if not tokens:
         raise DescriptorError(text, "empty region descriptor")
     parts = [_parse_one(space, t) for t in tokens]

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,14 +158,19 @@ class ModelSpace:
         """All basis elements with frequency <= cutoff, sorted by
         (eigenvalue, label).  The position in this list is the element's global
         index and does not depend on the cutoff."""
+        labels, eigs = self._eigenvalues_upto(cutoff)
+        return self._elements(labels[np.lexsort((*labels.T[::-1], eigs))])
+
+    def _eigenvalues_upto(self, cutoff: float):
+        """(canonical flat labels, integer eigenvalues) of the elements with
+        frequency <= cutoff, unsorted, from one candidate table."""
         if not math.isfinite(cutoff):
             raise ValueError(f"cutoff must be finite, got {cutoff}")
         if cutoff < 0:
             raise ValueError(f"cutoff must be nonnegative, got {cutoff}")
         labels, eigs, _ = self._describe(self._candidates(cutoff))
         keep = eigs <= _r2max(cutoff)
-        labels, eigs = labels[keep], eigs[keep]
-        return self._elements(labels[np.lexsort((*labels.T[::-1], eigs))])
+        return labels[keep], eigs[keep]
 
     def first_elements(self, n: int) -> list[BasisElement]:
         """The first ``n`` elements of the global enumeration: the cutoff
@@ -724,16 +730,20 @@ def descriptor_float(x: float) -> str:
 
 
 def split_top(text: str, sep: str) -> list[str]:
-    """Split ``text`` at every ``sep`` that lies outside (), {} and []."""
-    parts, depth, start = [], 0, 0
+    """Split ``text`` at every ``sep`` that lies outside (), {} and [];
+    ValueError naming a bracket that does not pair."""
+    parts, open_, start = [], [], 0
     for i, ch in enumerate(text):
         if ch in "({[":
-            depth += 1
+            open_.append(ch)
         elif ch in ")}]":
-            depth -= 1
-        elif ch == sep and depth == 0:
+            if not open_ or open_.pop() + ch not in ("()", "{}", "[]"):
+                raise ValueError(f"unpaired {ch!r} in {text!r}")
+        elif ch == sep and not open_:
             parts.append(text[start:i])
             start = i + 1
+    if open_:
+        raise ValueError(f"unpaired {open_[-1]!r} in {text!r}")
     return parts + [text[start:]]
 
 
@@ -744,6 +754,48 @@ def split_items(text: str, sep: str = ",") -> list[str]:
     if not all(item.strip() for item in items):
         raise ValueError(f"empty item in {text!r}")
     return items
+
+
+def bracketed(text: str, brackets: str = "()") -> list[str]:
+    """The comma-separated items of ``text`` inside one pair of ``brackets``;
+    a tuple, in (), may end in one comma, as (0,) does.  ValueError naming
+    ``text`` when it is not one bracketed body, or a bracket that does not pair."""
+    t = text.strip()
+    split_top(t, ",")
+    if not (t[:1] == brackets[0] and t[-1:] == brackets[1]):
+        raise ValueError(f"{t!r} must look like {brackets[0]}...{brackets[1]}")
+    body = t[1:-1]
+    return split_items(body.removesuffix(",") if brackets == "()" else body)
+
+
+def split_product(text: str) -> list[str] | None:
+    """The two factor descriptors of ``product(a,b)``, split at its top-level
+    comma, or None for another descriptor.  A key=value item such as the "d=1"
+    of "zn:N=4,d=1" continues its factor; ValueError unless there are two."""
+    if not text.startswith("product("):
+        return None
+    factors = []
+    for item in bracketed(text[len("product"):]):
+        if factors and re.match(r"\s*\w+=", item):
+            factors[-1] += "," + item
+        else:
+            factors.append(item)
+    if len(factors) != 2:
+        raise ValueError(f"a product needs two comma-separated factors, got {len(factors)}")
+    return factors
+
+
+@contextmanager
+def descriptor_errors(text: str, kind: str):
+    """Raise a ValueError or TypeError from the block as
+    ``DescriptorError(text, "bad <kind> descriptor (...)")``; a DescriptorError
+    of an inner descriptor passes through, naming its own token."""
+    try:
+        yield
+    except DescriptorError:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise DescriptorError(text, f"bad {kind} descriptor ({exc})") from exc
 
 
 def _fields(body: str, keys: tuple) -> dict:
@@ -772,29 +824,15 @@ def parse_space(text: str) -> ModelSpace:
     ``product(torus:d=1,sphere2)``, ``product(zn:N=4,d=1,sphere2)``.
     """
     s = text.strip()
-    if s == "sphere2":
-        return Sphere2()
-    if s.startswith("torus:"):
-        try:
-            fields = _fields(s[len("torus:"):], ("d",))
-            return Torus(int(fields["d"]))
-        except ValueError as exc:
-            raise DescriptorError(text, f"bad torus descriptor ({exc})") from exc
-    if s.startswith("zn:"):
-        try:
-            fields = _fields(s[len("zn:"):], ("N", "d"))
+    kind, _, body = s.partition(":")
+    with descriptor_errors(text, {"torus": "torus", "zn": "finite-group"}.get(kind, "space")):
+        if (factors := split_product(s)) is not None:
+            return ProductSpace(*map(parse_space, factors))
+        if s == "sphere2":
+            return Sphere2()
+        if kind == "torus":
+            return Torus(int(_fields(body, ("d",))["d"]))
+        if kind == "zn":
+            fields = _fields(body, ("N", "d"))
             return FiniteGroup(int(fields["N"]), int(fields.get("d", 1)))
-        except ValueError as exc:
-            raise DescriptorError(text, f"bad finite-group descriptor ({exc})") from exc
-    if s.startswith("product(") and s.endswith(")"):
-        factors = []
-        for token in split_top(s[len("product("):-1], ","):
-            # a key=value token such as the "d=1" of "zn:N=4,d=1" continues its factor
-            if factors and re.match(r"\s*\w+=", token):
-                factors[-1] += "," + token
-            else:
-                factors.append(token)
-        if len(factors) != 2:
-            raise DescriptorError(text, "product descriptor needs two comma-separated factors")
-        return ProductSpace(parse_space(factors[0]), parse_space(factors[1]))
     raise DescriptorError(text, "unrecognized space descriptor")

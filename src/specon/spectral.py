@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import DescriptorError
 from .random_spectra import DEFAULT_SEED
-from .spaces import ModelSpace, Sphere2, descriptor_float, split_items
+from .spaces import ModelSpace, Sphere2, bracketed, descriptor_errors, descriptor_float
 
 
 class SpectralSet:
@@ -87,8 +87,8 @@ class SpectralSet:
 
 
 def spectrum_ball(space: ModelSpace, lam: float) -> SpectralSet:
-    """All distinct frequencies <= lam."""
-    freqs = sorted({el.frequency for el in space.enumerate_basis(lam)})
+    """All distinct frequencies <= lam: the set keeps each once."""
+    freqs = np.sqrt(space._eigenvalues_upto(lam)[1]).tolist()
     return SpectralSet(space, freqs, descriptor=f"ball:{descriptor_float(lam)}")
 
 
@@ -109,32 +109,18 @@ def parse_spectrum(space: ModelSpace, text: str) -> SpectralSet:
     ``joint:[(1,2),(0,0)]``; a value off the spectrum is refused.
     """
     t = text.strip().replace("ℓ", "l").replace("λ≤", "").replace("lambda<=", "")
-    try:
-        if t.startswith("level:"):
-            body = t[len("level:"):]
-            if body.startswith("l="):
-                body = body[2:]
-            return spectrum_level(space, int(body))
-        if t.startswith("ball:"):
-            return spectrum_ball(space, float(t[len("ball:"):]))
-        if t.startswith("list:"):
-            body = t[len("list:"):].strip()
-            if not (body.startswith("[") and body.endswith("]")):
-                raise ValueError("list descriptor must look like list:[...]")
-            vals = [float(v) for v in split_items(body[1:-1])]
-            return SpectralSet(space, vals, descriptor=text.strip())
-        if t.startswith("joint:"):
-            body = t[len("joint:"):].strip()
-            if not (body.startswith("[") and body.endswith("]")):
-                raise ValueError("joint descriptor must look like joint:[(..),..]")
-            # a tuple may end in one comma, as in Python's (0,)
-            vals = [tuple(float(c) for c in split_items(grp.strip().strip("()").removesuffix(",")))
-                    for grp in split_items(body[1:-1])]
+    kind, _, body = t.partition(":")
+    with descriptor_errors(text, "spectrum"):
+        if kind == "level":
+            return spectrum_level(space, int(body.removeprefix("l=")))
+        if kind == "ball":
+            return spectrum_ball(space, float(body))
+        if kind == "list":
+            return SpectralSet(space, [float(v) for v in bracketed(body, "[]")],
+                               descriptor=text.strip())
+        if kind == "joint":
+            vals = [tuple(map(float, bracketed(v))) for v in bracketed(body, "[]")]
             return SpectralSet(space, vals, joint=True, descriptor=text.strip())
-    except DescriptorError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise DescriptorError(text, f"bad spectrum descriptor ({exc})") from exc
     raise DescriptorError(text, "unrecognized spectrum descriptor")
 
 

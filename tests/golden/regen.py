@@ -6,7 +6,8 @@ at seeds 7 and 12345, and the bad arguments of
 ``tests/test_cli.py::TestErrors::test_bad_argument_exits_1_and_is_named``,
 run as that test runs them (``spaces.MAX_BASIS_BYTES`` lowered to 1 MiB).
 A ``concentrate`` stdout is stored as its sha256; everything else in full.
-The header records the numpy version and BLAS the goldens were written under.
+The header records the numpy version, BLAS, ``OPENBLAS_NUM_THREADS`` setting
+and CPU count the goldens were written under.
 
 Rewrite the goldens from the working tree, from the repository root:
 
@@ -40,13 +41,17 @@ HASHED = ("concentrate",)
 
 
 def environment() -> dict:
-    """The numpy version and the BLAS numpy was built against."""
+    """The numpy version, the BLAS numpy was built against, the
+    ``OPENBLAS_NUM_THREADS`` setting (``unset`` if none) and the CPU count:
+    BLAS sums in a thread-dependent order, so the last digits may move with them."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = f"{blas['name']} {blas.get('version', '')}".strip()
     except (TypeError, KeyError):
         blas = "unknown"
-    return {"numpy": np.__version__, "blas": blas}
+    return {"numpy": np.__version__, "blas": blas,
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS", "unset"),
+            "cpu_count": os.cpu_count()}
 
 
 def cases() -> list[tuple[list[str], int | None]]:

@@ -545,6 +545,22 @@ class TestErrors:
                                        ("zn:N=16,d=1", "joint:[(1,),(15,)]", "(15)")]
         for command in [("check", "--inequality", "prop"), ("check", "--inequality", "covering"),
                         ("concentrate", "--region", "full"), ("homogeneity",)]
+    ] + [
+        # brackets pair, a tuple is read once, and a ball cutoff is finite and >= 0
+        (("homogeneity", "--space", "torus:d=2", "--spectrum", "joint:[(1,0]"),
+         "(unpaired ']' in '[(1,0]'): 'joint:[(1,0]'"),
+        (("homogeneity", "--space", "torus:d=2", "--spectrum", "joint:[((1,0))]"),
+         "(could not convert string to float: '(1,0)'): 'joint:[((1,0))]'"),
+        (("concentrate", "--space", "zn:N=4,d=2", "--spectrum", "ball:1", "--region", "set:{(0,1}"),
+         "(unpaired '}' in 'set:{(0,1}'): 'set:{(0,1}'"),
+        (("concentrate", "--space", "torus:d=2", "--spectrum", "ball:1",
+          "--region", "box:(0,2x(1,3)"), "(unpaired '(' in 'box:(0,2x(1,3)'): 'box:(0,2x(1,3)'"),
+        (("basis", "--space", "product(torus:d=1,sphere2"),
+         "(unpaired '(' in '(torus:d=1,sphere2'): 'product(torus:d=1,sphere2'"),
+        (("homogeneity", "--space", "torus:d=1", "--spectrum", "ball:-1"),
+         "(cutoff must be nonnegative, got -1.0): 'ball:-1'"),
+        (("homogeneity", "--space", "torus:d=1", "--spectrum", "ball:nan"),
+         "(cutoff must be finite, got nan): 'ball:nan'"),
     ])
     def test_bad_argument_exits_1_and_is_named(self, capsys, monkeypatch, argv, named):
         # exit 2 is kept for a failed report; a size guard that misfires

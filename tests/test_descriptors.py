@@ -30,7 +30,7 @@ from specon import (
     parse_spectrum,
     spectrum_ball,
 )
-from specon.spaces import descriptor_float, split_top
+from specon.spaces import bracketed, descriptor_float, split_top
 
 TWO_PI = 2 * math.pi
 
@@ -44,6 +44,33 @@ class TestSplitTop:
     def test_no_separator(self):
         assert split_top("", ",") == [""]
         assert split_top("sphere2", ",") == ["sphere2"]
+
+    @pytest.mark.parametrize("text,named", [
+        ("(1,0", "unpaired '('"), ("1,0)", "unpaired ')'"), ("[(1,0]", "unpaired ']'"),
+        ("{(0,1}", "unpaired '}'"), ("((1,0)", "unpaired '('"), ("(1,0))", "unpaired ')'"),
+        ("product(torus:d=1,sphere2", "unpaired '('"), ("a)(b", "unpaired ')'"),
+    ])
+    def test_unpaired_bracket_is_named(self, text, named):
+        with pytest.raises(ValueError, match=re.escape(f"{named} in {text!r}")):
+            split_top(text, ",")
+
+    def test_doubled_brackets_pair_and_are_no_tuple_item(self):
+        assert split_top("[((1,0))],x", ",") == ["[((1,0))]", "x"]
+        assert bracketed("((1,0))") == ["(1,0)"]
+        with pytest.raises(DescriptorError, match="could not convert"):
+            parse_spectrum(Torus(2), "joint:[((1,0))]")
+        with pytest.raises(DescriptorError, match="invalid literal"):
+            parse_region(FiniteGroup(4, 2), "set:{((0,1))}")
+
+    def test_tuple_rule(self):
+        # a tuple may end in one comma; a joint value must be a tuple
+        assert bracketed("(0,)") == ["0"] and bracketed("(0, 1,)") == ["0", " 1"]
+        with pytest.raises(ValueError, match="empty item"):
+            bracketed("(0,,)")
+        with pytest.raises(ValueError, match="empty item"):
+            bracketed("[0,]", "[]")
+        with pytest.raises(DescriptorError, match=re.escape("'1' must look like (...)")):
+            parse_spectrum(Torus(1), "joint:[1,0]")
 
 
 class TestRegressions:
@@ -149,6 +176,24 @@ def test_spectrum_descriptor_round_trip(data):
         sset = SpectralSet(space, [el.frequency for el in chosen])
         assert sset.descriptor.startswith("list:[")
     assert parse_spectrum(space, sset.descriptor).indices == sset.indices
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+def test_deleting_any_bracket_is_refused(data):
+    # from emitted space, region and spectrum descriptors: never parsed to another object
+    space = data.draw(SPACES)
+    chosen = data.draw(st.lists(st.sampled_from(space.enumerate_basis(2.0)),
+                                min_size=1, max_size=3))
+    spectra = [SpectralSet(space, [el.joint for el in chosen], joint=True),
+               SpectralSet(space, [el.frequency for el in chosen])]
+    emitted = [(space.kind, parse_space),
+               (data.draw(regions(space)).descriptor, lambda text: parse_region(space, text))]
+    emitted += [(sset.descriptor, lambda text: parse_spectrum(space, text)) for sset in spectra]
+    for descriptor, parse in emitted:
+        for i in (i for i, ch in enumerate(descriptor) if ch in "(){}[]"):
+            with pytest.raises(DescriptorError):
+                parse(descriptor[:i] + descriptor[i + 1:])
 
 
 # -- exact floats in descriptors ------------------------------------------------

@@ -17,10 +17,14 @@ def test_cli_matches_goldens():
         if fields:
             changed.append(f"{' '.join(case['argv'])}: {', '.join(fields)} differ")
     env = regen.environment()
+
+    def setting(e):
+        return (f"numpy {e['numpy']} with {e['blas']}, OPENBLAS_NUM_THREADS "
+                f"{e['OPENBLAS_NUM_THREADS']} on {e['cpu_count']} CPUs")
+
     assert not changed, (
         f"{len(changed)} of {len(stored)} invocations differ from the goldens, written "
-        f"under numpy {golden['environment']['numpy']} with {golden['environment']['blas']}; "
-        f"this run has numpy {env['numpy']} with {env['blas']}"
+        f"under {setting(golden['environment'])}; this run has {setting(env)}"
         + (" (the same)" if env == golden["environment"] else "")
         + "; PYTHONPATH=src python tests/golden/regen.py --diff prints the differences:\n"
         + "\n".join(changed))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -76,6 +77,9 @@ class TestContains:
         r = FiniteSubset(FiniteGroup(12, 1), [0, 4, 8])
         assert r.contains([4.0])
         assert not r.contains([5.0])
+        # an element off the integers is refused, not truncated to one
+        with pytest.raises(ValueError, match=re.escape("point (0.5,) is not a point of zn:N=4,d=1")):
+            FiniteSubset(FiniteGroup(4), [0.5, 2.7])
 
     def test_wraparound_full_interval(self):
         r = arc(Torus(1), 0.0, TWO_PI)
