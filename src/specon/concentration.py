@@ -207,15 +207,13 @@ class GramMatrix:
 def gram_matrix(sset: SpectralSet, region: Region, quad: Quadrature) -> GramMatrix:
     """Assemble the concentration matrix over E by masked quadrature, in the
     diagonal blocks the space splits it into (ModelSpace._gram_blocks).  The
-    full-space Gram of each block, its region block plus the outside rows,
+    full-space Gram of each block, over the region's nodes and the rest,
     is verified to be the identity within EXACTNESS_TOL, which catches a
     quadrature too coarse for the requested band."""
     mask = region.contains_mask(quad.nodes)
     g = np.zeros((sset.size, sset.size), dtype=complex)
     blocks, err = [], 0.0
-    for cols, v, w, inside in sset.space._gram_blocks(sset.elements, quad, mask):
-        b = _weighted_gram(v[:inside], w[:inside])
-        full = b + _weighted_gram(v[inside:], w[inside:])
+    for cols, b, full in sset.space._gram_blocks(sset.elements, quad, mask):
         err = max(err, float(np.abs(full - np.eye(len(cols))).max(initial=0.0)))
         b = 0.5 * (b + b.conj().T)
         g[np.ix_(cols, cols)] = b
@@ -226,13 +224,6 @@ def gram_matrix(sset: SpectralSet, region: Region, quad: Quadrature) -> GramMatr
             f"(orthonormality defect {err:.3g} > {EXACTNESS_TOL:g})"
         )
     return GramMatrix(sset, region, g, int(mask.sum()), blocks)
-
-
-def _weighted_gram(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """V^H diag(w) V through one temporary the size of V."""
-    t = np.conj(v)
-    t *= w[:, None]
-    return t.T @ v
 
 
 def max_concentration(gram: GramMatrix):

@@ -156,11 +156,14 @@ def estimate_cq(space: ModelSpace, elements, q: float, quad: Quadrature,
 
     scale = math.sqrt(space.total_measure)
     psi = space.basis_matrix(elements, quad.nodes) * scale
+    # the ascent's products are einsum loops, not BLAS calls, so the printed
+    # digits do not depend on how BLAS splits its sums across threads
+    psi_h = np.ascontiguousarray(psi.conj().T)
     w = quad.weights / space.total_measure
     measured_sup = float(np.abs(psi).max())
 
     def ratio(a):
-        f = psi @ a
+        f = np.einsum("ij,j->i", psi, a)
         if math.isinf(q):
             num = float(np.abs(f).max())
         else:
@@ -174,10 +177,10 @@ def estimate_cq(space: ModelSpace, elements, q: float, quad: Quadrature,
             mag = np.abs(f)
             if math.isinf(q):
                 k = int(np.argmax(mag))
-                g = np.conj(psi[k]) * (f[k] / mag[k] if mag[k] > 0 else 1.0)
+                g = psi_h[:, k] * (f[k] / mag[k] if mag[k] > 0 else 1.0)
             else:
                 phase = np.where(mag > 0, f / np.where(mag > 0, mag, 1.0), 1.0)
-                g = psi.conj().T @ (w * mag ** (q - 1.0) * phase)
+                g = np.einsum("ij,j->i", psi_h, w * mag ** (q - 1.0) * phase)
             gn = np.linalg.norm(g)
             if gn == 0:
                 break

@@ -94,9 +94,44 @@ def _gathered(shape, factors, width=0) -> np.ndarray:
     return out
 
 
-def _longitudes(n_phi: int) -> np.ndarray:
-    """The n_phi equispaced longitudes of every ring of a sphere quadrature."""
-    return (np.arange(n_phi) + 0.5) * (TWO_PI / n_phi)
+def _midpoints(n: int) -> np.ndarray:
+    """The midpoints of n equal cells of [0, 2 pi): the longitudes of every ring of a
+    sphere quadrature and the nodes of every axis of a torus grid."""
+    return (np.arange(n) + 0.5) * (TWO_PI / n)
+
+
+def _weighted_gram(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """V^H diag(w) V through one temporary the size of V."""
+    t = np.conj(v)
+    t *= w[:, None]
+    return t.T @ v
+
+
+def _gram_pair(v: np.ndarray, w: np.ndarray, k: int) -> tuple:
+    """(inside, full) weighted Grams of rows ``v`` of which the first ``k`` lie inside."""
+    inside = _weighted_gram(v[:k], w[:k])
+    return inside, inside + _weighted_gram(v[k:], w[k:])
+
+
+def _grid_gram(table: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """sum over the nodes in ``mask``, a boolean grid with one axis per label column, of
+    conj(e_j) e_k, where e_j is the product over axes a of table[node_a, labels[j, a]].
+    Each run of consecutive slices along axis 0 with one mask pattern adds the Hadamard
+    product of axis 0's Gram over the run and the other axes' Gram on the pattern."""
+    if labels.shape[1] == 1:
+        v = table[mask].take(labels[:, 0], axis=1)
+        return v.conj().T @ v
+    rest, ib = np.unique(labels[:, 1:], axis=0, return_inverse=True)
+    ia, ib = labels[:, 0], ib.ravel()
+    rows = mask.reshape(len(mask), -1)
+    cuts = [0, *(np.flatnonzero((rows[1:] != rows[:-1]).any(axis=1)) + 1), len(rows)]
+    g = np.zeros((len(labels), len(labels)), dtype=complex)
+    for start, stop in zip(cuts, cuts[1:]):
+        if rows[start].any():
+            v = table[start:stop]
+            sub = _grid_gram(table, rest, rows[start].reshape(mask.shape[1:]))
+            g += (v.conj().T @ v).take(ia, 0).take(ia, 1) * sub.take(ib, 0).take(ib, 1)
+    return g
 
 
 @dataclass(frozen=True)
@@ -286,10 +321,11 @@ class ModelSpace:
         return (v.conj().T * quad.weights) @ np.asarray(samples, dtype=complex)
 
     def _gram_blocks(self, elements, quad: Quadrature, mask) -> list:
-        """The masked Gram's diagonal blocks as (positions, rows, weights, k), k inside rows first."""
+        """The masked quadrature Gram's diagonal blocks as (positions, Gram over the
+        nodes in ``mask``, Gram over every node); by default one dense block."""
         order = np.argsort(~mask, kind="stable")
-        return [(np.arange(len(elements)), self.basis_matrix(elements, quad.nodes[order]),
-                 quad.weights[order], int(mask.sum()))]
+        v = self.basis_matrix(elements, quad.nodes[order])
+        return [(np.arange(len(elements)), *_gram_pair(v, quad.weights[order], int(mask.sum())))]
 
     def _check_points(self, points, elements: int = 0) -> np.ndarray:
         """Points as an (n, coord_dim) float array.  With an element count,
@@ -385,6 +421,32 @@ class Torus(ModelSpace):
         return _gathered((len(pts), len(elements)),
                          [_factor(table, rows[:, k], cols[:, k]) for k in range(self.dim)])
 
+    def _grid_axis(self, quad: Quadrature):
+        """The nodes of each axis when ``quad`` is a grid as build_quadrature emits:
+        n nodes per axis at ``_midpoints(n)``, axis 0 slowest, one weight; else None."""
+        d, size = self.dim, len(quad.weights)
+        n = round(size ** (1 / d))
+        if not n or n**d != size or (quad.weights != quad.weights[0]).any():
+            return None
+        grid, axis = quad.nodes.reshape((n,) * d + (d,)), _midpoints(n)
+        on_grid = all((grid[..., a] == axis.reshape((n,) + (1,) * (d - 1 - a))).all()
+                      for a in range(d))
+        return axis if on_grid else None
+
+    def _gram_blocks(self, elements, quad, mask):
+        """One block, factored axis by axis (:func:`_grid_gram`) on the grid of
+        :meth:`_grid_axis`, where the full grid's Gram is the product of the axis Grams.
+        One axis has nothing to factor; it and any other node set take the dense path."""
+        axis = self._grid_axis(quad) if self.dim > 1 and len(elements) else None
+        if axis is None:
+            return super()._gram_blocks(elements, quad, mask)
+        values, labels = np.unique(self._label_array(elements), return_inverse=True)
+        labels, table = labels.reshape(-1, self.dim), np.exp(1j * np.outer(axis, values))
+        unit, scale = table.conj().T @ table, quad.weights[0] / TWO_PI**self.dim
+        full = math.prod(unit.take(c, 0).take(c, 1) for c in labels.T) * scale
+        inside = _grid_gram(table, labels, mask.reshape((len(axis),) * self.dim)) * scale
+        return [(np.arange(len(labels)), inside, full)]
+
     def build_quadrature(self, cutoff, oversample=1):
         if not math.isfinite(cutoff):
             raise ValueError("quadrature cutoff must be finite")
@@ -392,7 +454,7 @@ class Torus(ModelSpace):
         # boundaries at cell edges never collide with nodes
         n = 2 * (math.ceil(cutoff) + 1) * max(1, int(oversample))
         self._refuse_grid(n**self.dim, cutoff, oversample)
-        axis = (np.arange(n) + 0.5) * (TWO_PI / n)
+        axis = _midpoints(n)
         grids = np.meshgrid(*([axis] * self.dim), indexing="ij")
         nodes = np.stack([g.ravel() for g in grids], axis=-1)
         weights = np.full(nodes.shape[0], (TWO_PI / n) ** self.dim)
@@ -487,7 +549,7 @@ class Sphere2(ModelSpace):
 
     def _gram_blocks(self, elements, quad, mask):
         """One block per order m on the theta-major rings build_quadrature emits
-        (n_phi nodes at ``_longitudes(n_phi)``, one colatitude and weight each)
+        (n_phi nodes at ``_midpoints(n_phi)``, one colatitude and weight each)
         when ``mask`` is constant on every ring: sums of e^{i(m - m')phi} vanish
         for n_phi > 2 max|m| (Simons, Dahlen & Wieczorek, SIAM Rev. 48 (2006))."""
         theta = quad.nodes[:, 0]
@@ -495,7 +557,7 @@ class Sphere2(ModelSpace):
         rings = [a.reshape(-1, n_phi) for a in (theta, quad.weights, mask, quad.nodes[:, 1])
                  ] if len(theta) % n_phi == 0 else []
         if (not rings or any((r != r[:, :1]).any() for r in rings[:3])
-                or (rings[3] != _longitudes(n_phi)).any()):
+                or (rings[3] != _midpoints(n_phi)).any()):
             return super()._gram_blocks(elements, quad, mask)
         labels = self._label_array(elements)
         if n_phi <= 2 * (top := int(np.abs(labels[:, 1]).max(initial=0))):
@@ -504,12 +566,12 @@ class Sphere2(ModelSpace):
         inside = rings[2][:, 0]
         order = np.argsort(~inside, kind="stable")
         leg, rows = self._legendre(labels, np.cos(rings[0][order, 0]))
-        w = rings[1].sum(axis=1)[order]
+        w, k = rings[1].sum(axis=1)[order], int(inside.sum())
         blocks = []
         for m in np.unique(labels[:, 1]).tolist():
             cols = np.flatnonzero(labels[:, 1] == m)
             # Y_l^{-m} = (-1)^m conj(Y_l^m): orders m and -m have equal blocks
-            blocks.append((cols, leg[rows[cols]].T, w, int(inside.sum())))
+            blocks.append((cols, *_gram_pair(leg[rows[cols]].T, w, k)))
         return blocks
 
     def build_quadrature(self, cutoff, oversample=1):
@@ -522,7 +584,7 @@ class Sphere2(ModelSpace):
         self._refuse_grid(n_theta * n_phi, cutoff, oversample)
         x, w = np.polynomial.legendre.leggauss(n_theta)
         theta = np.arccos(x)
-        tt, pp = np.meshgrid(theta, _longitudes(n_phi), indexing="ij")
+        tt, pp = np.meshgrid(theta, _midpoints(n_phi), indexing="ij")
         ww = np.repeat(w, n_phi) * (TWO_PI / n_phi)
         nodes = np.stack([tt.ravel(), pp.ravel()], axis=-1)
         return Quadrature(nodes, ww, exactness_degree=min(2 * n_theta - 1, n_phi - 1))

@@ -101,20 +101,25 @@ def spectrum_level(space: Sphere2, degree: int) -> SpectralSet:
     return SpectralSet(space, [math.sqrt(degree * (degree + 1))], descriptor=f"level:l={degree}")
 
 
+def _unprefix(body: str, *prefixes: str) -> str:
+    """``body`` without the first of ``prefixes`` it starts with."""
+    return next((body[len(p):] for p in prefixes if body.startswith(p)), body)
+
+
 def parse_spectrum(space: ModelSpace, text: str) -> SpectralSet:
     """Build a spectral set from a descriptor.
 
     Examples: ``level:l=3`` (sphere degree, ``ℓ`` accepted), ``ball:5``
     (frequencies <= 5, ``ball:λ≤5`` accepted), ``list:[1,2.23606797749979]``,
-    ``joint:[(1,2),(0,0)]``; a value off the spectrum is refused.
+    ``joint:[(1,2),(0,0)]``; a value off the spectrum is refused, and so is
+    an alias anywhere but at the start of a ``level:`` or ``ball:`` body.
     """
-    t = text.strip().replace("ℓ", "l").replace("λ≤", "").replace("lambda<=", "")
-    kind, _, body = t.partition(":")
+    kind, _, body = text.strip().partition(":")
     with descriptor_errors(text, "spectrum"):
         if kind == "level":
-            return spectrum_level(space, int(body.removeprefix("l=")))
+            return spectrum_level(space, int(_unprefix(body, "l=", "ℓ=")))
         if kind == "ball":
-            return spectrum_ball(space, float(body))
+            return spectrum_ball(space, float(_unprefix(body, "λ≤", "lambda<=")))
         if kind == "list":
             return SpectralSet(space, [float(v) for v in bracketed(body, "[]")],
                                descriptor=text.strip())

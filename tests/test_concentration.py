@@ -311,6 +311,91 @@ class TestGramOracle:
         assert np.abs(dense.entries - ring.entries).max() < 1e-13
 
 
+def _dense_masked_gram(sset, region, quad):
+    """V^H diag(w 1_E) V over every node, V evaluated on the nodes in their own order."""
+    v = sset.space.basis_matrix(sset.elements, quad.nodes)
+    return v.conj().T @ (v * (quad.weights * region.contains_mask(quad.nodes))[:, None])
+
+
+def _torus_grid_regions(t):
+    """Box unions on a torus: one box, overlapping boxes, and a union wrapping
+    through 0 on every axis; then full and empty."""
+    d = t.dim
+    return [
+        BoxUnion(t, [tuple((0.5, 2.0 + 0.3 * a) for a in range(d))]),
+        BoxUnion(t, [tuple((0.5, 3.0) for _ in range(d)),
+                     tuple((2.0, 4.5) if a == 0 else (1.0, 5.0) for a in range(d))]),
+        BoxUnion(t, [tuple((5.0, TWO_PI) for _ in range(d)),
+                     tuple((0.0, 1.2) for _ in range(d)),
+                     tuple((0.0, 0.7) if a == 0 else (4.0, TWO_PI) for a in range(d))]),
+        full_region(t),
+        empty_region(t),
+    ]
+
+
+def _calls_to_basis_matrix(monkeypatch):
+    calls = []
+    basis_matrix = Torus.basis_matrix
+    monkeypatch.setattr(Torus, "basis_matrix",
+                        lambda self, *a: calls.append(1) or basis_matrix(self, *a))
+    return calls
+
+
+class TestTorusGridGram:
+    """On a torus grid from build_quadrature, gram_matrix factors the masked Gram
+    axis by axis; it must equal the dense masked quadrature sum."""
+
+    @pytest.mark.parametrize("dim,ball,over", [(1, 6.0, 3), (2, 4.0, 2), (2, 3.0, 5),
+                                               (3, 2.0, 2)])
+    @pytest.mark.parametrize("region", range(5))
+    def test_matches_dense_masked_quadrature(self, dim, ball, over, region, monkeypatch):
+        t = Torus(dim)
+        quad, sset = t.build_quadrature(ball, over), spectrum_ball(t, ball)
+        r = _torus_grid_regions(t)[region]
+        oracle = _dense_masked_gram(sset, r, quad)
+        calls = _calls_to_basis_matrix(monkeypatch)
+        g = gram_matrix(sset, r, quad)
+        # one axis is the dense path, with its one basis evaluation; more take none
+        assert len(calls) == (1 if dim == 1 else 0)
+        assert np.abs(g.entries - oracle).max() < 1e-13
+        assert g.nodes_inside == int(r.contains_mask(quad.nodes).sum())
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_spectral_subsets(self, dim, seed):
+        t = Torus(dim)
+        ball = 4.0 if dim == 2 else 2.5
+        quad = t.build_quadrature(ball, oversample=2)
+        freqs = sorted({el.frequency for el in t.enumerate_basis(ball)})
+        rng = np.random.default_rng(seed)
+        sset = SpectralSet(t, rng.choice(freqs, size=int(rng.integers(1, len(freqs))),
+                                         replace=False).tolist())
+        for r in _torus_grid_regions(t)[:3]:
+            assert np.abs(gram_matrix(sset, r, quad).entries
+                          - _dense_masked_gram(sset, r, quad)).max() < 1e-13
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_coarse_grid_raises(self, dim):
+        t = Torus(dim)
+        coarse = t.build_quadrature(1.0)  # 4 nodes per axis alias |m| = 2
+        for r in _torus_grid_regions(t)[:2]:
+            with pytest.raises(CoarseQuadratureError, match="orthonormality defect"):
+                gram_matrix(spectrum_ball(t, 2.0), r, coarse)
+
+    def test_permuted_nodes_take_the_dense_path(self, monkeypatch):
+        t = Torus(2)
+        quad, sset = t.build_quadrature(4.0, oversample=2), spectrum_ball(t, 4.0)
+        perm = np.random.default_rng(0).permutation(quad.weights.shape[0])
+        shuffled = Quadrature(quad.nodes[perm], quad.weights[perm], quad.exactness_degree)
+        r = _torus_grid_regions(t)[2]
+        calls = _calls_to_basis_matrix(monkeypatch)
+        grid = gram_matrix(sset, r, quad)
+        assert calls == []
+        dense = gram_matrix(sset, r, shuffled)
+        assert calls == [1]
+        assert np.abs(dense.entries - grid.entries).max() < 1e-13
+
+
 class TestEigenCache:
     def test_one_eigensolve_serves_every_accessor(self, torus_setup, monkeypatch):
         t, quad, sset, region = torus_setup

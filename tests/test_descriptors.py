@@ -107,6 +107,36 @@ class TestRegressions:
             assert parse_region(space, empty.descriptor).measure == 0.0
 
 
+class TestSpectrumAliases:
+    @pytest.mark.parametrize("space,text,canonical", [
+        (Sphere2(), "level:ℓ=3", "level:l=3"),
+        (Sphere2(), "level:l=3", "level:l=3"),
+        (Sphere2(), "level:3", "level:l=3"),
+        (Torus(2), "ball:λ≤5", "ball:5"),
+        (Torus(2), "ball:lambda<=5", "ball:5"),
+        (Torus(2), "ball:5", "ball:5"),
+    ])
+    def test_alias_opens_a_level_or_ball_body(self, space, text, canonical):
+        sset = parse_spectrum(space, text)
+        assert sset.descriptor == canonical
+        assert sset.indices == parse_spectrum(space, canonical).indices
+
+    @pytest.mark.parametrize("space,text,named", [
+        (Torus(1), "list:[λ≤1]", "'λ≤1'"),
+        (Torus(1), "list:[lambda<=1]", "'lambda<=1'"),
+        (Torus(2), "joint:[(lambda<=1,0)]", "'lambda<=1'"),
+        (Torus(2), "joint:[(λ≤1,0)]", "'λ≤1'"),
+        (Sphere2(), "list:[ℓ=1]", "'ℓ=1'"),
+        (Sphere2(), "level:λ≤3", "'λ≤3'"),
+        (Torus(2), "ball:ℓ=5", "'ℓ=5'"),
+        (Torus(2), "ball:5λ≤", "'5λ≤'"),
+    ])
+    def test_alias_elsewhere_is_refused_by_name(self, space, text, named):
+        with pytest.raises(DescriptorError, match=re.escape(named)) as info:
+            parse_spectrum(space, text)
+        assert text in str(info.value)
+
+
 # -- round-trip properties ------------------------------------------------------
 
 LEAF_SPACES = st.one_of(

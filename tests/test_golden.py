@@ -1,6 +1,11 @@
 """The committed CLI goldens (``tests/golden/cli.json``): every stored
 invocation, rerun in-process, prints the same stdout and stderr and exits
-with the same code.  ``tests/golden/regen.py`` rewrites them."""
+with the same code, and does so again at another BLAS thread count.
+``tests/golden/regen.py`` rewrites them."""
+
+import os
+import subprocess
+import sys
 
 from golden import regen
 
@@ -28,3 +33,17 @@ def test_cli_matches_goldens():
         + (" (the same)" if env == golden["environment"] else "")
         + "; PYTHONPATH=src python tests/golden/regen.py --diff prints the differences:\n"
         + "\n".join(changed))
+
+
+def test_goldens_hold_at_another_blas_thread_count():
+    """No printed digit depends on how BLAS splits its sums across threads:
+    ``regen.py --diff`` in a fresh process on one BLAS thread (on two when the
+    goldens were written on one) finds no case that differs."""
+    threads = "2" if regen.load()["environment"]["OPENBLAS_NUM_THREADS"] == "1" else "1"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(regen.ROOT, "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, os.path.join(regen.HERE, "regen.py"), "--diff"],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, (
+        f"at OPENBLAS_NUM_THREADS={threads}:\n{proc.stdout}{proc.stderr}")
