@@ -139,7 +139,8 @@ def cutoff(f, region: Region, quad: Quadrature) -> np.ndarray:
 @dataclass
 class GramMatrix:
     """Hermitian G_{jk} = int_E e_j conj(e_k) over a spectral set by masked quadrature,
-    zero off its diagonal ``blocks`` of (element positions, block); None is one block."""
+    zero off its diagonal ``blocks`` of (element positions, block, the real form the block
+    is over or None for the elements); None is one block of ``entries``."""
 
     spectral_set: SpectralSet
     region: Region
@@ -154,12 +155,14 @@ class GramMatrix:
     @cached_property
     def _eigh(self):
         """The one eigendecomposition every eigen accessor reads, solved per
-        block and merged by a stable sort of the eigenvalues."""
+        block (in real arithmetic over a real form) and merged by a stable sort
+        of the eigenvalues."""
         n = self.entries.shape[0]
         vals, vecs, at = np.empty(n), np.zeros((n, n), dtype=complex), 0
-        for cols, block in self.blocks or [(np.arange(n), self.entries)]:
+        for cols, block, form in self.blocks or [(np.arange(n), self.entries, None)]:
             span = slice(at, at := at + len(cols))
-            vals[span], vecs[cols, span] = np.linalg.eigh(block)
+            vals[span], v = np.linalg.eigh(block)
+            vecs[cols, span] = v if form is None else form.lift(v)
         order = np.argsort(vals, kind="stable")
         return vals[order], vecs[:, order]
 
@@ -206,18 +209,20 @@ class GramMatrix:
 
 def gram_matrix(sset: SpectralSet, region: Region, quad: Quadrature) -> GramMatrix:
     """Assemble the concentration matrix over E by masked quadrature, in the
-    diagonal blocks the space splits it into (ModelSpace._gram_blocks).  The
-    full-space Gram of each block, over the region's nodes and the rest,
-    is verified to be the identity within EXACTNESS_TOL, which catches a
-    quadrature too coarse for the requested band."""
+    diagonal blocks the space splits it into (ModelSpace._gram_blocks), each
+    over the elements or, for a set closed under conjugation, over their real
+    basis, where the eigenproblem is real symmetric.  The full-space Gram of
+    each block, over the region's nodes and the rest, is verified to be the
+    identity within EXACTNESS_TOL, which catches a quadrature too coarse for
+    the requested band."""
     mask = region.contains_mask(quad.nodes)
     g = np.zeros((sset.size, sset.size), dtype=complex)
     blocks, err = [], 0.0
-    for cols, b, full in sset.space._gram_blocks(sset.elements, quad, mask):
+    for cols, b, full, form in sset.space._gram_blocks(sset.elements, quad, mask):
         err = max(err, float(np.abs(full - np.eye(len(cols))).max(initial=0.0)))
         b = 0.5 * (b + b.conj().T)
-        g[np.ix_(cols, cols)] = b
-        blocks.append((cols, b))
+        g[np.ix_(cols, cols)] = b if form is None else form.gram(b)
+        blocks.append((cols, b, form))
     if err > EXACTNESS_TOL:
         raise CoarseQuadratureError(
             f"quadrature is not exact on the requested band "

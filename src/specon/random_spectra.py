@@ -270,7 +270,9 @@ def gmpt_split(space: ModelSpace, quad: Quadrature, elements, c_param: float = 1
     subject to |#I - n/2| <= c_param sqrt(n); the fraction of draws meeting
     the size constraint is recorded.  Norms use the volume measure, so the
     ratio is always at least |M|^{-1/2} (attained by constant-modulus
-    functions when they exist).
+    functions when they exist).  The L2 norm of f = sum_j a_j e_j is |a|_2 by
+    Plancherel, which needs ``quad`` exact on the elements' products; the L1
+    norm is the quadrature sum of |f|.
     """
     n = len(elements)
     if n < 2 or n % 2 != 0:
@@ -299,9 +301,8 @@ def gmpt_split(space: ModelSpace, quad: Quadrature, elements, c_param: float = 1
                 continue
             a = rng.normal(size=(trials, len(side))) + 1j * rng.normal(size=(trials, len(side)))
             f = v[:, side] @ a.T
-            n2 = np.sqrt(np.sum(quad.weights[:, None] * np.abs(f) ** 2, axis=0))
-            n1 = np.sum(quad.weights[:, None] * np.abs(f), axis=0)
-            k_worst = max(k_worst, float(np.max(n2 / n1)))
+            n2 = np.linalg.norm(a, axis=1)
+            k_worst = max(k_worst, float(np.max(n2 / (quad.weights @ np.abs(f)))))
         if best is None or k_worst < best[0]:
             best = (k_worst, [int(i) for i in idx])
     if best is None:

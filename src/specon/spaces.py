@@ -101,10 +101,10 @@ def _midpoints(n: int) -> np.ndarray:
 
 
 def _weighted_gram(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """V^H diag(w) V through one temporary the size of V."""
-    t = np.conj(v)
-    t *= w[:, None]
-    return t.T @ v
+    """V^T diag(w) V of a real V and positive w, as one symmetric rank-k product
+    of a temporary the size of V."""
+    u = v * np.sqrt(w)[:, None]
+    return u.T @ u
 
 
 def _gram_pair(v: np.ndarray, w: np.ndarray, k: int) -> tuple:
@@ -132,6 +132,63 @@ def _grid_gram(table: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> np.nd
             sub = _grid_gram(table, rest, rows[start].reshape(mask.shape[1:]))
             g += (v.conj().T @ v).take(ia, 0).take(ia, 1) * sub.take(ib, 0).take(ib, 1)
     return g
+
+
+class _RealForm:
+    """The real orthonormal basis b in which the Gram of a set closed under conjugation
+    is real symmetric.  Conjugation maps e_j to e_k = s_j conj(e_j) (ModelSpace._conjugate).
+    For each element j of ``evaluated``, in order, b holds Re e_j if j is a fixed point (a
+    real function), else sqrt(2) Re e_j and sqrt(2) Im e_j, j standing for its pair (whose
+    other element may lie outside the set).  ``pick`` and ``scale`` take b from the columns
+    of V viewed as real.  With b_a = sum_j C[j, a] e_j, row j of C is alpha_j at ia_j and
+    i beta_j at ib_j, so a Gram R over b is C R C^H over the elements and an eigenvector
+    p of R is C p."""
+
+    def __init__(self, space, labels: np.ndarray):
+        conj, signs = space._conjugate(labels)
+        n = len(labels)
+        key = np.unique(np.concatenate([labels, conj]), axis=0, return_inverse=True)[1].ravel()
+        at = np.full(2 * n, -1)
+        at[key[:n]] = np.arange(n)
+        partner, j = at[key[n:]], np.arange(n)
+        fixed, rep = partner == j, (partner < 0) | (j < partner)
+        self.size, self.closed = n, bool((partner >= 0).all())
+        self.evaluated = np.flatnonzero(fixed | rep)
+        src = np.cumsum(fixed | rep) - 1
+        src = np.where(fixed | rep, src, src[partner])
+        keep = np.ones((len(self.evaluated), 2), dtype=bool)
+        keep[fixed[self.evaluated], 1] = False
+        rank, self.pick = np.cumsum(keep) - 1, np.flatnonzero(keep)
+        self.scale = np.where(keep[:, 1:], math.sqrt(2.0), 1.0).repeat(2, axis=1)[keep]
+        self.ia, self.ib = rank[2 * src], rank[2 * src + 1]
+        self.alpha = np.where(fixed, 1.0, math.sqrt(0.5) * np.where(rep, 1.0, signs))
+        self.beta = np.where(fixed, 0.0, math.sqrt(0.5) * np.where(rep, -1.0, signs))
+
+    def lift(self, p: np.ndarray) -> np.ndarray:
+        """C p: real rows over b as rows over the elements."""
+        out = np.empty((self.size, p.shape[1]), dtype=complex)
+        np.multiply(p[self.ia], self.alpha[:, None], out=out.real)
+        np.multiply(p[self.ib], self.beta[:, None], out=out.imag)
+        return out
+
+    def gram(self, r: np.ndarray) -> np.ndarray:
+        """C R C^H: a real symmetric Gram over b as one over the elements."""
+        (ia, a), (ib, b) = (self.ia, self.alpha), (self.ib, self.beta)
+        x = r[np.ix_(ia, ib)] * np.outer(a, b)
+        out = np.empty((self.size, self.size), dtype=complex)
+        out.real = r[np.ix_(ia, ia)] * np.outer(a, a) + r[np.ix_(ib, ib)] * np.outer(b, b)
+        out.imag = x.T - x
+        return out
+
+    def real_gram(self, g: np.ndarray) -> np.ndarray:
+        """C^H G C: a Hermitian Gram over a closed set's elements as one over b.  Row a of
+        C^H h combines the two rows of h whose element has a as its ia or ib."""
+        rows = np.argsort(np.concatenate([self.ia, self.ib]), kind="stable").reshape(-1, 2)
+        el, co = rows % self.size, np.concatenate([self.alpha, -1j * self.beta])[rows]
+
+        def lower(h):   # C^H h
+            return co[:, :1] * h[el[:, 0]] + co[:, 1:] * h[el[:, 1]]
+        return lower(lower(g).conj().T).real
 
 
 @dataclass(frozen=True)
@@ -264,6 +321,11 @@ class ModelSpace:
         """|M| sup |e_j|^2 for canonical flat labels: 1 for characters."""
         return np.ones(len(labels))
 
+    def _conjugate(self, labels: np.ndarray):
+        """(canonical labels, signs) of the conjugates of canonical flat labels: the
+        element of each returned label is its sign times conj of the given one."""
+        raise NotImplementedError
+
     def _flat(self, label) -> tuple:
         """A structured label as a flat tuple of ints."""
         flat = tuple(map(operator.index, label))
@@ -322,10 +384,18 @@ class ModelSpace:
 
     def _gram_blocks(self, elements, quad: Quadrature, mask) -> list:
         """The masked quadrature Gram's diagonal blocks as (positions, Gram over the
-        nodes in ``mask``, Gram over every node); by default one dense block."""
-        order = np.argsort(~mask, kind="stable")
-        v = self.basis_matrix(elements, quad.nodes[order])
-        return [(np.arange(len(elements)), *_gram_pair(v, quad.weights[order], int(mask.sum())))]
+        nodes in ``mask``, Gram over every node, the _RealForm they are over or None for
+        the elements).  By default one dense block, from real symmetric rank-k products over
+        the real basis of the elements' conjugation closure, which one basis evaluation of the
+        fixed points and representatives gives; a set that is not closed comes back over its
+        elements."""
+        form, order = _RealForm(self, self._label_array(elements)), np.argsort(~mask, kind="stable")
+        v = self.basis_matrix([elements[j] for j in form.evaluated], quad.nodes[order])
+        p, scale = form.pick, np.outer(form.scale, form.scale)
+        pair = [g[np.ix_(p, p)] * scale
+                for g in _gram_pair(v.view(float), quad.weights[order], int(mask.sum()))]
+        cols = np.arange(len(elements))
+        return [(cols, *pair, form)] if form.closed else [(cols, *map(form.gram, pair), None)]
 
     def _check_points(self, points, elements: int = 0) -> np.ndarray:
         """Points as an (n, coord_dim) float array.  With an element count,
@@ -403,6 +473,9 @@ class Torus(ModelSpace):
     def _describe(self, labels):
         return labels, np.sum(labels * labels, axis=1), labels.astype(float)
 
+    def _conjugate(self, labels):
+        return -labels, np.ones(len(labels))
+
     def _counts(self, lams):
         return [self._lattice_count(_r2max(x), self.dim) if x >= 0 else 0 for x in lams]
 
@@ -436,16 +509,20 @@ class Torus(ModelSpace):
     def _gram_blocks(self, elements, quad, mask):
         """One block, factored axis by axis (:func:`_grid_gram`) on the grid of
         :meth:`_grid_axis`, where the full grid's Gram is the product of the axis Grams.
-        One axis has nothing to factor; it and any other node set take the dense path."""
+        One axis has nothing to factor; it and any other node set take the dense path.
+        A set closed under conjugation comes back over its real basis."""
         axis = self._grid_axis(quad) if self.dim > 1 and len(elements) else None
         if axis is None:
             return super()._gram_blocks(elements, quad, mask)
-        values, labels = np.unique(self._label_array(elements), return_inverse=True)
+        flat = self._label_array(elements)
+        values, labels = np.unique(flat, return_inverse=True)
         labels, table = labels.reshape(-1, self.dim), np.exp(1j * np.outer(axis, values))
         unit, scale = table.conj().T @ table, quad.weights[0] / TWO_PI**self.dim
         full = math.prod(unit.take(c, 0).take(c, 1) for c in labels.T) * scale
         inside = _grid_gram(table, labels, mask.reshape((len(axis),) * self.dim)) * scale
-        return [(np.arange(len(labels)), inside, full)]
+        cols, form = np.arange(len(labels)), _RealForm(self, flat)
+        return [(cols, form.real_gram(inside), full, form) if form.closed else
+                (cols, inside, full, None)]
 
     def build_quadrature(self, cutoff, oversample=1):
         if not math.isfinite(cutoff):
@@ -501,6 +578,11 @@ class Sphere2(ModelSpace):
             raise ValueError(f"label {tuple(bad[0].tolist())} inconsistent with {self.kind}")
         lam = l * (l + 1)
         return labels, lam, np.stack([m, lam], axis=1).astype(float)
+
+    def _conjugate(self, labels):
+        # Y_l^{-m} = (-1)^m conj(Y_l^m)
+        m = labels[:, 1]
+        return np.stack([labels[:, 0], -m], axis=1), np.where(m % 2, -1.0, 1.0)
 
     def _counts(self, lams):
         return [(self._lmax(x) + 1) ** 2 for x in lams]
@@ -571,7 +653,7 @@ class Sphere2(ModelSpace):
         for m in np.unique(labels[:, 1]).tolist():
             cols = np.flatnonzero(labels[:, 1] == m)
             # Y_l^{-m} = (-1)^m conj(Y_l^m): orders m and -m have equal blocks
-            blocks.append((cols, *_gram_pair(leg[rows[cols]].T, w, k)))
+            blocks.append((cols, *_gram_pair(leg[rows[cols]].T, w, k), None))
         return blocks
 
     def build_quadrature(self, cutoff, oversample=1):
@@ -631,6 +713,9 @@ class FiniteGroup(ModelSpace):
         centered = np.where(k <= self.order // 2, k, k - self.order)
         return k, np.sum(centered * centered, axis=1), centered.astype(float)
 
+    def _conjugate(self, labels):
+        return self._describe(-labels)[0], np.ones(len(labels))
+
     def _max_eigenvalue(self):
         return self.dim * (self.order // 2) ** 2
 
@@ -645,9 +730,12 @@ class FiniteGroup(ModelSpace):
 
     def basis_matrix(self, elements, points):
         x = self._group_points(points, len(elements))
-        ks = self._label_array(elements).astype(float)
-        phase = np.exp(2j * math.pi * (x @ ks.T) / self.order)
-        return phase * self.order ** (-self.dim / 2)
+        # <k, x> mod N in integers indexes the N-th roots of unity, each taken at an
+        # angle of at most pi, so chi_{-k} = conj(chi_k) holds exactly
+        r, n = np.arange(self.order), self.order
+        roots = np.exp(2j * math.pi * np.minimum(r, n - r) / n) * n ** (-self.dim / 2)
+        roots[r > n // 2] = roots[r > n // 2].conj()
+        return roots[(x @ self._label_array(elements).T) % n]
 
     def points(self) -> np.ndarray:
         """All group elements in lexicographic (C) order."""
@@ -729,6 +817,12 @@ class ProductSpace(ModelSpace):
     def _peak_squares(self, labels):
         a = self.first.dim
         return self.first._peak_squares(labels[:, :a]) * self.second._peak_squares(labels[:, a:])
+
+    def _conjugate(self, labels):
+        a = self.first.dim
+        la, sa = self.first._conjugate(labels[:, :a])
+        lb, sb = self.second._conjugate(labels[:, a:])
+        return np.hstack([la, lb]), sa * sb
 
     def _flat(self, label):
         first, second = label

@@ -33,6 +33,7 @@ from specon import (
     spectrum_ball,
     spectrum_level,
 )
+from specon.spaces import _RealForm
 
 TWO_PI = 2 * math.pi
 
@@ -283,16 +284,9 @@ class TestGramOracle:
 
     def test_mask_varying_on_a_ring_takes_the_dense_path(self):
         s, quad, sset, _ = _oracle_cases()[1]
-
-        class Hemisphere(Region):
-            space, descriptor = s, "phi < pi"
-
-            def contains_mask(self, points):
-                return np.asarray(points)[:, 1] < math.pi
-
         v = s.basis_matrix(sset.elements, quad.nodes)
-        mask = Hemisphere().contains_mask(quad.nodes)
-        g = gram_matrix(sset, Hemisphere(), quad)
+        mask = _WestHalf(s).contains_mask(quad.nodes)
+        g = gram_matrix(sset, _WestHalf(s), quad)
         assert len(g.blocks) == 1
         assert np.abs(g.entries - v.conj().T @ (v * (quad.weights * mask)[:, None])).max() < 1e-13
 
@@ -394,6 +388,119 @@ class TestTorusGridGram:
         dense = gram_matrix(sset, r, shuffled)
         assert calls == [1]
         assert np.abs(dense.entries - grid.entries).max() < 1e-13
+
+
+class _WestHalf(Region):
+    """phi < pi on the sphere: a real region that couples the orders m, so the
+    sphere's Gram takes the dense path."""
+
+    descriptor = "phi < pi"
+
+    def __init__(self, space):
+        self.space = space
+
+    def contains_mask(self, points):
+        return np.asarray(points)[:, 1] < math.pi
+
+
+def _real_form_cases():
+    """(name, space, quadrature, ball radius, region) on every family and path: the
+    1-torus and groups take the dense path, torus:d=2 its grid path (and the dense one
+    on permuted nodes), the sphere its ring path (and the dense one on a region that
+    varies along rings), and products the dense path with and without signs."""
+    t1, t2, s = Torus(1), Torus(2), Sphere2()
+    g1, g2 = FiniteGroup(9, 1), FiniteGroup(8, 2)
+    ts, sg = ProductSpace(Torus(1), Sphere2()), ProductSpace(Sphere2(), FiniteGroup(6, 1))
+    q2 = t2.build_quadrature(4.0, oversample=2)
+    perm = np.random.default_rng(0).permutation(q2.weights.shape[0])
+    return [
+        ("torus1", t1, t1.build_quadrature(8.0, 3), 8.0, arc(t1, 0.3, 2.1)),
+        ("torus2-grid", t2, q2, 4.0,
+         BoxUnion(t2, [((0.5, 2.0), (1.0, 4.0)), ((3.0, 6.0), (0.0, 1.5))])),
+        ("torus2-dense", t2, Quadrature(q2.nodes[perm], q2.weights[perm], q2.exactness_degree),
+         4.0, BoxUnion(t2, [((0.5, 2.0), (1.0, 4.0))])),
+        ("z9", g1, g1.build_quadrature(), 4.0, parse_region(g1, "set:{0,1,2,5}")),
+        ("z8^2", g2, g2.build_quadrature(), 3.0, parse_region(g2, "set:{(0,0),(1,2),(7,3),(4,4)}")),
+        ("sphere-rings", s, s.build_quadrature(4.0, 2), 4.0, cap(s, 1.1)),
+        ("sphere-dense", s, s.build_quadrature(4.0, 2), 4.0, _WestHalf(s)),
+        ("torus x sphere", ts, ts.build_quadrature(3.0, 2), 3.0,
+         parse_region(ts, "product(arc:0.4:2,band:0.5:2)")),
+        ("sphere x z6", sg, sg.build_quadrature(3.0, 2), 3.0,
+         parse_region(sg, "product(cap:1.2,set:{0,1,4})")),
+    ]
+
+
+REAL_FORM_CASES = {case[0]: case for case in _real_form_cases()}
+
+
+def _real_form_set(space, ball, closed):
+    """The ball, closed under conjugation, or a joint set of about half of it that
+    leaves out the conjugate of at least one element it keeps."""
+    sset = spectrum_ball(space, ball)
+    if closed:
+        return sset
+    rng = np.random.default_rng(sset.size)
+    while True:
+        keep = [el for el in sset.elements if rng.random() < 0.5]
+        joint = SpectralSet(space, [el.joint for el in keep], joint=True)
+        if not _RealForm(space, space._label_array(joint.elements)).closed:
+            return joint
+
+
+class TestRealForm:
+    """A set closed under conjugation is solved over its real basis; entries stay the
+    element-basis Gram, checked against the masked quadrature V^H diag(w 1_E) V."""
+
+    @pytest.mark.parametrize("closed", [True, False], ids=["closed", "joint"])
+    @pytest.mark.parametrize("name", list(REAL_FORM_CASES))
+    def test_entries_and_eigenpairs(self, name, closed):
+        _, space, quad, ball, region = REAL_FORM_CASES[name]
+        sset = _real_form_set(space, ball, closed)
+        g = gram_matrix(sset, region, quad)
+        assert np.abs(g.entries - _dense_masked_gram(sset, region, quad)).max() < 1e-13
+        raw, vecs = g.raw_eigenvalues(), g.eigenvectors()
+        assert np.abs(raw - np.linalg.eigvalsh(g.entries)).max() < 1e-13
+        assert np.abs(g.entries @ vecs - raw * vecs).max() < 1e-13
+        assert np.abs(vecs.conj().T @ vecs - np.eye(sset.size)).max() < 1e-13
+
+    @pytest.mark.parametrize("name,closed,dtypes", [
+        ("torus1", True, ["float64"]), ("torus2-grid", True, ["float64"]),
+        ("torus2-dense", True, ["float64"]), ("z9", True, ["float64"]),
+        ("z8^2", True, ["float64"]), ("torus x sphere", True, ["float64"]),
+        ("sphere x z6", True, ["float64"]), ("sphere-dense", True, ["float64"]),
+        ("torus1", False, ["complex128"]), ("torus2-grid", False, ["complex128"]),
+        ("z8^2", False, ["complex128"]), ("torus x sphere", False, ["complex128"]),
+    ])
+    def test_eigh_sees_real_blocks_only_on_closed_sets(self, name, closed, dtypes, monkeypatch):
+        _, space, quad, ball, region = REAL_FORM_CASES[name]
+        g = gram_matrix(_real_form_set(space, ball, closed), region, quad)
+        seen = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: seen.append(a.dtype.name) or eigh(a))
+        g.eigenvalues()
+        assert seen == dtypes
+
+    def test_hand_built_gram_is_solved_complex(self, monkeypatch):
+        t = Torus(1)
+        sset = spectrum_ball(t, 1.0)
+        entries = np.array([[0.5, 0.1j, 0.0], [-0.1j, 0.4, 0.0], [0.0, 0.0, 0.3]])
+        g = GramMatrix(sset, arc(t, 0.0, 1.0), entries, 0)
+        seen = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: seen.append(a.dtype.name) or eigh(a))
+        assert np.abs(g.raw_eigenvalues() - np.linalg.eigvalsh(entries)).max() < 1e-15
+        assert seen == ["complex128"]
+
+    def test_one_evaluation_of_fixed_points_and_representatives(self, monkeypatch):
+        # the 1-torus ball |m| <= 8 evaluates m = 0 and one of each pair +-m
+        _, t, quad, ball, region = REAL_FORM_CASES["torus1"]
+        sset = spectrum_ball(t, ball)
+        seen = []
+        basis_matrix = Torus.basis_matrix
+        monkeypatch.setattr(Torus, "basis_matrix", lambda self, els, pts:
+                            seen.append(len(els)) or basis_matrix(self, els, pts))
+        gram_matrix(sset, region, quad)
+        assert seen == [9]
 
 
 class TestEigenCache:

@@ -162,7 +162,44 @@ class TestEstimateCq:
             assert est.c_interp == interpolation_bound(space, elements, q)
 
 
+def _quadrature_ratio_split(space, quad, elements, trials, subsets, seed, c_param=1.0):
+    """(k_observed, indices) of gmpt_split's search with both norms of each trial
+    function taken by the quadrature, on the same seeded draws."""
+    v, n = space.basis_matrix(elements, quad.nodes), len(elements)
+    best = None
+    for t in range(subsets):
+        rng = trial_rng(seed, t)
+        keep = rng.random(n) < 0.5
+        idx = np.flatnonzero(keep)
+        if abs(len(idx) - n / 2) > c_param * math.sqrt(n):
+            continue
+        k_worst = 0.0
+        for side in (idx, np.flatnonzero(~keep)):
+            if len(side):
+                a = rng.normal(size=(trials, len(side))) + 1j * rng.normal(size=(trials, len(side)))
+                f = v[:, side] @ a.T
+                n2 = np.sqrt(np.sum(quad.weights[:, None] * np.abs(f) ** 2, axis=0))
+                n1 = np.sum(quad.weights[:, None] * np.abs(f), axis=0)
+                k_worst = max(k_worst, float(np.max(n2 / n1)))
+        if best is None or k_worst < best[0]:
+            best = (k_worst, idx.tolist())
+    return best
+
+
 class TestGmptSplit:
+    @pytest.mark.parametrize("space,n", [
+        (Torus(1), 64), (Torus(2), 30), (Sphere2(), 36), (FiniteGroup(32, 1), 20),
+        (ProductSpace(Torus(1), Sphere2()), 24)], ids=repr)
+    def test_plancherel_l2_matches_the_quadrature_ratio(self, space, n):
+        # on an orthonormal basis and a quadrature exact on its products,
+        # |f|_2 = |a|_2: the ratio by quadrature norms is the oracle
+        els = space.first_elements(n)
+        quad = space.build_quadrature(max(el.frequency for el in els))
+        split = gmpt_split(space, quad, els, trials=8, subsets=16, seed=n)
+        k_oracle, indices = _quadrature_ratio_split(space, quad, els, 8, 16, n)
+        assert split.k_observed == pytest.approx(k_oracle, rel=1e-12)
+        assert split.indices == indices
+
     def test_n2_single_character(self):
         t = Torus(1)
         quad = t.build_quadrature(2.0, oversample=16)

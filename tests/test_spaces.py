@@ -347,6 +347,53 @@ class TestKernelOracles:
         ref = sph_harm_y(l[None, :], m[None, :], pts[:, :1], pts[:, 1:])
         assert np.abs(v - ref).max() < 1e-12
 
+    @pytest.mark.parametrize("order,dim", [(4096, 1), (97, 2), (64, 2)])
+    def test_group_characters_at_large_exponents(self, order, dim):
+        # <k, x> reaches dim (N - 1)^2; its residue mod N, taken in integers,
+        # keeps the angle below 2 pi
+        g = FiniteGroup(order, dim)
+        rng = np.random.default_rng(order)
+        labels = rng.integers(0, order, size=(60, dim))
+        pts = g.sample_points(50, rng)
+        v = g.basis_matrix([g._element(tuple(k)) for k in labels.tolist()], pts)
+        residue = (pts.astype(np.int64) @ labels.T) % order
+        ref = np.exp(2j * math.pi * residue / order) * order ** (-dim / 2)
+        assert np.abs(v - ref).max() < 1e-15
+
+
+CONJUGATION_SPACES = [
+    Torus(1), Torus(2), FiniteGroup(7, 1), FiniteGroup(8, 1), FiniteGroup(5, 2), FiniteGroup(6, 2),
+    Sphere2(), ProductSpace(Torus(1), Sphere2()), ProductSpace(Sphere2(), FiniteGroup(6, 1)),
+    ProductSpace(Sphere2(), Sphere2())]
+
+
+class TestConjugation:
+    """_conjugate against the basis itself: the element of each conjugate label is
+    its sign times the conjugate of the given element, at points off every grid."""
+
+    @pytest.mark.parametrize("space", CONJUGATION_SPACES, ids=repr)
+    def test_conjugate_elements_are_signed_conjugates(self, space):
+        rng = np.random.default_rng(11)
+        els = space.enumerate_basis(5.0)
+        rng.shuffle(els)
+        conj, signs = space._conjugate(space._label_array(els))
+        pts = space.sample_points(40, rng)
+        v = space.basis_matrix(els, pts)
+        w = space.basis_matrix(space._elements(conj, numbered=False), pts)
+        assert np.abs(w - signs * v.conj()).max() < 1e-15
+        assert set(np.abs(signs).tolist()) == {1.0}
+
+    @pytest.mark.parametrize("space", CONJUGATION_SPACES, ids=repr)
+    def test_conjugation_is_an_involution_on_canonical_labels(self, space):
+        labels = space._label_array(space.enumerate_basis(5.0))
+        conj, signs = space._conjugate(labels)
+        assert np.array_equal(space._describe(conj)[0], conj)   # canonical as returned
+        again, back = space._conjugate(conj)
+        assert np.array_equal(again, labels)
+        assert np.array_equal(signs * back, np.ones(len(labels)))
+        # eigenvalues are real: a conjugate shares its element's eigenvalue
+        assert np.array_equal(space._describe(conj)[1], space._describe(labels)[1])
+
 
 class TestDistinctCoordinateTables:
     """Each kernel tables its factors on the distinct coordinates of the points
