@@ -1,7 +1,7 @@
 """The operator core: spatial cut-off, band-limiting, the concentration
 (Gram) matrix over a region, its eigenproblem, and concentration levels.
 
-The Gram matrix G_{jk} = int_E e_j conj(e_k) represents the composition
+The Gram matrix G_{jk} = int_E conj(e_j) e_k represents the composition
 "band-limit, then cut off" on the span of X_S; its top eigenvalue is the
 largest fraction of L2 mass a function band-limited to X_S can place inside
 E, which is the classical concentration problem of Slepian type.
@@ -138,14 +138,14 @@ def cutoff(f, region: Region, quad: Quadrature) -> np.ndarray:
 
 @dataclass
 class GramMatrix:
-    """Hermitian G_{jk} = int_E e_j conj(e_k) over a spectral set by masked quadrature,
-    zero off its diagonal ``blocks`` of (element positions, block, the real form the block
-    is over or None for the elements); None is one block of ``entries``."""
+    """Hermitian G_{jk} = int_E conj(e_j) e_k over a spectral set, so that a^H G a is the
+    mass inside E of sum_j a_j e_j; in closed form on torus boxes, by masked quadrature
+    elsewhere.  Zero off its diagonal ``blocks`` of (element positions, block, the real form
+    the block is over or None for the elements); None is one block of ``entries``."""
 
     spectral_set: SpectralSet
     region: Region
     entries: np.ndarray
-    nodes_inside: int
     blocks: list | None = None
 
     @property
@@ -190,8 +190,12 @@ class GramMatrix:
 
     def top_eigenpair(self):
         """Largest eigenvalue, clamped to [0, 1], and a unit eigenvector;
-        excursions beyond 1e-8 raise as in :meth:`eigenvalues`."""
-        lam = float(np.clip(self._checked_eigenvalues()[-1], 0.0, 1.0))
+        excursions beyond 1e-8 raise as in :meth:`eigenvalues`, and an empty spectral set."""
+        vals = self._checked_eigenvalues()
+        if not vals.size:
+            raise ValueError(f"spectral set {self.spectral_set.descriptor!r} is empty: "
+                             f"no top eigenpair")
+        lam = float(np.clip(vals[-1], 0.0, 1.0))
         vec = self._eigh[1][:, -1]
         return lam, vec / np.linalg.norm(vec)
 
@@ -201,25 +205,25 @@ class GramMatrix:
             "spectrum": self.spectral_set.descriptor,
             "region": self.region.descriptor,
             "size": int(self.entries.shape[0]),
-            "nodes_inside": self.nodes_inside,
             "trace": self.trace,
             "entries": [[float(z.real), float(z.imag)] for z in self.entries.ravel()],
         }
 
 
 def gram_matrix(sset: SpectralSet, region: Region, quad: Quadrature) -> GramMatrix:
-    """Assemble the concentration matrix over E by masked quadrature, in the
-    diagonal blocks the space splits it into (ModelSpace._gram_blocks), each
-    over the elements or, for a set closed under conjugation, over their real
-    basis, where the eigenproblem is real symmetric.  The full-space Gram of
-    each block, over the region's nodes and the rest, is verified to be the
-    identity within EXACTNESS_TOL, which catches a quadrature too coarse for
-    the requested band."""
+    """Assemble the concentration matrix over E in the diagonal blocks the region's
+    family builds (Region._gram_blocks): in closed form on torus boxes, by masked
+    quadrature elsewhere.  Each block is over the elements or, for a set closed under
+    conjugation, over their real basis, where the eigenproblem is real symmetric.  The
+    full-space Gram of each block built by quadrature, over the region's nodes and the
+    rest, is verified to be the identity within EXACTNESS_TOL, which catches a quadrature
+    too coarse for the requested band."""
     mask = region.contains_mask(quad.nodes)
     g = np.zeros((sset.size, sset.size), dtype=complex)
     blocks, err = [], 0.0
-    for cols, b, full, form in sset.space._gram_blocks(sset.elements, quad, mask):
-        err = max(err, float(np.abs(full - np.eye(len(cols))).max(initial=0.0)))
+    for cols, b, full, form in region._gram_blocks(sset.elements, quad, mask):
+        if full is not None:
+            err = max(err, float(np.abs(full - np.eye(len(cols))).max(initial=0.0)))
         b = 0.5 * (b + b.conj().T)
         g[np.ix_(cols, cols)] = b if form is None else form.gram(b)
         blocks.append((cols, b, form))
@@ -228,7 +232,7 @@ def gram_matrix(sset: SpectralSet, region: Region, quad: Quadrature) -> GramMatr
             f"quadrature is not exact on the requested band "
             f"(orthonormality defect {err:.3g} > {EXACTNESS_TOL:g})"
         )
-    return GramMatrix(sset, region, g, int(mask.sum()), blocks)
+    return GramMatrix(sset, region, g, blocks)
 
 
 def max_concentration(gram: GramMatrix):
@@ -273,8 +277,8 @@ def concentration_levels(f, region: Region, sset: SpectralSet,
 
 
 def masked_band_energy(sset: SpectralSet, region: Region, quad: Quadrature) -> float:
-    """int_E sum over X_S of |e_j|^2 by masked quadrature (the Gram trace,
-    without assembling the matrix)."""
+    """int_E sum over X_S of |e_j|^2 by masked quadrature: the trace of a Gram built
+    by quadrature, which a torus box's exact Gram matches only on cell-aligned boxes."""
     if not sset.size:
         return 0.0
     v = sset.space.basis_matrix(sset.elements, quad.nodes)

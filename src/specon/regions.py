@@ -5,7 +5,9 @@ axis-aligned boxes of arcs on tori, polar caps and latitude bands on the
 sphere, explicit point subsets of finite groups, and products of the above.
 Keeping the measure exact matters because every uncertainty inequality
 multiplies by it; quadrature error is confined to the integrals over the
-region, where it is reported separately.
+region, where it is reported separately.  Each family builds its own
+concentration matrix (``_gram_blocks``): in closed form on torus boxes, on
+the quadrature's rings for sphere bands, and by masked quadrature otherwise.
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DescriptorError
-from .spaces import (TWO_PI, FiniteGroup, ModelSpace, ProductSpace, Sphere2, Torus, bracketed,
-                     descriptor_errors, descriptor_float, split_items, split_product, split_top)
+from .errors import CoarseQuadratureError, DescriptorError
+from .spaces import (TWO_PI, FiniteGroup, ModelSpace, ProductSpace, Sphere2, Torus, _gram_pair,
+                     _midpoints, _RealForm, bracketed, descriptor_errors, descriptor_float,
+                     split_items, split_product, split_top)
 
 
 class Region:
@@ -49,6 +52,12 @@ class Region:
 
     def nodes_inside(self, quad) -> int:
         return int(self.contains_mask(quad.nodes).sum())
+
+    def _gram_blocks(self, elements, quad, mask) -> list:
+        """The concentration matrix's diagonal blocks over ``elements``, as
+        ModelSpace._gram_blocks states them, with None for the full Gram of a block that
+        no quadrature built.  By default the space's masked quadrature over ``mask``."""
+        return self.space._gram_blocks(elements, quad, mask)
 
     def complement(self) -> "Region":
         raise NotImplementedError(f"complement not defined for {type(self).__name__}")
@@ -114,6 +123,35 @@ class BoxUnion(Region):
             mask |= inside
         return mask
 
+    def _gram_blocks(self, elements, quad, mask):
+        """One block in closed form, with no quadrature: G_jk = int_E conj(e_j) e_k is the sum
+        over the disjoint cells of the product over axes a of F_a[m_ja, m_ka], where F_a is
+        (1/2 pi) int e^{i delta x} dx over the cell's interval, delta = m_ka - m_ja (Slepian's
+        prolate matrix on one axis).  e^{imx} at the cell edges comes from one basis evaluation
+        at points on the axes.  A set closed under conjugation comes back over its real basis."""
+        space, labels, d = self.space, self.space._label_array(elements), self.space.dim
+        cells = np.array(self._cells, dtype=float).reshape(-1, d, 2)
+        # per axis the cells' edges, of which a cell's interval joins two consecutive ones
+        edges = [np.unique(cells[:, a]) for a in range(d)]
+        pts = np.concatenate([x[:, None] * np.eye(d)[a] for a, x in enumerate(edges)])
+        values = np.split(space.basis_matrix(elements, pts) * TWO_PI ** (d / 2),
+                          np.cumsum([len(x) for x in edges])[:-1])
+        factors = []
+        for x, v, m in zip(edges, values, labels.T):
+            u, first, at = np.unique(m, return_index=True, return_inverse=True)
+            e = v[:, first]                                          # e^{iux} at the edges
+            rise = np.diff(e.conj()[:, :, None] * e[:, None, :], axis=0)
+            delta = (u - u[:, None]).astype(float)
+            f = np.empty_like(rise)
+            f[:] = (np.diff(x) / TWO_PI)[:, None, None]
+            np.divide(rise, 1j * TWO_PI * delta, out=f, where=delta != 0)
+            factors.append(f[:, at[:, None], at])
+        g = np.zeros((len(labels),) * 2, dtype=complex)
+        for cell in zip(*(np.searchsorted(x, cells[:, a, 0]) for a, x in enumerate(edges))):
+            g += math.prod(f[i] for f, i in zip(factors, cell))
+        cols, form = np.arange(len(labels)), _RealForm(space, labels)
+        return [(cols, form.real_gram(g), None, form) if form.closed else (cols, g, None, None)]
+
     def complement(self):
         return BoxUnion(self.space, self._gaps)
 
@@ -160,6 +198,33 @@ class BandUnion(Region):
         for a, b in self.intervals:
             mask |= (a <= theta) & (theta <= b)
         return mask
+
+    def _gram_blocks(self, elements, quad, mask):
+        """One block per order m on the theta-major rings Sphere2.build_quadrature emits
+        (n_phi nodes at ``_midpoints(n_phi)``, one colatitude and weight each), on which a
+        band's mask is constant: sums of e^{i(m - m')phi} vanish for n_phi > 2 max|m| (Simons,
+        Dahlen & Wieczorek, SIAM Rev. 48 (2006)).  Other node sets take the dense path."""
+        theta = quad.nodes[:, 0]
+        n_phi = (int(np.argmax(theta != theta[0])) or len(theta)) if len(theta) else 1
+        rings = [a.reshape(-1, n_phi) for a in (theta, quad.weights, quad.nodes[:, 1])
+                 ] if len(theta) % n_phi == 0 else []
+        if (not rings or any((r != r[:, :1]).any() for r in rings[:2])
+                or (rings[2] != _midpoints(n_phi)).any()):
+            return super()._gram_blocks(elements, quad, mask)
+        labels = self.space._label_array(elements)
+        if n_phi <= 2 * (top := int(np.abs(labels[:, 1]).max(initial=0))):
+            raise CoarseQuadratureError(f"rings of {n_phi} nodes do not separate the orders "
+                                        f"up to |m| = {top}; refine the quadrature")
+        inside = mask[::n_phi]
+        order = np.argsort(~inside, kind="stable")
+        leg, rows = self.space._legendre(labels, np.cos(rings[0][order, 0]))
+        w, k = rings[1].sum(axis=1)[order], int(inside.sum())
+        blocks = []
+        for m in np.unique(labels[:, 1]).tolist():
+            cols = np.flatnonzero(labels[:, 1] == m)
+            # Y_l^{-m} = (-1)^m conj(Y_l^m): orders m and -m have equal blocks
+            blocks.append((cols, *_gram_pair(leg[rows[cols]].T, w, k), None))
+        return blocks
 
     def complement(self):
         gaps = _disjoint_cells([(band,) for band in self.intervals], 0.0, math.pi, 1)[1]

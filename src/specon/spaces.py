@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoarseQuadratureError, DescriptorError, SpeconError
+from .errors import DescriptorError, SpeconError
 
 TWO_PI = 2.0 * math.pi
 
@@ -111,27 +111,6 @@ def _gram_pair(v: np.ndarray, w: np.ndarray, k: int) -> tuple:
     """(inside, full) weighted Grams of rows ``v`` of which the first ``k`` lie inside."""
     inside = _weighted_gram(v[:k], w[:k])
     return inside, inside + _weighted_gram(v[k:], w[k:])
-
-
-def _grid_gram(table: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """sum over the nodes in ``mask``, a boolean grid with one axis per label column, of
-    conj(e_j) e_k, where e_j is the product over axes a of table[node_a, labels[j, a]].
-    Each run of consecutive slices along axis 0 with one mask pattern adds the Hadamard
-    product of axis 0's Gram over the run and the other axes' Gram on the pattern."""
-    if labels.shape[1] == 1:
-        v = table[mask].take(labels[:, 0], axis=1)
-        return v.conj().T @ v
-    rest, ib = np.unique(labels[:, 1:], axis=0, return_inverse=True)
-    ia, ib = labels[:, 0], ib.ravel()
-    rows = mask.reshape(len(mask), -1)
-    cuts = [0, *(np.flatnonzero((rows[1:] != rows[:-1]).any(axis=1)) + 1), len(rows)]
-    g = np.zeros((len(labels), len(labels)), dtype=complex)
-    for start, stop in zip(cuts, cuts[1:]):
-        if rows[start].any():
-            v = table[start:stop]
-            sub = _grid_gram(table, rest, rows[start].reshape(mask.shape[1:]))
-            g += (v.conj().T @ v).take(ia, 0).take(ia, 1) * sub.take(ib, 0).take(ib, 1)
-    return g
 
 
 class _RealForm:
@@ -385,7 +364,8 @@ class ModelSpace:
     def _gram_blocks(self, elements, quad: Quadrature, mask) -> list:
         """The masked quadrature Gram's diagonal blocks as (positions, Gram over the
         nodes in ``mask``, Gram over every node, the _RealForm they are over or None for
-        the elements).  By default one dense block, from real symmetric rank-k products over
+        the elements), the path a region family without its own (Region._gram_blocks) takes.
+        One dense block, from real symmetric rank-k products over
         the real basis of the elements' conjugation closure, which one basis evaluation of the
         fixed points and representatives gives; a set that is not closed comes back over its
         elements."""
@@ -494,36 +474,6 @@ class Torus(ModelSpace):
         return _gathered((len(pts), len(elements)),
                          [_factor(table, rows[:, k], cols[:, k]) for k in range(self.dim)])
 
-    def _grid_axis(self, quad: Quadrature):
-        """The nodes of each axis when ``quad`` is a grid as build_quadrature emits:
-        n nodes per axis at ``_midpoints(n)``, axis 0 slowest, one weight; else None."""
-        d, size = self.dim, len(quad.weights)
-        n = round(size ** (1 / d))
-        if not n or n**d != size or (quad.weights != quad.weights[0]).any():
-            return None
-        grid, axis = quad.nodes.reshape((n,) * d + (d,)), _midpoints(n)
-        on_grid = all((grid[..., a] == axis.reshape((n,) + (1,) * (d - 1 - a))).all()
-                      for a in range(d))
-        return axis if on_grid else None
-
-    def _gram_blocks(self, elements, quad, mask):
-        """One block, factored axis by axis (:func:`_grid_gram`) on the grid of
-        :meth:`_grid_axis`, where the full grid's Gram is the product of the axis Grams.
-        One axis has nothing to factor; it and any other node set take the dense path.
-        A set closed under conjugation comes back over its real basis."""
-        axis = self._grid_axis(quad) if self.dim > 1 and len(elements) else None
-        if axis is None:
-            return super()._gram_blocks(elements, quad, mask)
-        flat = self._label_array(elements)
-        values, labels = np.unique(flat, return_inverse=True)
-        labels, table = labels.reshape(-1, self.dim), np.exp(1j * np.outer(axis, values))
-        unit, scale = table.conj().T @ table, quad.weights[0] / TWO_PI**self.dim
-        full = math.prod(unit.take(c, 0).take(c, 1) for c in labels.T) * scale
-        inside = _grid_gram(table, labels, mask.reshape((len(axis),) * self.dim)) * scale
-        cols, form = np.arange(len(labels)), _RealForm(self, flat)
-        return [(cols, form.real_gram(inside), full, form) if form.closed else
-                (cols, inside, full, None)]
-
     def build_quadrature(self, cutoff, oversample=1):
         if not math.isfinite(cutoff):
             raise ValueError("quadrature cutoff must be finite")
@@ -628,33 +578,6 @@ class Sphere2(ModelSpace):
         return _gathered((len(pts), len(elements)), [
             _factor(leg.T, at, rows, lambda t, c: t[:, c] * sign), _factor(eim, ph, cols)],
             width=len(leg))
-
-    def _gram_blocks(self, elements, quad, mask):
-        """One block per order m on the theta-major rings build_quadrature emits
-        (n_phi nodes at ``_midpoints(n_phi)``, one colatitude and weight each)
-        when ``mask`` is constant on every ring: sums of e^{i(m - m')phi} vanish
-        for n_phi > 2 max|m| (Simons, Dahlen & Wieczorek, SIAM Rev. 48 (2006))."""
-        theta = quad.nodes[:, 0]
-        n_phi = (int(np.argmax(theta != theta[0])) or len(theta)) if len(theta) else 1
-        rings = [a.reshape(-1, n_phi) for a in (theta, quad.weights, mask, quad.nodes[:, 1])
-                 ] if len(theta) % n_phi == 0 else []
-        if (not rings or any((r != r[:, :1]).any() for r in rings[:3])
-                or (rings[3] != _midpoints(n_phi)).any()):
-            return super()._gram_blocks(elements, quad, mask)
-        labels = self._label_array(elements)
-        if n_phi <= 2 * (top := int(np.abs(labels[:, 1]).max(initial=0))):
-            raise CoarseQuadratureError(f"rings of {n_phi} nodes do not separate the orders "
-                                        f"up to |m| = {top}; refine the quadrature")
-        inside = rings[2][:, 0]
-        order = np.argsort(~inside, kind="stable")
-        leg, rows = self._legendre(labels, np.cos(rings[0][order, 0]))
-        w, k = rings[1].sum(axis=1)[order], int(inside.sum())
-        blocks = []
-        for m in np.unique(labels[:, 1]).tolist():
-            cols = np.flatnonzero(labels[:, 1] == m)
-            # Y_l^{-m} = (-1)^m conj(Y_l^m): orders m and -m have equal blocks
-            blocks.append((cols, *_gram_pair(leg[rows[cols]].T, w, k), None))
-        return blocks
 
     def build_quadrature(self, cutoff, oversample=1):
         if not math.isfinite(cutoff):

@@ -198,7 +198,7 @@ def test_06_concentration_eigenproblem():
             oracle[i, j] = (math.pi / TWO_PI if d == 0 else
                             (np.exp(1j * d * math.pi) - 1.0) / (2j * math.pi * d))
     lam_oracle = float(np.linalg.eigvalsh(oracle)[-1])
-    close = abs(lam - lam_oracle) < 1e-6
+    close = abs(lam - lam_oracle) < 1e-12
     announce(6, in_range and trace_ok and close,
              f"eigenvalues in [-1e-8, 1+1e-8]; trace identity; top eigenvalue "
              f"{lam:.9f} vs direct-integration oracle {lam_oracle:.9f}")

@@ -108,6 +108,14 @@ class TestBasicCommands:
         assert len(doc["entries"]) == 25
         assert doc["trace"] == pytest.approx(2.5, abs=1e-9)
 
+    def test_torus_concentrate_reads_no_quadrature(self, capsys):
+        outs = {run_cli(capsys, "concentrate", "--space", "torus:d=1", "--spectrum", "ball:3",
+                        "--region", "arc:0:1", "--quad-oversample", over)[1]
+                for over in ("1", "4", "16")}
+        assert len(outs) == 1
+        assert json.loads(outs.pop())["result"]["eigenvalues"][0] == pytest.approx(
+            0.83271521940985127, abs=1e-15)
+
     def test_concentrate_vectors_have_a_fixed_phase(self, capsys, monkeypatch):
         code, out, _ = run_cli(capsys, *CONCENTRATE)
         assert code == 0
@@ -134,7 +142,7 @@ class TestBasicCommands:
 
         def inflated(*args):
             g = gram_matrix(*args)
-            return GramMatrix(g.spectral_set, g.region, 1.5 * g.entries, g.nodes_inside)
+            return GramMatrix(g.spectral_set, g.region, 1.5 * g.entries)
 
         monkeypatch.setattr(cli, "gram_matrix", inflated)
         code, out, err = run_cli(capsys, *CONCENTRATE)

@@ -1,8 +1,13 @@
+import itertools
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from specon import (
     BandlimitedFunction,
@@ -36,6 +41,7 @@ from specon import (
 from specon.spaces import _RealForm
 
 TWO_PI = 2 * math.pi
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture
@@ -173,27 +179,21 @@ class TestGramMatrix:
         clamped = g.eigenvalues()
         assert clamped.min() >= 0.0 and clamped.max() <= 1.0
 
-    def test_coarse_quadrature_diagnosed(self):
-        t = Torus(1)
-        sset = spectrum_ball(t, 6.0)
-        coarse = t.build_quadrature(2.0)  # too few nodes for |m| <= 6 products
-        with pytest.raises(CoarseQuadratureError):
-            gram_matrix(sset, arc(t, 0, 1.0), coarse)
-
     def test_json_export(self, torus_setup):
         t, quad, sset, region = torus_setup
         doc = gram_matrix(sset, region, quad).to_json_dict()
         assert len(doc["entries"]) == 25
-        assert doc["nodes_inside"] > 0
+        assert list(doc) == ["spectrum", "region", "size", "trace", "entries"]
 
 
 def _oracle_cases():
-    """(space, quadrature, spectral set, region) on every space kind."""
-    t2, s, g = Torus(2), Sphere2(), FiniteGroup(8, 2)
+    """(space, quadrature, spectral set, region) on every space kind whose Gram is built
+    by quadrature (a torus box's is built in closed form, see TestTorusClosedForm)."""
+    tg, s, g = ProductSpace(Torus(2), FiniteGroup(4)), Sphere2(), FiniteGroup(8, 2)
     p = ProductSpace(Torus(1), Sphere2())
     return [
-        (t2, t2.build_quadrature(4.0, oversample=2), spectrum_ball(t2, 4.0),
-         BoxUnion(t2, [((0.5, 2.0), (1.0, 4.0)), ((3.0, 6.0), (0.0, 1.5))])),
+        (tg, tg.build_quadrature(3.0, oversample=2), spectrum_ball(tg, 3.0),
+         parse_region(tg, "product(box:(0.5,2)x(1,4)+box:(3,6)x(0,1.5),set:{0,2})")),
         (s, s.build_quadrature(4.0, oversample=2), spectrum_ball(s, 4.0), cap(s, 1.1)),
         (p, p.build_quadrature(3.0, oversample=2), spectrum_ball(p, 3.0),
          parse_region(p, "product(arc:0:2,band:0.5:2)")),
@@ -239,16 +239,15 @@ class TestGramOracle:
         oracle = v.conj().T @ (v * (quad.weights * mask)[:, None])
         g = gram_matrix(sset, region, quad)
         assert g.entries.shape == (sset.size, sset.size)
-        assert g.nodes_inside == int(mask.sum())
         if sset.size:
             assert np.abs(g.entries - oracle).max() < 1e-13
 
     @pytest.mark.parametrize("make", [full_region, empty_region])
     def test_coarse_quadrature_raises_without_outside_or_inside_rows(self, make):
-        t = Torus(1)
-        coarse = t.build_quadrature(2.0)
+        p = ProductSpace(Torus(1), FiniteGroup(3))
+        coarse = p.build_quadrature(2.0)
         with pytest.raises(CoarseQuadratureError):
-            gram_matrix(spectrum_ball(t, 6.0), make(t), coarse)
+            gram_matrix(spectrum_ball(p, 6.0), make(p), coarse)
 
     def test_coarse_sphere_quadrature_raises(self):
         s = Sphere2()
@@ -305,26 +304,80 @@ class TestGramOracle:
         assert np.abs(dense.entries - ring.entries).max() < 1e-13
 
 
-def _dense_masked_gram(sset, region, quad):
-    """V^H diag(w 1_E) V over every node, V evaluated on the nodes in their own order."""
-    v = sset.space.basis_matrix(sset.elements, quad.nodes)
-    return v.conj().T @ (v * (quad.weights * region.contains_mask(quad.nodes))[:, None])
-
-
-def _torus_grid_regions(t):
-    """Box unions on a torus: one box, overlapping boxes, and a union wrapping
-    through 0 on every axis; then full and empty."""
+def _torus_regions(t):
+    """Box unions on a torus: one box, overlapping boxes, boxes sharing an edge, and a
+    union reaching 0 and 2 pi on every axis; then full and empty (TORUS_REGIONS)."""
     d = t.dim
     return [
         BoxUnion(t, [tuple((0.5, 2.0 + 0.3 * a) for a in range(d))]),
         BoxUnion(t, [tuple((0.5, 3.0) for _ in range(d)),
                      tuple((2.0, 4.5) if a == 0 else (1.0, 5.0) for a in range(d))]),
+        BoxUnion(t, [tuple((0.5, 2.0) if a == 0 else (1.0, 3.0) for a in range(d)),
+                     tuple((2.0, 4.0) if a == 0 else (1.0, 3.0) for a in range(d))]),
         BoxUnion(t, [tuple((5.0, TWO_PI) for _ in range(d)),
                      tuple((0.0, 1.2) for _ in range(d)),
                      tuple((0.0, 0.7) if a == 0 else (4.0, TWO_PI) for a in range(d))]),
         full_region(t),
         empty_region(t),
     ]
+
+
+TORUS_REGIONS = ["box", "overlapping", "sharing-an-edge", "through-0", "full", "empty"]
+TORUS_BALLS = {1: 6.0, 2: 4.0, 3: 2.0}
+
+
+def _torus_set(t, kind):
+    """The ball of TORUS_BALLS, a random set of its frequencies, or a joint set not closed
+    under conjugation."""
+    ball = TORUS_BALLS[t.dim]
+    if kind == "ball":
+        return spectrum_ball(t, ball)
+    if kind == "joint":
+        return _real_form_set(t, ball, closed=False)
+    freqs = sorted({el.frequency for el in t.enumerate_basis(ball)})
+    rng = np.random.default_rng(t.dim)
+    return SpectralSet(t, rng.choice(freqs, size=int(rng.integers(1, len(freqs))),
+                                     replace=False).tolist())
+
+
+def _axis_integral(delta, lo, hi):
+    """(1/2 pi) int_lo^hi e^{i delta x} dx by scipy.integrate.quad."""
+    parts = [integrate.quad(f, lo, hi, epsabs=1e-13, epsrel=0.0)[0]
+             for f in (lambda x: math.cos(delta * x), lambda x: math.sin(delta * x))]
+    return complex(*parts) / TWO_PI
+
+
+def _quad_entry(region, mj, mk):
+    """int_E conj(e_j) e_k = (2 pi)^-d int_E e^{i<m_k - m_j, x>} dx: over each intersection
+    of boxes the product of per-axis scipy integrals, joined by inclusion-exclusion."""
+    total = 0j
+    for r in range(1, len(region.boxes) + 1):
+        for boxes in itertools.combinations(region.boxes, r):
+            term = (-1) ** (r + 1)
+            for a, delta in enumerate((np.asarray(mk) - np.asarray(mj)).tolist()):
+                lo, hi = max(b[a][0] for b in boxes), min(b[a][1] for b in boxes)
+                term *= _axis_integral(delta, lo, hi) if lo < hi else 0.0
+            total += term
+    return total
+
+
+def _box_gram(sset, region):
+    """Every entry of a torus box union's Gram from the prolate formula
+    (e^{i delta b} - e^{i delta a}) / (2 pi i delta) per axis, by inclusion-exclusion."""
+    labels = sset.space._label_array(sset.elements)
+    delta = (labels[None, :, :] - labels[:, None, :]).astype(float)
+    g = np.zeros((sset.size, sset.size), dtype=complex)
+    for r in range(1, len(region.boxes) + 1):
+        for boxes in itertools.combinations(region.boxes, r):
+            term = np.full(g.shape, (-1.0) ** (r + 1), dtype=complex)
+            for a in range(sset.space.dim):
+                lo, hi = max(b[a][0] for b in boxes), min(b[a][1] for b in boxes)
+                d = delta[:, :, a]
+                safe = np.where(d == 0, 1.0, d)
+                term *= np.where(d == 0, (hi - lo) / TWO_PI, (np.exp(1j * d * hi) - np.exp(
+                    1j * d * lo)) / (2j * math.pi * safe)) if lo < hi else 0.0
+            g += term
+    return g
 
 
 def _calls_to_basis_matrix(monkeypatch):
@@ -335,59 +388,106 @@ def _calls_to_basis_matrix(monkeypatch):
     return calls
 
 
-class TestTorusGridGram:
-    """On a torus grid from build_quadrature, gram_matrix factors the masked Gram
-    axis by axis; it must equal the dense masked quadrature sum."""
+class TestTorusClosedForm:
+    """A torus box union's Gram is exact: checked against oracles that share no code
+    with it, and against the quadrature it no longer depends on."""
 
-    @pytest.mark.parametrize("dim,ball,over", [(1, 6.0, 3), (2, 4.0, 2), (2, 3.0, 5),
-                                               (3, 2.0, 2)])
-    @pytest.mark.parametrize("region", range(5))
-    def test_matches_dense_masked_quadrature(self, dim, ball, over, region, monkeypatch):
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("region", TORUS_REGIONS)
+    @pytest.mark.parametrize("spectrum", ["ball", "random", "joint"])
+    def test_entries_match_scipy_quad(self, dim, region, spectrum):
         t = Torus(dim)
-        quad, sset = t.build_quadrature(ball, over), spectrum_ball(t, ball)
-        r = _torus_grid_regions(t)[region]
-        oracle = _dense_masked_gram(sset, r, quad)
+        sset, r = _torus_set(t, spectrum), _torus_regions(t)[TORUS_REGIONS.index(region)]
+        g = gram_matrix(sset, r, t.build_quadrature(TORUS_BALLS[dim])).entries
+        labels = t._label_array(sset.elements)
+        picks = np.random.default_rng(dim).integers(sset.size, size=(12, 2)).tolist()
+        for j, k in [*picks, (0, 0)]:
+            assert abs(g[j, k] - _quad_entry(r, labels[j], labels[k])) < 1e-12
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("region", TORUS_REGIONS)
+    def test_region_and_complement_sum_to_identity(self, dim, region):
+        t = Torus(dim)
+        sset, quad = spectrum_ball(t, TORUS_BALLS[dim]), t.build_quadrature(TORUS_BALLS[dim])
+        r = _torus_regions(t)[TORUS_REGIONS.index(region)]
+        total = gram_matrix(sset, r, quad).entries + gram_matrix(sset, r.complement(), quad).entries
+        assert np.abs(total - np.eye(sset.size)).max() < 1e-13
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_shift_covariance(self, dim):
+        """G_{E+t} = D^H G_E D with D = diag(e^{i<m, t>})."""
+        t = Torus(dim)
+        sset, quad = spectrum_ball(t, TORUS_BALLS[dim]), t.build_quadrature(TORUS_BALLS[dim])
+        r, shift = _torus_regions(t)[1], 0.4 + 0.3 * np.arange(dim)
+        moved = BoxUnion(t, [tuple((a + s, b + s) for (a, b), s in zip(box, shift))
+                             for box in r.boxes])
+        d = np.exp(1j * t._label_array(sset.elements) @ shift)
+        g, gm = gram_matrix(sset, r, quad).entries, gram_matrix(sset, moved, quad).entries
+        assert np.abs(gm - d.conj()[:, None] * g * d).max() < 1e-13
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_cell_aligned_quadrature_is_the_closed_form_over_a_sinc(self, dim):
+        """With box edges on the grid's cell boundaries, the midpoint sum over each axis is
+        the integral times (delta h / 2) / sin(delta h / 2), h the cell width."""
+        t = Torus(dim)
+        sset, quad = spectrum_ball(t, TORUS_BALLS[dim]), t.build_quadrature(TORUS_BALLS[dim], 2)
+        n = round(len(quad.weights) ** (1 / dim))
+        h = TWO_PI / n
+        r = BoxUnion(t, [tuple((h, (n // 2 + a) * h) for a in range(dim)),
+                         tuple((n // 3 * h, (n - 2) * h) for _ in range(dim))])
+        labels = t._label_array(sset.elements)
+        half = (labels[None, :, :] - labels[:, None, :]) * (h / 2)
+        sinc = np.prod(np.sinc(half / math.pi), axis=2)   # sin(delta h/2) / (delta h/2)
+        exact = gram_matrix(sset, r, quad).entries
+        assert np.abs(_dense_masked_gram(sset, r, quad) * sinc - exact).max() < 1e-14
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_no_quadrature_moves_a_byte(self, dim):
+        """The same bytes at oversample 1, 4 and 16, and on a grid too coarse for the band."""
+        t, ball = Torus(dim), TORUS_BALLS[dim]
+        sset, r = spectrum_ball(t, ball), _torus_regions(t)[1]
+        quads = [t.build_quadrature(ball, over) for over in (1, 4, 16)]
+        grams = [gram_matrix(sset, r, q) for q in [*quads, t.build_quadrature(1.0)]]
+        assert len({g.entries.tobytes() for g in grams}) == 1
+        assert len({g.eigenvalues().tobytes() for g in grams}) == 1
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_one_basis_evaluation_per_gram(self, dim, monkeypatch):
+        t = Torus(dim)
+        sset, quad = spectrum_ball(t, TORUS_BALLS[dim]), t.build_quadrature(TORUS_BALLS[dim])
         calls = _calls_to_basis_matrix(monkeypatch)
-        g = gram_matrix(sset, r, quad)
-        # one axis is the dense path, with its one basis evaluation; more take none
-        assert len(calls) == (1 if dim == 1 else 0)
-        assert np.abs(g.entries - oracle).max() < 1e-13
-        assert g.nodes_inside == int(r.contains_mask(quad.nodes).sum())
+        for r in _torus_regions(t):
+            gram_matrix(sset, r, quad)
+        assert len(calls) == len(TORUS_REGIONS)
 
-    @pytest.mark.parametrize("dim", [2, 3])
-    @pytest.mark.parametrize("seed", range(4))
-    def test_random_spectral_subsets(self, dim, seed):
-        t = Torus(dim)
-        ball = 4.0 if dim == 2 else 2.5
-        quad = t.build_quadrature(ball, oversample=2)
-        freqs = sorted({el.frequency for el in t.enumerate_basis(ball)})
-        rng = np.random.default_rng(seed)
-        sset = SpectralSet(t, rng.choice(freqs, size=int(rng.integers(1, len(freqs))),
-                                         replace=False).tolist())
-        for r in _torus_grid_regions(t)[:3]:
-            assert np.abs(gram_matrix(sset, r, quad).entries
-                          - _dense_masked_gram(sset, r, quad)).max() < 1e-13
+    def test_entries_hold_at_another_blas_thread_count(self):
+        """At slepian-large's torus sizes (torus:d=1 at ball 128, torus:d=2 at ball 8) the
+        entries have the same bytes on one BLAS thread and on two."""
+        script = (
+            "import hashlib\n"
+            "from specon import BoxUnion, Torus, gram_matrix, spectrum_ball\n"
+            "for d, ball, over, box in [(1, 128.0, 8, ((0.7, 3.9),)),\n"
+            "                           (2, 8.0, 4, ((0.4, 2.9), (1.3, 5.2)))]:\n"
+            "    t = Torus(d)\n"
+            "    g = gram_matrix(spectrum_ball(t, ball), BoxUnion(t, [box]),\n"
+            "                    t.build_quadrature(ball, over))\n"
+            "    print(hashlib.sha256(g.entries.tobytes()).hexdigest())\n")
+        out = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+            proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                  text=True, env=env, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            out[threads] = proc.stdout
+        assert out["1"] == out["2"] and len(out["1"].split()) == 2
 
-    @pytest.mark.parametrize("dim", [2, 3])
-    def test_coarse_grid_raises(self, dim):
-        t = Torus(dim)
-        coarse = t.build_quadrature(1.0)  # 4 nodes per axis alias |m| = 2
-        for r in _torus_grid_regions(t)[:2]:
-            with pytest.raises(CoarseQuadratureError, match="orthonormality defect"):
-                gram_matrix(spectrum_ball(t, 2.0), r, coarse)
 
-    def test_permuted_nodes_take_the_dense_path(self, monkeypatch):
-        t = Torus(2)
-        quad, sset = t.build_quadrature(4.0, oversample=2), spectrum_ball(t, 4.0)
-        perm = np.random.default_rng(0).permutation(quad.weights.shape[0])
-        shuffled = Quadrature(quad.nodes[perm], quad.weights[perm], quad.exactness_degree)
-        r = _torus_grid_regions(t)[2]
-        calls = _calls_to_basis_matrix(monkeypatch)
-        grid = gram_matrix(sset, r, quad)
-        assert calls == []
-        dense = gram_matrix(sset, r, shuffled)
-        assert calls == [1]
-        assert np.abs(dense.entries - grid.entries).max() < 1e-13
+def _dense_masked_gram(sset, region, quad):
+    """V^H diag(w 1_E) V over every node, V evaluated on the nodes in their own order."""
+    v = sset.space.basis_matrix(sset.elements, quad.nodes)
+    return v.conj().T @ (v * (quad.weights * region.contains_mask(quad.nodes))[:, None])
 
 
 class _WestHalf(Region):
@@ -404,21 +504,17 @@ class _WestHalf(Region):
 
 
 def _real_form_cases():
-    """(name, space, quadrature, ball radius, region) on every family and path: the
-    1-torus and groups take the dense path, torus:d=2 its grid path (and the dense one
-    on permuted nodes), the sphere its ring path (and the dense one on a region that
-    varies along rings), and products the dense path with and without signs."""
+    """(name, space, quadrature, ball radius, region) on every family and path: tori
+    take their closed form, groups the dense path, the sphere its ring path (and the
+    dense one on a region that varies along rings), and products the dense path with
+    and without signs."""
     t1, t2, s = Torus(1), Torus(2), Sphere2()
     g1, g2 = FiniteGroup(9, 1), FiniteGroup(8, 2)
     ts, sg = ProductSpace(Torus(1), Sphere2()), ProductSpace(Sphere2(), FiniteGroup(6, 1))
-    q2 = t2.build_quadrature(4.0, oversample=2)
-    perm = np.random.default_rng(0).permutation(q2.weights.shape[0])
     return [
         ("torus1", t1, t1.build_quadrature(8.0, 3), 8.0, arc(t1, 0.3, 2.1)),
-        ("torus2-grid", t2, q2, 4.0,
+        ("torus2", t2, t2.build_quadrature(4.0, 2), 4.0,
          BoxUnion(t2, [((0.5, 2.0), (1.0, 4.0)), ((3.0, 6.0), (0.0, 1.5))])),
-        ("torus2-dense", t2, Quadrature(q2.nodes[perm], q2.weights[perm], q2.exactness_degree),
-         4.0, BoxUnion(t2, [((0.5, 2.0), (1.0, 4.0))])),
         ("z9", g1, g1.build_quadrature(), 4.0, parse_region(g1, "set:{0,1,2,5}")),
         ("z8^2", g2, g2.build_quadrature(), 3.0, parse_region(g2, "set:{(0,0),(1,2),(7,3),(4,4)}")),
         ("sphere-rings", s, s.build_quadrature(4.0, 2), 4.0, cap(s, 1.1)),
@@ -449,7 +545,8 @@ def _real_form_set(space, ball, closed):
 
 class TestRealForm:
     """A set closed under conjugation is solved over its real basis; entries stay the
-    element-basis Gram, checked against the masked quadrature V^H diag(w 1_E) V."""
+    element-basis Gram, checked against the prolate formula on tori and the masked
+    quadrature V^H diag(w 1_E) V elsewhere."""
 
     @pytest.mark.parametrize("closed", [True, False], ids=["closed", "joint"])
     @pytest.mark.parametrize("name", list(REAL_FORM_CASES))
@@ -457,18 +554,19 @@ class TestRealForm:
         _, space, quad, ball, region = REAL_FORM_CASES[name]
         sset = _real_form_set(space, ball, closed)
         g = gram_matrix(sset, region, quad)
-        assert np.abs(g.entries - _dense_masked_gram(sset, region, quad)).max() < 1e-13
+        oracle = (_box_gram(sset, region) if isinstance(region, BoxUnion)
+                  else _dense_masked_gram(sset, region, quad))
+        assert np.abs(g.entries - oracle).max() < 1e-13
         raw, vecs = g.raw_eigenvalues(), g.eigenvectors()
         assert np.abs(raw - np.linalg.eigvalsh(g.entries)).max() < 1e-13
         assert np.abs(g.entries @ vecs - raw * vecs).max() < 1e-13
         assert np.abs(vecs.conj().T @ vecs - np.eye(sset.size)).max() < 1e-13
 
     @pytest.mark.parametrize("name,closed,dtypes", [
-        ("torus1", True, ["float64"]), ("torus2-grid", True, ["float64"]),
-        ("torus2-dense", True, ["float64"]), ("z9", True, ["float64"]),
+        ("torus1", True, ["float64"]), ("torus2", True, ["float64"]), ("z9", True, ["float64"]),
         ("z8^2", True, ["float64"]), ("torus x sphere", True, ["float64"]),
         ("sphere x z6", True, ["float64"]), ("sphere-dense", True, ["float64"]),
-        ("torus1", False, ["complex128"]), ("torus2-grid", False, ["complex128"]),
+        ("torus1", False, ["complex128"]), ("torus2", False, ["complex128"]),
         ("z8^2", False, ["complex128"]), ("torus x sphere", False, ["complex128"]),
     ])
     def test_eigh_sees_real_blocks_only_on_closed_sets(self, name, closed, dtypes, monkeypatch):
@@ -484,7 +582,7 @@ class TestRealForm:
         t = Torus(1)
         sset = spectrum_ball(t, 1.0)
         entries = np.array([[0.5, 0.1j, 0.0], [-0.1j, 0.4, 0.0], [0.0, 0.0, 0.3]])
-        g = GramMatrix(sset, arc(t, 0.0, 1.0), entries, 0)
+        g = GramMatrix(sset, arc(t, 0.0, 1.0), entries)
         seen = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a: seen.append(a.dtype.name) or eigh(a))
@@ -492,15 +590,15 @@ class TestRealForm:
         assert seen == ["complex128"]
 
     def test_one_evaluation_of_fixed_points_and_representatives(self, monkeypatch):
-        # the 1-torus ball |m| <= 8 evaluates m = 0 and one of each pair +-m
-        _, t, quad, ball, region = REAL_FORM_CASES["torus1"]
-        sset = spectrum_ball(t, ball)
+        # the nine characters of Z_9 evaluate k = 0 and one of each pair +-k
+        _, g, quad, ball, region = REAL_FORM_CASES["z9"]
+        sset = spectrum_ball(g, ball)
         seen = []
-        basis_matrix = Torus.basis_matrix
-        monkeypatch.setattr(Torus, "basis_matrix", lambda self, els, pts:
+        basis_matrix = FiniteGroup.basis_matrix
+        monkeypatch.setattr(FiniteGroup, "basis_matrix", lambda self, els, pts:
                             seen.append(len(els)) or basis_matrix(self, els, pts))
         gram_matrix(sset, region, quad)
-        assert seen == [9]
+        assert sset.size == 9 and seen == [5]
 
 
 class TestEigenCache:
@@ -528,7 +626,7 @@ class TestEigenCache:
     @pytest.mark.parametrize("diag", [[0.2, 1.0 + 1e-6], [-1e-6, 0.7]])
     def test_excursions_raise_on_both_paths(self, torus_setup, diag):
         t, _, _, region = torus_setup
-        g = GramMatrix(SpectralSet(t, [1.0]), region, np.diag(diag).astype(complex), 0)
+        g = GramMatrix(SpectralSet(t, [1.0]), region, np.diag(diag).astype(complex))
         with pytest.raises(CoarseQuadratureError):
             g.eigenvalues()
         with pytest.raises(CoarseQuadratureError):
@@ -538,7 +636,7 @@ class TestEigenCache:
 
     def test_small_excursion_is_clamped(self, torus_setup):
         t, _, _, region = torus_setup
-        g = GramMatrix(SpectralSet(t, [1.0]), region, np.diag([-1e-9, 1.0 + 1e-9]) + 0j, 0)
+        g = GramMatrix(SpectralSet(t, [1.0]), region, np.diag([-1e-9, 1.0 + 1e-9]) + 0j)
         assert g.top_eigenpair()[0] == 1.0
         assert list(g.eigenvalues()) == [0.0, 1.0]
 
@@ -560,7 +658,13 @@ class TestMaxConcentration:
         lam, vec = max_concentration(gram_matrix(sset, region, quad))
         ms = [el.label[0] for el in sset.elements]
         oracle = np.linalg.eigvalsh(sinc_kernel_oracle(ms, 0.0, math.pi))[-1]
-        assert abs(lam - oracle) < 1e-6
+        assert abs(lam - oracle) < 1e-12
+
+    def test_empty_spectral_set_is_refused_by_name(self, torus_setup):
+        t, quad, _, region = torus_setup
+        g = gram_matrix(SpectralSet(t, []), region, quad)
+        with pytest.raises(ValueError, match=re.escape("spectral set 'list:[]' is empty")):
+            max_concentration(g)
 
     def test_monotone_in_region(self, torus_setup):
         t, quad, sset, _ = torus_setup
