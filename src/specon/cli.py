@@ -8,6 +8,7 @@ and seed give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -230,12 +231,9 @@ def cmd_concentrate(args):
     quad = _quad_for(space, sset.max_frequency, args)
     gram = gram_matrix(sset, region, quad)
     doc = gram.to_json_dict()
-    doc["eigenvalues"] = [float(v) for v in gram.eigenvalues()[::-1]]
-    doc["top_vectors"] = [
-        [[float(z.real), float(z.imag)] for z in _fix_phase(vec)]
-        for vec in gram.eigenvectors()[:, ::-1][:, : args.top].T
-    ]
-    doc["indices"] = list(map(int, sset.indices))
+    doc["eigenvalues"] = gram.eigenvalues()[::-1]
+    doc["top_vectors"] = [_fix_phase(vec) for vec in gram.eigenvectors()[:, ::-1][:, : args.top].T]
+    doc["indices"] = sset.indices
     return emit_result(args, doc, ["rank", "eigenvalue"], list(enumerate(doc["eigenvalues"])))
 
 
@@ -459,6 +457,7 @@ def _add_common(p):
                    help="multiply quadrature node counts (region resolution)")
 
 
+@functools.cache
 def build_parser():
     parser = _Parser(
         prog="specon",

@@ -21,7 +21,6 @@ from .spaces import FiniteGroup, Quadrature
 from .spectral import SpectralSet
 
 EIG_EXCURSION = 1e-8
-EXACTNESS_TOL = 1e-8
 
 
 @dataclass
@@ -139,9 +138,8 @@ def cutoff(f, region: Region, quad: Quadrature) -> np.ndarray:
 @dataclass
 class GramMatrix:
     """Hermitian G_{jk} = int_E conj(e_j) e_k over a spectral set, so that a^H G a is the
-    mass inside E of sum_j a_j e_j; in closed form on torus boxes, by masked quadrature
-    elsewhere.  Zero off its diagonal ``blocks`` of (element positions, block, the real form
-    the block is over or None for the elements); None is one block of ``entries``."""
+    mass inside E of sum_j a_j e_j.  Zero off its diagonal ``blocks``, in the format of
+    Region._gram_blocks; None is one block of ``entries``."""
 
     spectral_set: SpectralSet
     region: Region
@@ -200,38 +198,27 @@ class GramMatrix:
         return lam, vec / np.linalg.norm(vec)
 
     def to_json_dict(self) -> dict:
-        """Row-major entries as [re, im] pairs, for external cross-checking."""
+        """Row-major entries, which dumps_stable writes as [re, im] pairs, for external
+        cross-checking."""
         return {
             "spectrum": self.spectral_set.descriptor,
             "region": self.region.descriptor,
-            "size": int(self.entries.shape[0]),
+            "size": len(self.entries),
             "trace": self.trace,
-            "entries": [[float(z.real), float(z.imag)] for z in self.entries.ravel()],
+            "entries": self.entries.ravel(),
         }
 
 
 def gram_matrix(sset: SpectralSet, region: Region, quad: Quadrature) -> GramMatrix:
-    """Assemble the concentration matrix over E in the diagonal blocks the region's
-    family builds (Region._gram_blocks): in closed form on torus boxes, by masked
-    quadrature elsewhere.  Each block is over the elements or, for a set closed under
-    conjugation, over their real basis, where the eigenproblem is real symmetric.  The
-    full-space Gram of each block built by quadrature, over the region's nodes and the
-    rest, is verified to be the identity within EXACTNESS_TOL, which catches a quadrature
-    too coarse for the requested band."""
+    """Assemble the concentration matrix over E from the diagonal blocks its region's family
+    builds (Region._gram_blocks): in closed form on torus boxes, by quadrature elsewhere."""
     mask = region.contains_mask(quad.nodes)
     g = np.zeros((sset.size, sset.size), dtype=complex)
-    blocks, err = [], 0.0
-    for cols, b, full, form in region._gram_blocks(sset.elements, quad, mask):
-        if full is not None:
-            err = max(err, float(np.abs(full - np.eye(len(cols))).max(initial=0.0)))
+    blocks = []
+    for cols, b, form in region._gram_blocks(sset.elements, quad, mask):
         b = 0.5 * (b + b.conj().T)
         g[np.ix_(cols, cols)] = b if form is None else form.gram(b)
         blocks.append((cols, b, form))
-    if err > EXACTNESS_TOL:
-        raise CoarseQuadratureError(
-            f"quadrature is not exact on the requested band "
-            f"(orthonormality defect {err:.3g} > {EXACTNESS_TOL:g})"
-        )
     return GramMatrix(sset, region, g, blocks)
 
 
@@ -281,7 +268,7 @@ def masked_band_energy(sset: SpectralSet, region: Region, quad: Quadrature) -> f
     by quadrature, which a torus box's exact Gram matches only on cell-aligned boxes."""
     if not sset.size:
         return 0.0
-    v = sset.space.basis_matrix(sset.elements, quad.nodes)
     mask = region.contains_mask(quad.nodes)
-    return float(np.sum(quad.weights * mask * np.sum(np.abs(v) ** 2, axis=1)))
+    v = sset.space.basis_matrix(sset.elements, quad.nodes[mask])
+    return float(np.sum(quad.weights[mask] * np.sum(np.abs(v) ** 2, axis=1)))
 

@@ -76,9 +76,10 @@ def lq_norm(samples, quad: Quadrature, q: float) -> float:
 
 @dataclass
 class LambdaQEstimate:
-    """Certified lower estimate of a subset's q-orthogonality constant
-    C(q) = sup |sum a_i psi_i|_q / |a|_2 under the normalized measure,
-    together with its :func:`interpolation_bound` ``c_interp``.
+    """Monte-Carlo lower estimate of a subset's q-orthogonality constant
+    C(q) = sup |sum a_i psi_i|_q / |a|_2 under the normalized measure, by node
+    sums and so not a certified bound, together with its
+    :func:`interpolation_bound` ``c_interp``.
     ``measured_sup`` is the largest |psi_i| at the quadrature nodes.
     """
 
@@ -93,16 +94,8 @@ class LambdaQEstimate:
     best_coefficients: np.ndarray = field(repr=False, default=None)
 
     def to_json_dict(self) -> dict:
-        return {
-            "subset": list(map(int, self.subset)),
-            "q": self.q,
-            "c_lower": self.c_lower,
-            "c_interp": self.c_interp,
-            "trials": self.trials,
-            "ascent_iterations": self.ascent_iterations,
-            "seed": self.seed,
-            "measured_sup": self.measured_sup,
-        }
+        return {key: getattr(self, key) for key in ("subset", "q", "c_lower", "c_interp", "trials",
+                                                    "ascent_iterations", "seed", "measured_sup")}
 
 
 def qnorm_cutoff(elements, q: float) -> float:
@@ -246,17 +239,9 @@ class GmptSplit:
         return gmpt_benchmark(self.b_sup, self.n)
 
     def to_json_dict(self) -> dict:
-        return {
-            "indices": list(map(int, self.indices)),
-            "n": self.n,
-            "c_param": self.c_param,
-            "k_observed": self.k_observed,
-            "b_sup": self.b_sup,
-            "benchmark": self.benchmark,
-            "seed": self.seed,
-            "size_deviation": self.size_deviation,
-            "success_fraction": self.success_fraction,
-        }
+        return {key: getattr(self, key) for key in ("indices", "n", "c_param", "k_observed",
+                                                    "b_sup", "benchmark", "seed",
+                                                    "size_deviation", "success_fraction")}
 
 
 def gmpt_split(space: ModelSpace, quad: Quadrature, elements, c_param: float = 1.0,

@@ -19,9 +19,23 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CoarseQuadratureError, DescriptorError
-from .spaces import (TWO_PI, FiniteGroup, ModelSpace, ProductSpace, Sphere2, Torus, _gram_pair,
-                     _midpoints, _RealForm, bracketed, descriptor_errors, descriptor_float,
-                     split_items, split_product, split_top)
+from .spaces import (TWO_PI, FiniteGroup, ModelSpace, ProductSpace, Sphere2, Torus, _midpoints,
+                     _RealForm, bracketed, descriptor_errors, descriptor_float, split_items,
+                     split_product, split_top)
+
+EXACTNESS_TOL = 1e-8
+
+
+def _masked_gram(v: np.ndarray, w: np.ndarray, k: int) -> np.ndarray:
+    """V^T diag(w) V over the first ``k`` rows of a real V (the nodes inside), as one
+    symmetric rank-k product.  CoarseQuadratureError unless the Gram over every row is the
+    identity within EXACTNESS_TOL, as a quadrature too coarse for the band leaves it."""
+    inside, rest = [(u := v[s] * np.sqrt(w[s])[:, None]).T @ u for s in (slice(k), slice(k, None))]
+    err = float(np.abs(inside + rest - np.eye(len(inside))).max(initial=0.0))
+    if err > EXACTNESS_TOL:
+        raise CoarseQuadratureError(f"quadrature is not exact on the requested band "
+                                    f"(orthonormality defect {err:.3g} > {EXACTNESS_TOL:g})")
+    return inside
 
 
 class Region:
@@ -54,10 +68,21 @@ class Region:
         return int(self.contains_mask(quad.nodes).sum())
 
     def _gram_blocks(self, elements, quad, mask) -> list:
-        """The concentration matrix's diagonal blocks over ``elements``, as
-        ModelSpace._gram_blocks states them, with None for the full Gram of a block that
-        no quadrature built.  By default the space's masked quadrature over ``mask``."""
-        return self.space._gram_blocks(elements, quad, mask)
+        """The concentration matrix's diagonal blocks, zero off them, as (positions in
+        ``elements``, block, form): a block is the Gram over its elements when ``form`` is
+        None, else the real symmetric Gram over the real basis of that _RealForm.  Each
+        family builds its own; this default, by masked quadrature over the nodes in
+        ``mask``, is one dense block over the real basis of the elements' conjugation
+        closure, from one basis evaluation of its fixed points and representatives, and a
+        set that is not closed comes back over its elements.  A path that integrates by
+        quadrature checks it (_masked_gram)."""
+        space, order = self.space, np.argsort(~mask, kind="stable")
+        form = _RealForm(space, space._label_array(elements))
+        v = space.basis_matrix([elements[j] for j in form.evaluated], quad.nodes[order])
+        g = _masked_gram(v.view(float)[:, form.pick] * form.scale, quad.weights[order],
+                         int(mask.sum()))
+        cols = np.arange(len(elements))
+        return [(cols, g, form) if form.closed else (cols, form.gram(g), None)]
 
     def complement(self) -> "Region":
         raise NotImplementedError(f"complement not defined for {type(self).__name__}")
@@ -150,7 +175,7 @@ class BoxUnion(Region):
         for cell in zip(*(np.searchsorted(x, cells[:, a, 0]) for a, x in enumerate(edges))):
             g += math.prod(f[i] for f, i in zip(factors, cell))
         cols, form = np.arange(len(labels)), _RealForm(space, labels)
-        return [(cols, form.real_gram(g), None, form) if form.closed else (cols, g, None, None)]
+        return [(cols, form.real_gram(g), form) if form.closed else (cols, g, None)]
 
     def complement(self):
         return BoxUnion(self.space, self._gaps)
@@ -223,7 +248,7 @@ class BandUnion(Region):
         for m in np.unique(labels[:, 1]).tolist():
             cols = np.flatnonzero(labels[:, 1] == m)
             # Y_l^{-m} = (-1)^m conj(Y_l^m): orders m and -m have equal blocks
-            blocks.append((cols, *_gram_pair(leg[rows[cols]].T, w, k), None))
+            blocks.append((cols, _masked_gram(leg[rows[cols]].T, w, k), None))
         return blocks
 
     def complement(self):

@@ -11,6 +11,8 @@ import math
 import re
 from dataclasses import dataclass, field
 
+import numpy as np
+
 REL_TOL = 1e-12
 SCHEMA_VERSION = 1
 
@@ -76,7 +78,8 @@ def format_float(x: float) -> str:
 
 
 def dumps_stable(obj, indent: int = 0) -> str:
-    """JSON with insertion-ordered keys and 17-significant-digit floats."""
+    """JSON with insertion-ordered keys and 17-significant-digit floats; a numpy scalar or
+    array is written as the Python values it holds, and a complex number as [re, im]."""
     pad = " " * indent
     if obj is None:
         return "null"
@@ -101,6 +104,10 @@ def dumps_stable(obj, indent: int = 0) -> str:
             return "[]"
         items = [f"{pad}  {dumps_stable(v, indent + 2)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return dumps_stable(obj.tolist(), indent)
+    if isinstance(obj, complex):
+        return dumps_stable([obj.real, obj.imag], indent)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

@@ -100,19 +100,6 @@ def _midpoints(n: int) -> np.ndarray:
     return (np.arange(n) + 0.5) * (TWO_PI / n)
 
 
-def _weighted_gram(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """V^T diag(w) V of a real V and positive w, as one symmetric rank-k product
-    of a temporary the size of V."""
-    u = v * np.sqrt(w)[:, None]
-    return u.T @ u
-
-
-def _gram_pair(v: np.ndarray, w: np.ndarray, k: int) -> tuple:
-    """(inside, full) weighted Grams of rows ``v`` of which the first ``k`` lie inside."""
-    inside = _weighted_gram(v[:k], w[:k])
-    return inside, inside + _weighted_gram(v[k:], w[k:])
-
-
 class _RealForm:
     """The real orthonormal basis b in which the Gram of a set closed under conjugation
     is real symmetric.  Conjugation maps e_j to e_k = s_j conj(e_j) (ModelSpace._conjugate).
@@ -361,22 +348,6 @@ class ModelSpace:
         v = self.basis_matrix(elements, quad.nodes)
         return (v.conj().T * quad.weights) @ np.asarray(samples, dtype=complex)
 
-    def _gram_blocks(self, elements, quad: Quadrature, mask) -> list:
-        """The masked quadrature Gram's diagonal blocks as (positions, Gram over the
-        nodes in ``mask``, Gram over every node, the _RealForm they are over or None for
-        the elements), the path a region family without its own (Region._gram_blocks) takes.
-        One dense block, from real symmetric rank-k products over
-        the real basis of the elements' conjugation closure, which one basis evaluation of the
-        fixed points and representatives gives; a set that is not closed comes back over its
-        elements."""
-        form, order = _RealForm(self, self._label_array(elements)), np.argsort(~mask, kind="stable")
-        v = self.basis_matrix([elements[j] for j in form.evaluated], quad.nodes[order])
-        p, scale = form.pick, np.outer(form.scale, form.scale)
-        pair = [g[np.ix_(p, p)] * scale
-                for g in _gram_pair(v.view(float), quad.weights[order], int(mask.sum()))]
-        cols = np.arange(len(elements))
-        return [(cols, *pair, form)] if form.closed else [(cols, *map(form.gram, pair), None)]
-
     def _check_points(self, points, elements: int = 0) -> np.ndarray:
         """Points as an (n, coord_dim) float array.  With an element count,
         refuse before allocation a dense basis matrix over these points that
@@ -540,6 +511,15 @@ class Sphere2(ModelSpace):
     def _peak_squares(self, labels):
         # addition theorem: |Y_l^m|^2 <= (2l+1) / 4 pi, attained at the poles by m = 0
         return 2.0 * labels[:, 0] + 1.0
+
+    def _check_points(self, points, elements: int = 0) -> np.ndarray:
+        """As on any space; ValueError naming a point whose colatitude is not in [0, pi]."""
+        pts = super()._check_points(points, elements)
+        off = np.flatnonzero(~((0.0 <= pts[:, 0]) & (pts[:, 0] <= math.pi)))
+        if len(off):
+            raise ValueError(f"point {tuple(pts[off[0]].tolist())} is not a point of {self.kind}: "
+                             "its colatitude must lie in [0, pi]")
+        return pts
 
     def _legendre(self, labels, x):
         """(table, rows): Y_l^m / e^{i m phi} at x = cos(theta) for each order m = |m_j| of

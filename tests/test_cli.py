@@ -540,6 +540,8 @@ class TestErrors:
          "weyl table of 1,000,000 lambdas needs 8,000,000 bytes"),
         (("weyl", "--space", "zn:N=4", "--lambda", "1", "--point", "0.5"),
          "point (0.5,) is not a point of zn:N=4,d=1"),
+        (("weyl", "--space", "sphere2", "--lambda", "3", "--point", "5,0"),
+         "point (5.0, 0.0) is not a point of sphere2: its colatitude must lie in [0, pi]"),
         (("weyl", "--space", "torus:d=1", "--lambda-max", "100", "--lambda-step", "0.01"),
          "weyl output of 10,000 rows needs 10,500,000 bytes"),
         (("weyl", "--space", "torus:d=1", "--lambda", "3", "--lambda-max", "2"),
@@ -605,6 +607,15 @@ class TestErrors:
 
 
 class TestDeterminismAndFormats:
+    def test_two_calls_build_one_parser(self, capsys, monkeypatch):
+        built, init = [], cli._Parser.__init__
+        monkeypatch.setattr(cli._Parser, "__init__", lambda self, *a, **k:
+                            built.append(k.get("prog")) or init(self, *a, **k))
+        cli.build_parser.cache_clear()
+        for _ in range(2):
+            assert run_cli(capsys, "weyl", "--space", "torus:d=2", "--lambda", "5")[0] == 0
+        assert built.count("specon") == 1
+
     def test_byte_identical_json(self, capsys):
         args = ["check", "--inequality", "homogeneous", "--space", "sphere2",
                 "--region", "cap:0.9", "--spectrum", "level:l=2", "--trials", "4",

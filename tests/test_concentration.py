@@ -601,6 +601,53 @@ class TestRealForm:
         assert sset.size == 9 and seen == [5]
 
 
+class TestGramBlocks:
+    """Every family's Region._gram_blocks returns (positions, block, form) triples, and
+    each path that integrates by quadrature checks that quadrature itself."""
+
+    @pytest.mark.parametrize("closed", [True, False], ids=["closed", "joint"])
+    @pytest.mark.parametrize("name", list(REAL_FORM_CASES))
+    def test_blocks_are_triples_covering_every_element(self, name, closed):
+        _, space, quad, ball, region = REAL_FORM_CASES[name]
+        sset = _real_form_set(space, ball, closed)
+        blocks = region._gram_blocks(sset.elements, quad, region.contains_mask(quad.nodes))
+        assert all(len(block) == 3 for block in blocks)
+        assert sorted(np.concatenate([cols for cols, _, _ in blocks]).tolist()) == \
+            list(range(sset.size))
+        for cols, b, form in blocks:
+            assert b.shape == (len(cols),) * 2
+            assert form is None or b.dtype == float
+
+    @pytest.mark.parametrize("region", [_WestHalf(Sphere2()), cap(Sphere2(), 1.0)],
+                             ids=["dense", "rings"])
+    def test_each_path_checks_its_own_quadrature(self, region):
+        s = Sphere2()
+        coarse = _ring_quadrature(3, 11)
+        with pytest.raises(CoarseQuadratureError, match="orthonormality defect"):
+            region._gram_blocks(spectrum_ball(s, 6.0).elements, coarse,
+                                region.contains_mask(coarse.nodes))
+
+
+class TestBandEnergy:
+    @pytest.mark.parametrize("space,region", [
+        (Torus(2), "box:(0.5,2)x(1,4)"), (Sphere2(), "cap:1.5"), (Torus(1), "arc:0.3:2.1"),
+        (ProductSpace(Torus(1), Sphere2()), "product(arc:0:2,band:0.5:2)"),
+    ])
+    def test_basis_is_evaluated_at_the_inside_nodes_only(self, space, region, monkeypatch):
+        region = parse_region(space, region)
+        quad, sset = space.build_quadrature(3.0, oversample=2), spectrum_ball(space, 3.0)
+        mask = region.contains_mask(quad.nodes)
+        v = space.basis_matrix(sset.elements, quad.nodes)
+        dense = float(np.sum(quad.weights * mask * np.sum(np.abs(v) ** 2, axis=1)))
+        seen = []
+        basis_matrix = type(space).basis_matrix
+        monkeypatch.setattr(type(space), "basis_matrix", lambda self, els, pts:
+                            seen.append(np.array(pts)) or basis_matrix(self, els, pts))
+        energy = masked_band_energy(sset, region, quad)
+        assert len(seen) == 1 and np.array_equal(seen[0], quad.nodes[mask])
+        assert 0 < mask.sum() < len(mask) and energy == pytest.approx(dense, rel=1e-13)
+
+
 class TestEigenCache:
     def test_one_eigensolve_serves_every_accessor(self, torus_setup, monkeypatch):
         t, quad, sset, region = torus_setup

@@ -159,6 +159,20 @@ class TestEvaluation:
                 math.sqrt(3 / (4 * math.pi)) * math.cos(theta)
             )
 
+    @pytest.mark.parametrize("theta", [-0.1, math.pi + 1e-9, math.nan])
+    @pytest.mark.parametrize("kind", ["sphere2", "product(torus:d=1,sphere2)"])
+    def test_colatitude_outside_0_pi_is_refused(self, kind, theta):
+        space = parse_space(kind)
+        point = [0.5] * (space.coord_dim - 2) + [theta, 1.0]
+        message = re.escape(f"point ({theta!r}, 1.0) is not a point of sphere2: "
+                            "its colatitude must lie in [0, pi]")
+        full = parse_region(space, "full")
+        for call in (lambda: space.basis_matrix(space.first_elements(4), [point]),
+                     lambda: full.contains_mask(np.array([point])),
+                     lambda: full.contains(point)):
+            with pytest.raises(ValueError, match=message):
+                call()
+
     def test_sphere_against_scipy(self):
         s = Sphere2()
         rng = np.random.default_rng(42)

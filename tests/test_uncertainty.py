@@ -571,6 +571,16 @@ class TestReportMechanics:
         rep = InequalityReport(name="x", lhs=0.0, rhs=1.0, caveats=[controls])
         assert json.loads(reports_to_json([rep]))["reports"][0]["caveats"] == [controls]
 
+    @pytest.mark.parametrize("value,plain", [
+        (np.int64(7), 7), (np.float64(0.1), 0.1), (np.bool_(True), True),
+        (complex(1.5, -2.0), [1.5, -2.0]),
+        (np.array([1 + 2j, 3j]), [[1.0, 2.0], [0.0, 3.0]]),
+    ], ids=["int64", "float64", "bool_", "complex", "complex-array"])
+    def test_numpy_values_are_written_as_the_python_values_they_hold(self, value, plain):
+        from specon.reports import dumps_stable
+
+        assert dumps_stable({"v": value}) == dumps_stable({"v": plain})
+
 
 class TestProjectionBounds:
     def test_inputs_start_with_the_mass_checks_inputs(self):
