@@ -54,6 +54,9 @@ PHASE_TIE_TOL = 1e-9
 # tracemalloc read 996 to 1,041 bytes a row over whole JSON tables of 10^4 and
 # 10^5 rows on torus:d=1 and sphere2, and about half that as CSV
 WEYL_ROW_BYTES = 1_050
+# most bytes dumps_stable writes for one [re, im] pair of concentrate's entries: two floats
+# of at most 24 characters and 36 of indentation, brackets, commas and newlines
+ENTRY_PAIR_BYTES = 84
 
 
 # -- emission -------------------------------------------------------------------
@@ -228,6 +231,9 @@ def cmd_concentrate(args):
     space = parse_space(args.space)
     sset = _nonempty(parse_spectrum(space, args.spectrum), "a concentration matrix")
     region = parse_region(space, args.region)
+    n = sset.size
+    _refuse_oversized(f"concentrate output of spectrum {sset.descriptor!r} ({n:,} x {n:,} "
+                      f"entries)", n * n * ENTRY_PAIR_BYTES, "the spectrum sets the entry count")
     quad = _quad_for(space, sset.max_frequency, args)
     gram = gram_matrix(sset, region, quad)
     doc = gram.to_json_dict()

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CoarseQuadratureError
 from .regions import Region
-from .spaces import FiniteGroup, Quadrature
+from .spaces import FiniteGroup, Quadrature, _refuse_oversized
 from .spectral import SpectralSet
 
 EIG_EXCURSION = 1e-8
@@ -135,34 +135,64 @@ def cutoff(f, region: Region, quad: Quadrature) -> np.ndarray:
     return vals * region.contains_mask(quad.nodes)
 
 
-@dataclass
 class GramMatrix:
     """Hermitian G_{jk} = int_E conj(e_j) e_k over a spectral set, so that a^H G a is the
-    mass inside E of sum_j a_j e_j.  Zero off its diagonal ``blocks``, in the format of
-    Region._gram_blocks; None is one block of ``entries``."""
+    mass inside E of sum_j a_j e_j, held as the ``blocks`` of Region._gram_blocks; the dense
+    ``entries`` are built from them when first read, or given as one block."""
 
-    spectral_set: SpectralSet
-    region: Region
-    entries: np.ndarray
-    blocks: list | None = None
+    def __init__(self, spectral_set: SpectralSet, region: Region, entries=None, blocks=None):
+        self.spectral_set, self.region = spectral_set, region
+        if blocks is None:
+            self.entries = entries = np.asarray(entries)
+            blocks = [(np.arange(len(entries)), entries, None)]
+        self.blocks, self.size = blocks, sum(len(cols) for cols, _, _ in blocks)
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """The n x n complex matrix, refused before allocation over MAX_BASIS_BYTES."""
+        n = self.size
+        _refuse_oversized(f"dense Gram of {self.spectral_set.descriptor!r} ({n:,} x {n:,})",
+                          16 * n * n, "the spectrum sets its size")
+        g = np.zeros((n, n), dtype=complex)
+        for cols, block, form in self.blocks:
+            if form is None:
+                g[np.ix_(cols, cols)] = block
+            else:
+                g += form.gram(block)
+        return g
 
     @property
     def trace(self) -> float:
-        return float(np.real(np.trace(self.entries)))
+        return float(sum(np.real(np.trace(block)) for _, block, _ in self.blocks))
 
     @cached_property
     def _eigh(self):
-        """The one eigendecomposition every eigen accessor reads, solved per
-        block (in real arithmetic over a real form) and merged by a stable sort
-        of the eigenvalues."""
-        n = self.entries.shape[0]
-        vals, vecs, at = np.empty(n), np.zeros((n, n), dtype=complex), 0
-        for cols, block, form in self.blocks or [(np.arange(n), self.entries, None)]:
-            span = slice(at, at := at + len(cols))
-            vals[span], v = np.linalg.eigh(block)
-            vecs[cols, span] = v if form is None else form.lift(v)
+        """(eigenvalues, their positions in block order, each block's eigenvectors): each
+        distinct block solved once, in real arithmetic when it is real, and the eigenvalues
+        merged by a stable sort."""
+        solved = {}
+        for _, block, _ in self.blocks:
+            if id(block) not in solved:
+                solved[id(block)] = np.linalg.eigh(block)
+        pairs = [solved[id(b)] for _, b, _ in self.blocks]
+        vals = np.concatenate([np.empty(0)] + [v for v, _ in pairs])
         order = np.argsort(vals, kind="stable")
-        return vals[order], vecs[:, order]
+        return vals[order], order, [p for _, p in pairs]
+
+    def _lift(self, at: np.ndarray) -> np.ndarray:
+        """Unit eigenvectors over the elements, as columns, at sorted positions ``at``."""
+        _, order, vecs = self._eigh
+        starts = np.cumsum([0] + [len(cols) for cols, _, _ in self.blocks])
+        block = np.searchsorted(starts, order[at], side="right") - 1
+        out = np.zeros((self.size, len(at)), dtype=complex)
+        for i in np.unique(block).tolist():
+            (cols, _, form), mine = self.blocks[i], np.flatnonzero(block == i)
+            p = vecs[i][:, order[at][mine] - starts[i]]
+            if form is None:
+                out[np.ix_(cols, mine)] = p
+            else:
+                out[:, mine] = form.lift(p)
+        return out
 
     def raw_eigenvalues(self) -> np.ndarray:
         return self._eigh[0].copy()
@@ -181,20 +211,20 @@ class GramMatrix:
         return np.clip(self._checked_eigenvalues(), 0.0, 1.0)
 
     def eigenvectors(self) -> np.ndarray:
-        """Unit eigenvectors as columns, in the order of :meth:`eigenvalues`;
-        excursions beyond 1e-8 raise as there."""
-        self._checked_eigenvalues()
-        return self._eigh[1].copy()
+        """Unit eigenvectors as columns, in the order of :meth:`eigenvalues`, lifted from
+        the blocks on each call; excursions beyond 1e-8 raise as there."""
+        return self._lift(np.arange(len(self._checked_eigenvalues())))
 
     def top_eigenpair(self):
-        """Largest eigenvalue, clamped to [0, 1], and a unit eigenvector;
-        excursions beyond 1e-8 raise as in :meth:`eigenvalues`, and an empty spectral set."""
+        """Largest eigenvalue, clamped to [0, 1], and a unit eigenvector, the one column
+        lifted; excursions beyond 1e-8 raise as in :meth:`eigenvalues`, and an empty
+        spectral set."""
         vals = self._checked_eigenvalues()
         if not vals.size:
             raise ValueError(f"spectral set {self.spectral_set.descriptor!r} is empty: "
                              f"no top eigenpair")
         lam = float(np.clip(vals[-1], 0.0, 1.0))
-        vec = self._eigh[1][:, -1]
+        vec = self._lift(np.array([len(vals) - 1]))[:, 0]
         return lam, vec / np.linalg.norm(vec)
 
     def to_json_dict(self) -> dict:
@@ -203,23 +233,17 @@ class GramMatrix:
         return {
             "spectrum": self.spectral_set.descriptor,
             "region": self.region.descriptor,
-            "size": len(self.entries),
+            "size": self.size,
             "trace": self.trace,
             "entries": self.entries.ravel(),
         }
 
 
 def gram_matrix(sset: SpectralSet, region: Region, quad: Quadrature) -> GramMatrix:
-    """Assemble the concentration matrix over E from the diagonal blocks its region's family
-    builds (Region._gram_blocks): in closed form on torus boxes, by quadrature elsewhere."""
+    """The concentration matrix over E as the blocks its region's family builds
+    (Region._gram_blocks): in closed form on torus boxes, by quadrature elsewhere."""
     mask = region.contains_mask(quad.nodes)
-    g = np.zeros((sset.size, sset.size), dtype=complex)
-    blocks = []
-    for cols, b, form in region._gram_blocks(sset.elements, quad, mask):
-        b = 0.5 * (b + b.conj().T)
-        g[np.ix_(cols, cols)] = b if form is None else form.gram(b)
-        blocks.append((cols, b, form))
-    return GramMatrix(sset, region, g, blocks)
+    return GramMatrix(sset, region, blocks=region._gram_blocks(sset.elements, quad, mask))
 
 
 def max_concentration(gram: GramMatrix):

@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import CoarseQuadratureError, DescriptorError
 from .spaces import (TWO_PI, FiniteGroup, ModelSpace, ProductSpace, Sphere2, Torus, _midpoints,
-                     _RealForm, bracketed, descriptor_errors, descriptor_float, split_items,
-                     split_product, split_top)
+                     _RealForm, _reflection_sectors, bracketed, descriptor_errors,
+                     descriptor_float, split_items, split_product, split_top)
 
 EXACTNESS_TOL = 1e-8
 
@@ -68,10 +68,12 @@ class Region:
         return int(self.contains_mask(quad.nodes).sum())
 
     def _gram_blocks(self, elements, quad, mask) -> list:
-        """The concentration matrix's diagonal blocks, zero off them, as (positions in
-        ``elements``, block, form): a block is the Gram over its elements when ``form`` is
-        None, else the real symmetric Gram over the real basis of that _RealForm.  Each
-        family builds its own; this default, by masked quadrature over the nodes in
+        """The concentration matrix as exactly Hermitian blocks (positions in ``elements``,
+        block, form), which add up to it: a block is the Gram over its elements when ``form``
+        is None, else the real symmetric Gram over the basis of that _RealForm or _Sector,
+        whose lift and gram map to all the elements; the positions then name that basis, and
+        those of all blocks partition the elements.  Blocks that are one array are solved
+        once.  Each family builds its own; this default, by masked quadrature over the nodes in
         ``mask``, is one dense block over the real basis of the elements' conjugation
         closure, from one basis evaluation of its fixed points and representatives, and a
         set that is not closed comes back over its elements.  A path that integrates by
@@ -149,36 +151,45 @@ class BoxUnion(Region):
         return mask
 
     def _gram_blocks(self, elements, quad, mask):
-        """One block in closed form, with no quadrature: G_jk = int_E conj(e_j) e_k is the sum
-        over the disjoint cells of the product over axes a of F_a[m_ja, m_ka], where F_a is
-        (1/2 pi) int e^{i delta x} dx over the cell's interval, delta = m_ka - m_ja (Slepian's
-        prolate matrix on one axis).  e^{imx} at the cell edges comes from one basis evaluation
-        at points on the axes.  A set closed under conjugation comes back over its real basis."""
+        """In closed form, with no quadrature.  Over a cell of centre c and half-widths h_a,
+        G_jk = int conj(e_j) e_k = conj(D_j) G0_jk D_k with D_j = e^{i m_j.c} and the real
+        symmetric G0_jk the product over axes a of p_a(m_ka - m_ja) (_axis_tables).  D comes
+        from one basis evaluation at the cells' centres.  One cell is solved in the reflection
+        sectors of its set (_reflection_sectors), each block the product over axes of the
+        even, odd or unsplit tables at its orbits.  A union of cells sums them, over the real
+        basis (_RealForm) of a set closed under conjugation."""
         space, labels, d = self.space, self.space._label_array(elements), self.space.dim
         cells = np.array(self._cells, dtype=float).reshape(-1, d, 2)
-        # per axis the cells' edges, of which a cell's interval joins two consecutive ones
-        edges = [np.unique(cells[:, a]) for a in range(d)]
-        pts = np.concatenate([x[:, None] * np.eye(d)[a] for a, x in enumerate(edges)])
-        values = np.split(space.basis_matrix(elements, pts) * TWO_PI ** (d / 2),
-                          np.cumsum([len(x) for x in edges])[:-1])
-        factors = []
-        for x, v, m in zip(edges, values, labels.T):
-            u, first, at = np.unique(m, return_index=True, return_inverse=True)
-            e = v[:, first]                                          # e^{iux} at the edges
-            rise = np.diff(e.conj()[:, :, None] * e[:, None, :], axis=0)
-            delta = (u - u[:, None]).astype(float)
-            f = np.empty_like(rise)
-            f[:] = (np.diff(x) / TWO_PI)[:, None, None]
-            np.divide(rise, 1j * TWO_PI * delta, out=f, where=delta != 0)
-            factors.append(f[:, at[:, None], at])
+        half = np.diff(cells, axis=2)[:, :, 0] / 2
+        phases = space.basis_matrix(elements, cells.mean(axis=2)) * TWO_PI ** (d / 2)
+        if len(cells) == 1:
+            axes, sectors = _reflection_sectors(labels, phases[0].conj())
+            tables = [_axis_tables(labels[:, a], h, a in axes) for a, h in enumerate(half[0])]
+            return [(cols, math.prod(t[a in odd][np.ix_(at[cols], at[cols])]
+                                     for a, (t, at) in enumerate(tables)), form)
+                    for odd, cols, form in sectors]
         g = np.zeros((len(labels),) * 2, dtype=complex)
-        for cell in zip(*(np.searchsorted(x, cells[:, a, 0]) for a, x in enumerate(edges))):
-            g += math.prod(f[i] for f, i in zip(factors, cell))
+        for widths, phase in zip(half, phases):
+            g += np.outer(phase.conj(), phase) * math.prod(
+                t[np.ix_(at, at)] for (t,), at in map(_axis_tables, labels.T, widths))
         cols, form = np.arange(len(labels)), _RealForm(space, labels)
-        return [(cols, form.real_gram(g), form) if form.closed else (cols, g, None)]
+        b = form.real_gram(g) if form.closed else g
+        return [(cols, 0.5 * (b + b.conj().T), form if form.closed else None)]
 
     def complement(self):
         return BoxUnion(self.space, self._gaps)
+
+
+def _axis_tables(m: np.ndarray, h: float, split: bool = False):
+    """(tables, rows) of one axis of half-width h on the distinct values of a label column
+    ``m``, gathered at ``rows``: the prolate table p(m' - m), p(delta) = (1/2 pi)
+    int_{-h}^{h} e^{i delta y} dy = sin(delta h) / (pi delta); or, on the values of |m| if
+    ``split``, the even and odd tables nu(m) nu(m') (p(m' - m) +- p(m' + m)), nu(0) = 1/sqrt 2."""
+    u, rows = np.unique(np.abs(m) if split else m, return_inverse=True)
+    near, far = (np.divide(np.sin(x * h), math.pi * x, out=np.full(x.shape, h / math.pi),
+                           where=x != 0) for x in (np.abs(u - u[:, None]), u + u[:, None]))
+    nu = np.outer(*[np.where(u == 0, math.sqrt(0.5), 1.0)] * 2)
+    return ([nu * (near + far), nu * (near - far)] if split else [near]), rows
 
 
 def arc(space: Torus, a: float, b: float) -> BoxUnion:
@@ -244,11 +255,15 @@ class BandUnion(Region):
         order = np.argsort(~inside, kind="stable")
         leg, rows = self.space._legendre(labels, np.cos(rings[0][order, 0]))
         w, k = rings[1].sum(axis=1)[order], int(inside.sum())
-        blocks = []
+        blocks, built = [], {}
         for m in np.unique(labels[:, 1]).tolist():
             cols = np.flatnonzero(labels[:, 1] == m)
-            # Y_l^{-m} = (-1)^m conj(Y_l^m): orders m and -m have equal blocks
-            blocks.append((cols, _masked_gram(leg[rows[cols]].T, w, k), None))
+            # Y_l^{-m} = (-1)^m conj(Y_l^m): orders m and -m on the same degrees read the same
+            # Legendre rows and share one block, which GramMatrix solves once
+            key = rows[cols].tobytes()
+            if key not in built:
+                built[key] = _masked_gram(leg[rows[cols]].T, w, k)
+            blocks.append((cols, built[key], None))
         return blocks
 
     def complement(self):

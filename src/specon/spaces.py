@@ -19,6 +19,7 @@ factors' eigenvalues, so equal eigenvalues share one frequency.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import re
@@ -155,6 +156,56 @@ class _RealForm:
         def lower(h):   # C^H h
             return co[:, :1] * h[el[:, 0]] + co[:, 1:] * h[el[:, 1]]
         return lower(lower(g).conj().T).real
+
+
+class _Sector:
+    """The real orthonormal basis u of one reflection sector (_reflection_sectors): u_r = sum_j
+    C[j, r] e_j, whose one nonzero C[j, r] = coef_j in each row j of ``rows`` is at r = pos_j.
+    A real symmetric Gram R over u is C R C^H over all ``size`` elements and an eigenvector p
+    of R is C p."""
+
+    def __init__(self, size, rows, pos, coef):
+        self.size, self.rows, self.pos, self.coef = size, rows, pos, coef
+
+    def lift(self, p: np.ndarray) -> np.ndarray:
+        """C p: rows over u as rows over the elements."""
+        out = np.zeros((self.size, p.shape[1]), dtype=complex)
+        out[self.rows] = self.coef[:, None] * p[self.pos]
+        return out
+
+    def gram(self, r: np.ndarray) -> np.ndarray:
+        """C R C^H = C (C R)^H."""
+        return self.lift(self.lift(r).conj().T)
+
+
+def _reflection_sectors(labels: np.ndarray, scale: np.ndarray):
+    """(axes, sectors): the axes a whose reflection m_a -> -m_a maps the integer label rows to
+    themselves, and for each choice of odd ones among them, (odd axes, cols, _Sector).  An
+    orbit's sector function sums scale_j chi_j nu_j e_j over its elements j (the labels equal
+    up to signs on those axes): chi_j multiplies sign(m_ja) over the odd axes, which need
+    m_ja != 0, and nu_j multiplies 1/sqrt 2 over the axes with m_ja != 0.  ``cols`` are the
+    elements with signs negative exactly on the odd axes, one per orbit, which name the
+    functions in order; those of all sectors partition the elements."""
+    n, d = labels.shape
+    axes = [a for a in range(d) if np.array_equal(*[x[np.lexsort(x.T)] for x in (
+        labels, labels * np.where(np.arange(d) == a, -1, 1))])]   # the same rows, sorted
+    key = np.where(np.isin(np.arange(d), axes), np.abs(labels), labels)
+    order = np.lexsort(key.T)
+    first = np.ones(n, dtype=bool)     # the first of each orbit in that order
+    first[1:] = (key[order][1:] != key[order][:-1]).any(axis=1)
+    orbit = np.empty(n, dtype=int)
+    orbit[order] = np.cumsum(first) - 1
+    neg = labels[:, axes] < 0
+    nu = np.where(labels[:, axes] != 0, math.sqrt(0.5), 1.0).prod(axis=1)
+    sectors = []
+    for s in itertools.product((False, True), repeat=len(axes)):
+        odd = [a for a, o in zip(axes, s) if o]
+        cols, at = np.flatnonzero((neg == s).all(axis=1)), np.full(n, -1)
+        at[orbit[cols]] = np.arange(len(cols))
+        rows = np.flatnonzero(at[orbit] >= 0)
+        chi = np.where(labels[np.ix_(rows, odd)] < 0, -1.0, 1.0).prod(axis=1)
+        sectors.append((odd, cols, _Sector(n, rows, at[orbit[rows]], scale[rows] * chi * nu[rows])))
+    return axes, sectors
 
 
 @dataclass(frozen=True)
@@ -364,7 +415,15 @@ class ModelSpace:
                           f"{elements} elements", pts.shape[0] * elements * 16,
                           "the quadrature cutoff and oversample set the node count and the "
                           "spectrum sets the element count")
+        self._check_coordinates(pts)
         return pts
+
+    def _check_coordinates(self, pts: np.ndarray):
+        """ValueError naming a point with a coordinate that is not finite."""
+        if not np.isfinite(pts).all():
+            off = np.flatnonzero(~np.isfinite(pts).all(axis=1))[0]
+            raise ValueError(f"point {tuple(pts[off].tolist())} is not a point of {self.kind}: "
+                             "its coordinates must be finite")
 
     # -- quadrature and sampling ---------------------------------------------
 
@@ -512,14 +571,14 @@ class Sphere2(ModelSpace):
         # addition theorem: |Y_l^m|^2 <= (2l+1) / 4 pi, attained at the poles by m = 0
         return 2.0 * labels[:, 0] + 1.0
 
-    def _check_points(self, points, elements: int = 0) -> np.ndarray:
-        """As on any space; ValueError naming a point whose colatitude is not in [0, pi]."""
-        pts = super()._check_points(points, elements)
+    def _check_coordinates(self, pts):
+        """As on any space, after a ValueError naming a point whose colatitude is not in
+        [0, pi]."""
         off = np.flatnonzero(~((0.0 <= pts[:, 0]) & (pts[:, 0] <= math.pi)))
         if len(off):
             raise ValueError(f"point {tuple(pts[off[0]].tolist())} is not a point of {self.kind}: "
                              "its colatitude must lie in [0, pi]")
-        return pts
+        super()._check_coordinates(pts)
 
     def _legendre(self, labels, x):
         """(table, rows): Y_l^m / e^{i m phi} at x = cos(theta) for each order m = |m_j| of
@@ -625,7 +684,7 @@ class FiniteGroup(ModelSpace):
     def _group_points(self, points, elements: int = 0) -> np.ndarray:
         """Checked points as int rows mod N; ValueError naming one off the group."""
         pts = self._check_points(points, elements)
-        off = np.flatnonzero((~np.isfinite(pts) | (np.rint(pts) != pts)).any(axis=1))
+        off = np.flatnonzero((np.rint(pts) != pts).any(axis=1))
         if len(off):
             raise ValueError(f"point {tuple(pts[off[0]].tolist())} is not a point of {self.kind}: "
                              "its coordinates must be integers")
@@ -742,6 +801,11 @@ class ProductSpace(ModelSpace):
     def _split(self, pts):
         c = self.first.coord_dim
         return pts[:, :c], pts[:, c:]
+
+    def _check_coordinates(self, pts):
+        """Each factor's check on its own coordinates, so a refusal names the factor."""
+        for space, part in zip((self.first, self.second), self._split(pts)):
+            space._check_coordinates(part)
 
     def basis_matrix(self, elements, points):
         pts = self._check_points(points, len(elements))

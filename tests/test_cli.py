@@ -571,6 +571,9 @@ class TestErrors:
          "(cutoff must be nonnegative, got -1.0): 'ball:-1'"),
         (("homogeneity", "--space", "torus:d=1", "--spectrum", "ball:nan"),
          "(cutoff must be finite, got nan): 'ball:nan'"),
+        # the printed entries are sized before they are built
+        (("concentrate", "--space", "torus:d=1", "--spectrum", "ball:80", "--region", "arc:0:1"),
+         "concentrate output of spectrum 'ball:80' (161 x 161 entries) needs 2,177,364 bytes"),
     ])
     def test_bad_argument_exits_1_and_is_named(self, capsys, monkeypatch, argv, named):
         # exit 2 is kept for a failed report; a size guard that misfires

@@ -462,7 +462,8 @@ class TestTorusClosedForm:
 
     def test_entries_hold_at_another_blas_thread_count(self):
         """At slepian-large's torus sizes (torus:d=1 at ball 128, torus:d=2 at ball 8) the
-        entries have the same bytes on one BLAS thread and on two."""
+        entries, eigenvalues and eigenvectors have the same bytes on one BLAS thread and on
+        two."""
         script = (
             "import hashlib\n"
             "from specon import BoxUnion, Torus, gram_matrix, spectrum_ball\n"
@@ -471,7 +472,8 @@ class TestTorusClosedForm:
             "    t = Torus(d)\n"
             "    g = gram_matrix(spectrum_ball(t, ball), BoxUnion(t, [box]),\n"
             "                    t.build_quadrature(ball, over))\n"
-            "    print(hashlib.sha256(g.entries.tobytes()).hexdigest())\n")
+            "    for a in (g.entries, g.raw_eigenvalues(), g.eigenvectors()):\n"
+            "        print(hashlib.sha256(a.tobytes()).hexdigest())\n")
         out = {}
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
@@ -481,7 +483,7 @@ class TestTorusClosedForm:
                                   text=True, env=env, timeout=300)
             assert proc.returncode == 0, proc.stderr
             out[threads] = proc.stdout
-        assert out["1"] == out["2"] and len(out["1"].split()) == 2
+        assert out["1"] == out["2"] and len(out["1"].split()) == 6
 
 
 def _dense_masked_gram(sset, region, quad):
@@ -562,11 +564,13 @@ class TestRealForm:
         assert np.abs(g.entries @ vecs - raw * vecs).max() < 1e-13
         assert np.abs(vecs.conj().T @ vecs - np.eye(sset.size)).max() < 1e-13
 
+    # torus1's one arc is solved in its reflection sectors, real on every set: the even and
+    # odd sectors of a closed set, and one block about the arc's centre of a joint set
     @pytest.mark.parametrize("name,closed,dtypes", [
-        ("torus1", True, ["float64"]), ("torus2", True, ["float64"]), ("z9", True, ["float64"]),
+        ("torus1", True, ["float64"] * 2), ("torus2", True, ["float64"]), ("z9", True, ["float64"]),
         ("z8^2", True, ["float64"]), ("torus x sphere", True, ["float64"]),
         ("sphere x z6", True, ["float64"]), ("sphere-dense", True, ["float64"]),
-        ("torus1", False, ["complex128"]), ("torus2", False, ["complex128"]),
+        ("torus1", False, ["float64"]), ("torus2", False, ["complex128"]),
         ("z8^2", False, ["complex128"]), ("torus x sphere", False, ["complex128"]),
     ])
     def test_eigh_sees_real_blocks_only_on_closed_sets(self, name, closed, dtypes, monkeypatch):
@@ -628,6 +632,75 @@ class TestGramBlocks:
                                 region.contains_mask(coarse.nodes))
 
 
+def _reflected(labels, vec, axis, centre):
+    """The coefficients of f(x with x_axis -> 2 centre - x_axis), f = sum_j vec_j e_j on
+    torus labels closed under m_axis -> -m_axis: e_m maps to e^{2i m_axis centre} e_m'."""
+    flipped = labels * np.where(np.arange(labels.shape[1]) == axis, -1, 1)
+    where = {tuple(r): i for i, r in enumerate(labels.tolist())}
+    out = np.zeros_like(vec)
+    out[[where[tuple(r)] for r in flipped.tolist()]] = vec * np.exp(
+        2j * centre * labels[:, axis])[:, None]
+    return out
+
+
+class TestReflectionSectors:
+    """One torus box is solved in the reflection sectors of its set about its centre, each
+    distinct block once, and a union of cells by the summed path; the dense entries are
+    built only when read."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("spectrum", ["ball", "random", "joint"])
+    def test_eigenpairs_hold_and_have_a_parity(self, dim, spectrum):
+        t = Torus(dim)
+        sset, region = _torus_set(t, spectrum), _torus_regions(t)[0]
+        g = gram_matrix(sset, region, t.build_quadrature(TORUS_BALLS[dim]))
+        raw, vecs = g.raw_eigenvalues(), g.eigenvectors()
+        assert np.abs(raw - np.linalg.eigvalsh(g.entries)).max() < 1e-13
+        assert np.abs(vecs.conj().T @ vecs - np.eye(sset.size)).max() < 1e-12
+        assert np.abs(g.entries @ vecs - raw * vecs).max() < 1e-12
+        labels = t._label_array(sset.elements)
+        rows = {tuple(r) for r in labels.tolist()}
+        axes = [a for a in range(dim) if all(
+            tuple(r) in rows for r in (labels * np.where(np.arange(dim) == a, -1, 1)).tolist())]
+        assert spectrum == "joint" or (axes == list(range(dim)) and len(g.blocks) == 2 ** dim)
+        for a in axes:
+            (lo, hi), = [box[a] for box in region.boxes]
+            moved = _reflected(labels, vecs, a, (lo + hi) / 2)
+            parity = np.minimum(np.abs(moved - vecs).max(axis=0), np.abs(moved + vecs).max(axis=0))
+            assert parity.max() < 1e-12
+
+    def test_a_box_cut_in_two_cells_gives_the_same_gram(self):
+        t = Torus(2)
+        sset, quad = spectrum_ball(t, 4.0), t.build_quadrature(4.0)
+        one, two = (gram_matrix(sset, parse_region(t, r), quad)
+                    for r in ("box:(0,2)x(0,2)", "box:(0,1)x(0,2)+box:(1,2)x(0,2)"))
+        assert len(one.blocks) == 4 and len(two.blocks) == 1
+        assert np.abs(one.entries - two.entries).max() < 1e-14
+        assert np.abs(one.raw_eigenvalues() - two.raw_eigenvalues()).max() < 1e-13
+
+    def test_a_cap_solves_each_order_once(self, monkeypatch):
+        s = Sphere2()
+        sset = spectrum_ball(s, 6.0)
+        g = gram_matrix(sset, cap(s, 1.1), s.build_quadrature(6.0, 2))
+        seen = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: seen.append(1) or eigh(a))
+        vals, vecs = g.raw_eigenvalues(), g.eigenvectors()
+        m = np.array([el.label[1] for el in sset.elements])
+        assert len(seen) == len(set(np.abs(m).tolist())) == 6 and len(g.blocks) == 11
+        assert np.abs(g.entries @ vecs - vals * vecs).max() < 1e-12
+
+    @pytest.mark.parametrize("name", ["torus1", "torus2", "z9", "sphere-rings"])
+    def test_eigen_accessors_and_trace_build_no_entries(self, name):
+        _, space, quad, ball, region = REAL_FORM_CASES[name]
+        g = gram_matrix(spectrum_ball(space, ball), region, quad)
+        g.eigenvalues()
+        g.top_eigenpair()
+        trace = g.trace
+        assert "entries" not in vars(g)
+        assert trace == pytest.approx(np.trace(g.entries).real, abs=1e-13)
+
+
 class TestBandEnergy:
     @pytest.mark.parametrize("space,region", [
         (Torus(2), "box:(0.5,2)x(1,4)"), (Sphere2(), "cap:1.5"), (Torus(1), "arc:0.3:2.1"),
@@ -660,7 +733,7 @@ class TestEigenCache:
         vals = g.eigenvalues()
         lam, vec = g.top_eigenpair()
         vecs = g.eigenvectors()
-        assert len(calls) == 1
+        assert len(calls) == len(g.blocks) == 2   # the arc's even and odd sectors
         assert np.array_equal(vals, np.clip(raw, 0.0, 1.0))
         assert lam == vals[-1]
         assert np.abs(g.entries @ vec - lam * vec).max() < 1e-12

@@ -173,6 +173,22 @@ class TestEvaluation:
             with pytest.raises(ValueError, match=message):
                 call()
 
+    @pytest.mark.parametrize("kind,point,named", [
+        ("torus:d=2", [0.5, math.nan], "point (0.5, nan) is not a point of torus:d=2"),
+        ("sphere2", [1.0, math.nan], "point (1.0, nan) is not a point of sphere2"),
+        ("sphere2", [1.0, math.inf], "point (1.0, inf) is not a point of sphere2"),
+        ("zn:N=4,d=2", [1.0, -math.inf], "point (1.0, -inf) is not a point of zn:N=4,d=2"),
+        ("product(torus:d=1,sphere2)", [math.inf, 1.0, 0.5],
+         "point (inf,) is not a point of torus:d=1"),
+    ])
+    def test_non_finite_coordinates_are_refused(self, kind, point, named):
+        space = parse_space(kind)
+        full = parse_region(space, "full")
+        for call in (lambda: space.basis_matrix(space.first_elements(4), [point]),
+                     lambda: full.contains(point)):
+            with pytest.raises(ValueError, match=re.escape(named) + ".*must be finite"):
+                call()
+
     def test_sphere_against_scipy(self):
         s = Sphere2()
         rng = np.random.default_rng(42)
