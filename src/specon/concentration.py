@@ -289,10 +289,12 @@ def concentration_levels(f, region: Region, sset: SpectralSet,
 
 def masked_band_energy(sset: SpectralSet, region: Region, quad: Quadrature) -> float:
     """int_E sum over X_S of |e_j|^2 by masked quadrature: the trace of a Gram built
-    by quadrature, which a torus box's exact Gram matches only on cell-aligned boxes."""
+    by quadrature, which a torus box's exact Gram matches only on cell-aligned boxes.
+    The sum at each inside node is the space's :meth:`~ModelSpace.summed_squares`: the
+    sphere reads it from its Legendre table, every other space from the basis matrix."""
     if not sset.size:
         return 0.0
     mask = region.contains_mask(quad.nodes)
-    v = sset.space.basis_matrix(sset.elements, quad.nodes[mask])
-    return float(np.sum(quad.weights[mask] * np.sum(np.abs(v) ** 2, axis=1)))
+    sums = sset.space.summed_squares(sset.elements, quad.nodes[mask])
+    return float(np.sum(quad.weights[mask] * sums))
 

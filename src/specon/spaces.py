@@ -393,6 +393,11 @@ class ModelSpace:
         """Matrix V with V[i, j] = e_j(points[i])."""
         raise NotImplementedError
 
+    def summed_squares(self, elements, points) -> np.ndarray:
+        """sum_j |e_j(x)|^2 over ``elements`` at each of ``points``: the pointwise
+        quantity of band energy, homogeneity and the sup-norm bound."""
+        return np.sum(np.abs(self.basis_matrix(elements, points)) ** 2, axis=1)
+
     def coefficients(self, elements, quad: Quadrature, samples) -> np.ndarray:
         """<g, e_j> = sum_x w_x g(x) conj(e_j(x)) by ``quad``, for node samples
         ``g`` and each of ``elements``."""
@@ -617,6 +622,14 @@ class Sphere2(ModelSpace):
         return _gathered((len(pts), len(elements)), [
             _factor(leg.T, at, rows, lambda t, c: t[:, c] * sign), _factor(eim, ph, cols)],
             width=len(leg))
+
+    def summed_squares(self, elements, points):
+        # |Y_l^m(theta, phi)| = |P_l^m(cos theta)|: no phase, one table on the distinct colatitudes
+        pts = self._check_points(points)
+        u, at = np.unique(pts[:, 0], return_inverse=True)
+        leg, rows = self._legendre(self._label_array(elements), np.cos(u))
+        # distinct colatitudes x elements, each row summed contiguously as a basis matrix row is
+        return np.sum(np.take(leg.T, rows, axis=1) ** 2, axis=1)[at]
 
     def build_quadrature(self, cutoff, oversample=1):
         if not math.isfinite(cutoff):

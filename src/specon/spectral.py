@@ -161,11 +161,11 @@ def check_homogeneity(space: ModelSpace, value, sample_points, tol: float = 1e-9
 
     Returns (holds, max_deviation).  Sampling cannot certify the identity
     everywhere; it can only refute it, which is what the tolerance check does.
+    The sums are the space's :meth:`~ModelSpace.summed_squares`, which the
+    sphere reads from its Legendre table at the distinct colatitudes.
     """
     sset = SpectralSet(space, [value], joint=joint)
-    pts = space._check_points(np.asarray(sample_points, float))
-    v = space.basis_matrix(sset.elements, pts)
-    sums = np.sum(np.abs(v) ** 2, axis=1)
+    sums = space.summed_squares(sset.elements, sample_points)
     target = sset.size / space.total_measure
     dev = float(np.max(np.abs(sums - target)))
     return dev <= tol, dev

@@ -198,15 +198,16 @@ def check_supnorm_uncertainty(f: BandlimitedFunction, region: Region,
     """(1 - eps - eps')^2 <= |E| sup_x sum over X_S of |e_j(x)|^2, with the
     sup estimated from samples.  The estimate is a lower bound of the true
     sup, so a reported failure is meaningful while a pass is only as strong
-    as the sampling (the sample count is recorded)."""
+    as the sampling (the sample count is recorded).  The sums are the space's
+    :meth:`~ModelSpace.summed_squares`, which the sphere reads from its
+    Legendre table at the distinct colatitudes."""
     levels = concentration_levels(f, region, sset, quad)
     space = sset.space
     rng = rng or np.random.default_rng(seed if seed is not None else 0)
     pts = np.concatenate([quad.nodes, space.extreme_points(),
                           space.sample_points(x_samples, rng)])
     if sset.size:
-        v = space.basis_matrix(sset.elements, pts)
-        sup_est = float(np.max(np.sum(np.abs(v) ** 2, axis=1)))
+        sup_est = float(np.max(space.summed_squares(sset.elements, pts)))
     else:
         sup_est = 0.0
     return _mass_report(

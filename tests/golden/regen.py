@@ -2,9 +2,10 @@
 in-process ``specon`` invocations.
 
 The set is the cli-batch commands of the benchmark (``bench/workloads.py``)
-at seeds 7 and 12345, and the bad arguments of
+at seeds 7 and 12345, the bad arguments of
 ``tests/test_cli.py::TestErrors::test_bad_argument_exits_1_and_is_named``,
-run as that test runs them (``spaces.MAX_BASIS_BYTES`` lowered to 1 MiB).
+run as that test runs them (``spaces.MAX_BASIS_BYTES`` lowered to 1 MiB),
+and the commands of ``EXTRA`` at both seeds.
 A ``concentrate`` stdout is stored as its sha256; everything else in full.
 The header records the numpy version, BLAS, ``OPENBLAS_NUM_THREADS`` setting
 and CPU count the goldens were written under.
@@ -38,6 +39,13 @@ ROOT = os.path.dirname(os.path.dirname(HERE))
 GOLDEN = os.path.join(HERE, "cli.json")
 SEEDS = (7, 12345)
 HASHED = ("concentrate",)
+# a sphere band energy and a sphere sup estimate, which no cli-batch command prints
+EXTRA = [
+    ["check", "--inequality", "prop", "--space", "sphere2", "--region", "cap:1.1",
+     "--spectrum", "ball:5", "--trials", "2"],
+    ["check", "--inequality", "supnorm", "--space", "sphere2", "--region", "band:0.4:1.9",
+     "--spectrum", "ball:4", "--trials", "2"],
+]
 
 
 def environment() -> dict:
@@ -66,7 +74,8 @@ def cases() -> list[tuple[list[str], int | None]]:
              for seed in SEEDS for argv in workloads._cli_commands(False)]
     test = test_cli.TestErrors.test_bad_argument_exits_1_and_is_named
     params = next(m for m in test.pytestmark if m.name == "parametrize").args[1]
-    return batch + [(list(argv), 2**20) for argv, _ in params]
+    extra = [(argv + ["--seed", str(seed)], None) for seed in SEEDS for argv in EXTRA]
+    return batch + [(list(argv), 2**20) for argv, _ in params] + extra
 
 
 def run_case(argv, max_basis_bytes) -> dict:

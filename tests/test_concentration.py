@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -717,8 +718,48 @@ class TestBandEnergy:
         monkeypatch.setattr(type(space), "basis_matrix", lambda self, els, pts:
                             seen.append(np.array(pts)) or basis_matrix(self, els, pts))
         energy = masked_band_energy(sset, region, quad)
-        assert len(seen) == 1 and np.array_equal(seen[0], quad.nodes[mask])
+        if isinstance(space, Sphere2):   # summed from the Legendre table, no basis matrix
+            assert seen == []
+        else:
+            assert len(seen) == 1 and np.array_equal(seen[0], quad.nodes[mask])
         assert 0 < mask.sum() < len(mask) and energy == pytest.approx(dense, rel=1e-13)
+
+    @staticmethod
+    def dense_energy(sset, region, quad):
+        """The oracle: the masked quadrature sum of the row sums of |basis_matrix|^2."""
+        mask = region.contains_mask(quad.nodes)
+        v = sset.space.basis_matrix(sset.elements, quad.nodes[mask])
+        return float(np.sum(quad.weights[mask] * np.sum(np.abs(v) ** 2, axis=1)))
+
+    @pytest.mark.parametrize("oversample", [1, 2, 4, 8])
+    @pytest.mark.parametrize("region,complement", [
+        ("cap:0.7", False), ("cap:2.6", False), ("band:0.3:0.9+band:1.5:2.2", False),
+        ("cap:1.1", True),
+    ])
+    def test_sphere_energy_is_the_dense_sum_and_the_ring_trace(self, region, complement,
+                                                               oversample):
+        s = Sphere2()
+        region = parse_region(s, region)
+        region = region.complement() if complement else region
+        quad, sset = s.build_quadrature(6.0, oversample=oversample), spectrum_ball(s, 6.0)
+        energy = masked_band_energy(sset, region, quad)
+        assert energy == pytest.approx(self.dense_energy(sset, region, quad), rel=1e-13)
+        assert energy == pytest.approx(gram_matrix(sset, region, quad).trace, rel=1e-14)
+
+    def test_sphere_energy_holds_no_basis_matrix(self):
+        # slepian-large's cap: 400 elements on up to 12,480 nodes, whose masked basis
+        # matrix alone takes tens of MB; the Legendre table takes kilobytes
+        s = Sphere2()
+        quad, sset = s.build_quadrature(20.0, oversample=4), spectrum_ball(s, 20.0)
+        region = cap(s, 1.5)
+        tracemalloc.start()
+        try:
+            energy = masked_band_energy(sset, region, quad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        assert energy == pytest.approx(self.dense_energy(sset, region, quad), rel=1e-13)
 
 
 class TestEigenCache:

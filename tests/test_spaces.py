@@ -509,6 +509,60 @@ class TestDistinctCoordinateTables:
             == (1000, 65)
 
 
+def dense_summed_squares(space, elements, points):
+    """The oracle: row sums of |basis_matrix|^2."""
+    return np.sum(np.abs(space.basis_matrix(elements, points)) ** 2, axis=1)
+
+
+class TestSummedSquares:
+    @pytest.mark.parametrize("kind,cutoff", [
+        ("torus:d=1", 7.0), ("torus:d=2", 3.0), ("torus:d=3", 2.0), ("zn:N=8,d=2", 3.0),
+        ("product(torus:d=1,sphere2)", 3.0),
+    ])
+    def test_off_the_sphere_it_is_the_dense_row_sum(self, kind, cutoff):
+        space = parse_space(kind)
+        els = space.enumerate_basis(cutoff)
+        pts = np.concatenate([space.build_quadrature(cutoff, oversample=2).nodes,
+                              space.sample_points(50, np.random.default_rng(4))])
+        for chosen in (els, els[1::3], []):
+            assert np.array_equal(space.summed_squares(chosen, pts),
+                                  dense_summed_squares(space, chosen, pts))
+
+    @pytest.mark.parametrize("cutoff", [0.0, 3.0, 12.0, 20.0])
+    def test_sphere_matches_the_dense_row_sum(self, cutoff):
+        s = Sphere2()
+        els = s.enumerate_basis(cutoff)
+        poles = np.array([[0.0, 0.7], [math.pi, 2.0]])
+        for pts in (s.build_quadrature(cutoff, oversample=2).nodes, poles,
+                    s.sample_points(300, np.random.default_rng(5))):
+            for chosen in (els, els[::3], els[len(els) // 2:]):
+                want = dense_summed_squares(s, chosen, pts)
+                got = s.summed_squares(chosen, pts)
+                assert got.shape == want.shape == (len(pts),)
+                assert np.all(np.abs(got - want) <= 1e-13 * want)
+        # at the poles only m = 0 survives, at |Y_l^0|^2 = (2l+1)/4 pi each
+        lmax = s._lmax(cutoff)
+        assert s.summed_squares(els, poles) == pytest.approx(
+            [(lmax + 1) ** 2 / (4 * math.pi)] * 2, rel=1e-13)
+
+    def test_sphere_with_no_elements_is_zero(self):
+        s = Sphere2()
+        pts = s.sample_points(7, np.random.default_rng(6))
+        assert np.array_equal(s.summed_squares([], pts), np.zeros(7))
+        assert np.array_equal(s.summed_squares([], pts), dense_summed_squares(s, [], pts))
+
+    @pytest.mark.parametrize("point,named", [
+        ([4.0, 0.5], "point (4.0, 0.5) is not a point of sphere2: its colatitude must lie "
+                     "in [0, pi]"),
+        ([1.0, math.nan], "point (1.0, nan) is not a point of sphere2: its coordinates must "
+                          "be finite"),
+    ])
+    def test_sphere_refuses_a_point_by_name(self, point, named):
+        s = Sphere2()
+        with pytest.raises(ValueError, match=re.escape(named)):
+            s.summed_squares(s.first_elements(4), [[0.5, 0.5], point])
+
+
 class TestFlatIndex:
     @pytest.mark.parametrize("order,dim", [(5, 1), (4, 2), (3, 3)])
     def test_order_of_points_and_fourier(self, order, dim):

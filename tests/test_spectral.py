@@ -158,12 +158,12 @@ class TestHomogeneity:
     def test_perturbed_basis_fails(self):
         # negative control: scaling one element by 1.01 must break the identity
         class Lopsided(Sphere2):
-            def basis_matrix(self, elements, points):
-                v = super().basis_matrix(elements, points)
-                for col, el in enumerate(elements):
-                    if el.label == (1, 0):
-                        v[:, col] *= 1.01
-                return v
+            # the (1, 0) row of the Legendre table, which the basis matrix and the
+            # summed squares both read
+            def _legendre(self, labels, x):
+                leg, rows = super()._legendre(labels, x)
+                leg[rows[(labels[:, 0] == 1) & (labels[:, 1] == 0)]] *= 1.01
+                return leg, rows
 
         s = Lopsided()
         pts = s.sample_points(64, np.random.default_rng(5))

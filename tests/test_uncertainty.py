@@ -263,12 +263,12 @@ class TestHomogeneousUncertainty:
 
     def test_inhomogeneous_space_blocked(self):
         class Lopsided(Sphere2):
-            def basis_matrix(self, elements, points):
-                v = super().basis_matrix(elements, points)
-                for col, el in enumerate(elements):
-                    if el.label == (1, 0):
-                        v[:, col] *= 1.01
-                return v
+            # the (1, 0) row of the Legendre table, which the basis matrix and the
+            # summed squares both read
+            def _legendre(self, labels, x):
+                leg, rows = super()._legendre(labels, x)
+                leg[rows[(labels[:, 0] == 1) & (labels[:, 1] == 0)]] *= 1.01
+                return leg, rows
 
         s = Lopsided()
         quad = s.build_quadrature(math.sqrt(2.0), oversample=8)
@@ -277,6 +277,7 @@ class TestHomogeneousUncertainty:
         rep = check_homogeneous_uncertainty(f, cap(s, 1.0), sset, quad, seed=0)
         assert rep.vacuous
         assert any("homogeneity" in c for c in rep.caveats)
+        assert rep.inputs["homogeneity_max_deviation"] > 1e-4
 
 
 class TestSupnormUncertainty:
