@@ -571,7 +571,12 @@ def _expand_config(argv):
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = build_parser().parse_args(_expand_config(argv))
+        args = build_parser().parse_args(argv := _expand_config(argv))
+        if args.config is not None:    # a --config that _expand_config did not expand
+            token = next(t for t in argv
+                         if len(key := t.split("=")[0]) > 2 and "--config".startswith(key))
+            raise SpeconError(f"{token!r} (config {args.config!r}) is not read: only one "
+                              f"--config FILE is, written out on the command line")
         return args.handler(args)
     except (SpeconError, ValueError, OSError) as exc:
         print(f"specon: error: {exc}", file=sys.stderr)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CoarseQuadratureError
 from .regions import Region
-from .spaces import FiniteGroup, Quadrature, _refuse_oversized
+from .spaces import FiniteGroup, Quadrature, _identity, _refuse_oversized
 from .spectral import SpectralSet
 
 EIG_EXCURSION = 1e-8
@@ -137,15 +137,18 @@ def cutoff(f, region: Region, quad: Quadrature) -> np.ndarray:
 
 class GramMatrix:
     """Hermitian G_{jk} = int_E conj(e_j) e_k over a spectral set, so that a^H G a is the
-    mass inside E of sum_j a_j e_j, held as the ``blocks`` of Region._gram_blocks; the dense
-    ``entries`` are built from them when first read, or given as one block."""
+    mass inside E of sum_j a_j e_j, held as the (block, basis) pairs of Region._gram_blocks;
+    the dense ``entries`` are built from them when first read, or given as one block."""
 
     def __init__(self, spectral_set: SpectralSet, region: Region, entries=None, blocks=None):
         self.spectral_set, self.region = spectral_set, region
         if blocks is None:
             self.entries = entries = np.asarray(entries)
-            blocks = [(np.arange(len(entries)), entries, None)]
-        self.blocks, self.size = blocks, sum(len(cols) for cols, _, _ in blocks)
+            blocks = [(entries, _identity(len(entries), np.arange(len(entries))))]
+        self.blocks, self.size = blocks, sum(len(block) for block, _ in blocks)
+        if self.size != spectral_set.size:
+            raise ValueError(f"Gram blocks of {self.size} functions do not cover the "
+                             f"{spectral_set.size} elements of {spectral_set.descriptor!r}")
 
     @cached_property
     def entries(self) -> np.ndarray:
@@ -154,16 +157,13 @@ class GramMatrix:
         _refuse_oversized(f"dense Gram of {self.spectral_set.descriptor!r} ({n:,} x {n:,})",
                           16 * n * n, "the spectrum sets its size")
         g = np.zeros((n, n), dtype=complex)
-        for cols, block, form in self.blocks:
-            if form is None:
-                g[np.ix_(cols, cols)] = block
-            else:
-                g += form.gram(block)
+        for block, basis in self.blocks:
+            basis.add_gram(block, g)
         return g
 
     @property
     def trace(self) -> float:
-        return float(sum(np.real(np.trace(block)) for _, block, _ in self.blocks))
+        return float(sum(np.real(np.trace(block)) for block, _ in self.blocks))
 
     @cached_property
     def _eigh(self):
@@ -171,10 +171,10 @@ class GramMatrix:
         distinct block solved once, in real arithmetic when it is real, and the eigenvalues
         merged by a stable sort."""
         solved = {}
-        for _, block, _ in self.blocks:
+        for block, _ in self.blocks:
             if id(block) not in solved:
                 solved[id(block)] = np.linalg.eigh(block)
-        pairs = [solved[id(b)] for _, b, _ in self.blocks]
+        pairs = [solved[id(b)] for b, _ in self.blocks]
         vals = np.concatenate([np.empty(0)] + [v for v, _ in pairs])
         order = np.argsort(vals, kind="stable")
         return vals[order], order, [p for _, p in pairs]
@@ -182,16 +182,12 @@ class GramMatrix:
     def _lift(self, at: np.ndarray) -> np.ndarray:
         """Unit eigenvectors over the elements, as columns, at sorted positions ``at``."""
         _, order, vecs = self._eigh
-        starts = np.cumsum([0] + [len(cols) for cols, _, _ in self.blocks])
+        starts = np.cumsum([0] + [len(block) for block, _ in self.blocks])
         block = np.searchsorted(starts, order[at], side="right") - 1
         out = np.zeros((self.size, len(at)), dtype=complex)
         for i in np.unique(block).tolist():
-            (cols, _, form), mine = self.blocks[i], np.flatnonzero(block == i)
-            p = vecs[i][:, order[at][mine] - starts[i]]
-            if form is None:
-                out[np.ix_(cols, mine)] = p
-            else:
-                out[:, mine] = form.lift(p)
+            mine = np.flatnonzero(block == i)
+            out[:, mine] = self.blocks[i][1].lift(vecs[i][:, order[at][mine] - starts[i]])
         return out
 
     def raw_eigenvalues(self) -> np.ndarray:

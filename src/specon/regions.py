@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import CoarseQuadratureError, DescriptorError
 from .spaces import (TWO_PI, FiniteGroup, ModelSpace, ProductSpace, Sphere2, Torus, _midpoints,
-                     _RealForm, _reflection_sectors, bracketed, descriptor_errors,
+                     _identity, _RealForm, _reflection_sectors, bracketed, descriptor_errors,
                      descriptor_float, split_items, split_product, split_top)
 
 EXACTNESS_TOL = 1e-8
@@ -68,23 +68,25 @@ class Region:
         return int(self.contains_mask(quad.nodes).sum())
 
     def _gram_blocks(self, elements, quad, mask) -> list:
-        """The concentration matrix as exactly Hermitian blocks (positions in ``elements``,
-        block, form), which add up to it: a block is the Gram over its elements when ``form``
-        is None, else the real symmetric Gram over the basis of that _RealForm or _Sector,
-        whose lift and gram map to all the elements; the positions then name that basis, and
-        those of all blocks partition the elements.  Blocks that are one array are solved
-        once.  Each family builds its own; this default, by masked quadrature over the nodes in
-        ``mask``, is one dense block over the real basis of the elements' conjugation
-        closure, from one basis evaluation of its fixed points and representatives, and a
-        set that is not closed comes back over its elements.  A path that integrates by
-        quadrature checks it (_masked_gram)."""
+        """The concentration matrix as exactly Hermitian (block, basis) pairs, which add up
+        to it: a block is the Gram over the orthonormal functions of its spaces._Basis, and
+        the functions of all blocks are an orthonormal basis of the elements' span.  A basis
+        is the elements themselves (_identity), a real form (_RealForm) or a reflection
+        sector (_reflection_sectors); only a block over the elements themselves is complex.
+        Blocks that are one array are solved once.  Each family builds its own; this
+        default, by masked quadrature over the nodes in ``mask``, is one dense block over the
+        real basis of the elements' conjugation closure, from one basis evaluation of its
+        fixed points and representatives, and a set that is not closed comes back over its
+        elements.  A path that integrates by quadrature checks it (_masked_gram)."""
         space, order = self.space, np.argsort(~mask, kind="stable")
         form = _RealForm(space, space._label_array(elements))
         v = space.basis_matrix([elements[j] for j in form.evaluated], quad.nodes[order])
         g = _masked_gram(v.view(float)[:, form.pick] * form.scale, quad.weights[order],
                          int(mask.sum()))
-        cols = np.arange(len(elements))
-        return [(cols, g, form) if form.closed else (cols, form.gram(g), None)]
+        if form.closed:
+            return [(g, form)]
+        form.add_gram(g, dense := np.zeros((len(elements),) * 2, dtype=complex))
+        return [(dense, _identity(len(dense), np.arange(len(dense))))]
 
     def complement(self) -> "Region":
         raise NotImplementedError(f"complement not defined for {type(self).__name__}")
@@ -165,16 +167,16 @@ class BoxUnion(Region):
         if len(cells) == 1:
             axes, sectors = _reflection_sectors(labels, phases[0].conj())
             tables = [_axis_tables(labels[:, a], h, a in axes) for a, h in enumerate(half[0])]
-            return [(cols, math.prod(t[a in odd][np.ix_(at[cols], at[cols])]
-                                     for a, (t, at) in enumerate(tables)), form)
-                    for odd, cols, form in sectors]
+            return [(math.prod(t[a in odd][np.ix_(at[cols], at[cols])]
+                               for a, (t, at) in enumerate(tables)), basis)
+                    for odd, cols, basis in sectors]
         g = np.zeros((len(labels),) * 2, dtype=complex)
         for widths, phase in zip(half, phases):
             g += np.outer(phase.conj(), phase) * math.prod(
                 t[np.ix_(at, at)] for (t,), at in map(_axis_tables, labels.T, widths))
-        cols, form = np.arange(len(labels)), _RealForm(space, labels)
+        form, n = _RealForm(space, labels), len(labels)
         b = form.real_gram(g) if form.closed else g
-        return [(cols, 0.5 * (b + b.conj().T), form if form.closed else None)]
+        return [(0.5 * (b + b.conj().T), form if form.closed else _identity(n, np.arange(n)))]
 
     def complement(self):
         return BoxUnion(self.space, self._gaps)
@@ -256,14 +258,14 @@ class BandUnion(Region):
         leg, rows = self.space._legendre(labels, np.cos(rings[0][order, 0]))
         w, k = rings[1].sum(axis=1)[order], int(inside.sum())
         blocks, built = [], {}
-        for m in np.unique(labels[:, 1]).tolist():
-            cols = np.flatnonzero(labels[:, 1] == m)
+        by_m = np.argsort(labels[:, 1], kind="stable")
+        for cols in np.split(by_m, np.flatnonzero(np.diff(labels[by_m, 1])) + 1):
             # Y_l^{-m} = (-1)^m conj(Y_l^m): orders m and -m on the same degrees read the same
             # Legendre rows and share one block, which GramMatrix solves once
             key = rows[cols].tobytes()
             if key not in built:
                 built[key] = _masked_gram(leg[rows[cols]].T, w, k)
-            blocks.append((cols, built[key], None))
+            blocks.append((built[key], _identity(len(labels), cols)))
         return blocks
 
     def complement(self):

@@ -19,6 +19,7 @@ factors' eigenvalues, so equal eigenvalues share one frequency.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -101,15 +102,44 @@ def _midpoints(n: int) -> np.ndarray:
     return (np.arange(n) + 0.5) * (TWO_PI / n)
 
 
-class _RealForm:
+class _Basis:
+    """The orthonormal basis u of one Gram block: u_r = sum_j C[j, r] e_j over all ``size``
+    elements, C nonzero in ``rows`` only, where row j holds coef_j (or one ``coef`` for all
+    rows) at r = pos_j, or, with ``pos`` and ``coef`` of two rows each, one such nonzero from
+    each.  A Gram R over u is C R C^H over the elements and an eigenvector p of R is C p."""
+
+    def __init__(self, size, rows, pos, coef):
+        self.size, self.rows, self.pos, self.coef = size, rows, pos, coef
+
+    def _times(self, x: np.ndarray) -> np.ndarray:
+        """Rows ``rows`` of C x, by reduce, as sum's start 0 would turn -0.0 into 0.0."""
+        terms = zip(np.atleast_2d(self.pos), np.atleast_2d(self.coef))
+        return functools.reduce(operator.add, (c[:, None] * x[p] for p, c in terms))
+
+    def lift(self, p: np.ndarray) -> np.ndarray:
+        """C p: rows over u as rows over the elements."""
+        out = np.zeros((self.size, p.shape[1]), dtype=complex)
+        out[self.rows] = self._times(p)
+        return out
+
+    def add_gram(self, r: np.ndarray, g: np.ndarray):
+        """g += C R C^H, as C (C R)^H on C's rows only."""
+        g[np.ix_(self.rows, self.rows)] += self._times(self._times(r).conj().T)
+
+
+def _identity(size: int, rows: np.ndarray) -> _Basis:
+    """The elements ``rows`` themselves as a basis: C is 1 at (rows_r, r)."""
+    return _Basis(size, rows, np.arange(len(rows)), 1.0)
+
+
+class _RealForm(_Basis):
     """The real orthonormal basis b in which the Gram of a set closed under conjugation
     is real symmetric.  Conjugation maps e_j to e_k = s_j conj(e_j) (ModelSpace._conjugate).
     For each element j of ``evaluated``, in order, b holds Re e_j if j is a fixed point (a
     real function), else sqrt(2) Re e_j and sqrt(2) Im e_j, j standing for its pair (whose
     other element may lie outside the set).  ``pick`` and ``scale`` take b from the columns
-    of V viewed as real.  With b_a = sum_j C[j, a] e_j, row j of C is alpha_j at ia_j and
-    i beta_j at ib_j, so a Gram R over b is C R C^H over the elements and an eigenvector
-    p of R is C p."""
+    of V viewed as real.  Row j of C holds alpha_j at ia_j and i beta_j at ib_j, the two
+    rows of ``pos``."""
 
     def __init__(self, space, labels: np.ndarray):
         conj, signs = space._conjugate(labels)
@@ -119,7 +149,7 @@ class _RealForm:
         at[key[:n]] = np.arange(n)
         partner, j = at[key[n:]], np.arange(n)
         fixed, rep = partner == j, (partner < 0) | (j < partner)
-        self.size, self.closed = n, bool((partner >= 0).all())
+        self.closed = bool((partner >= 0).all())
         self.evaluated = np.flatnonzero(fixed | rep)
         src = np.cumsum(fixed | rep) - 1
         src = np.where(fixed | rep, src, src[partner])
@@ -127,60 +157,26 @@ class _RealForm:
         keep[fixed[self.evaluated], 1] = False
         rank, self.pick = np.cumsum(keep) - 1, np.flatnonzero(keep)
         self.scale = np.where(keep[:, 1:], math.sqrt(2.0), 1.0).repeat(2, axis=1)[keep]
-        self.ia, self.ib = rank[2 * src], rank[2 * src + 1]
-        self.alpha = np.where(fixed, 1.0, math.sqrt(0.5) * np.where(rep, 1.0, signs))
-        self.beta = np.where(fixed, 0.0, math.sqrt(0.5) * np.where(rep, -1.0, signs))
-
-    def lift(self, p: np.ndarray) -> np.ndarray:
-        """C p: real rows over b as rows over the elements."""
-        out = np.empty((self.size, p.shape[1]), dtype=complex)
-        np.multiply(p[self.ia], self.alpha[:, None], out=out.real)
-        np.multiply(p[self.ib], self.beta[:, None], out=out.imag)
-        return out
-
-    def gram(self, r: np.ndarray) -> np.ndarray:
-        """C R C^H: a real symmetric Gram over b as one over the elements."""
-        (ia, a), (ib, b) = (self.ia, self.alpha), (self.ib, self.beta)
-        x = r[np.ix_(ia, ib)] * np.outer(a, b)
-        out = np.empty((self.size, self.size), dtype=complex)
-        out.real = r[np.ix_(ia, ia)] * np.outer(a, a) + r[np.ix_(ib, ib)] * np.outer(b, b)
-        out.imag = x.T - x
-        return out
+        alpha = np.where(fixed, 1.0, math.sqrt(0.5) * np.where(rep, 1.0, signs))
+        beta = np.where(fixed, 0.0, math.sqrt(0.5) * np.where(rep, -1.0, signs))
+        super().__init__(n, j, rank.reshape(-1, 2)[src].T, np.array([alpha, 1j * beta]))
 
     def real_gram(self, g: np.ndarray) -> np.ndarray:
         """C^H G C: a Hermitian Gram over a closed set's elements as one over b.  Row a of
-        C^H h combines the two rows of h whose element has a as its ia or ib."""
-        rows = np.argsort(np.concatenate([self.ia, self.ib]), kind="stable").reshape(-1, 2)
-        el, co = rows % self.size, np.concatenate([self.alpha, -1j * self.beta])[rows]
+        C^H h combines the two rows of h whose element has a as its ia or ib, which a
+        generic C^H would scatter with np.add.at."""
+        rows = np.argsort(self.pos.ravel(), kind="stable").reshape(-1, 2)
+        alpha, beta = self.coef.real[0], self.coef.imag[1]
+        el, co = rows % self.size, np.concatenate([alpha, -1j * beta])[rows]
 
         def lower(h):   # C^H h
             return co[:, :1] * h[el[:, 0]] + co[:, 1:] * h[el[:, 1]]
         return lower(lower(g).conj().T).real
 
 
-class _Sector:
-    """The real orthonormal basis u of one reflection sector (_reflection_sectors): u_r = sum_j
-    C[j, r] e_j, whose one nonzero C[j, r] = coef_j in each row j of ``rows`` is at r = pos_j.
-    A real symmetric Gram R over u is C R C^H over all ``size`` elements and an eigenvector p
-    of R is C p."""
-
-    def __init__(self, size, rows, pos, coef):
-        self.size, self.rows, self.pos, self.coef = size, rows, pos, coef
-
-    def lift(self, p: np.ndarray) -> np.ndarray:
-        """C p: rows over u as rows over the elements."""
-        out = np.zeros((self.size, p.shape[1]), dtype=complex)
-        out[self.rows] = self.coef[:, None] * p[self.pos]
-        return out
-
-    def gram(self, r: np.ndarray) -> np.ndarray:
-        """C R C^H = C (C R)^H."""
-        return self.lift(self.lift(r).conj().T)
-
-
 def _reflection_sectors(labels: np.ndarray, scale: np.ndarray):
     """(axes, sectors): the axes a whose reflection m_a -> -m_a maps the integer label rows to
-    themselves, and for each choice of odd ones among them, (odd axes, cols, _Sector).  An
+    themselves, and for each choice of odd ones among them, (odd axes, cols, _Basis).  An
     orbit's sector function sums scale_j chi_j nu_j e_j over its elements j (the labels equal
     up to signs on those axes): chi_j multiplies sign(m_ja) over the odd axes, which need
     m_ja != 0, and nu_j multiplies 1/sqrt 2 over the axes with m_ja != 0.  ``cols`` are the
@@ -204,7 +200,7 @@ def _reflection_sectors(labels: np.ndarray, scale: np.ndarray):
         at[orbit[cols]] = np.arange(len(cols))
         rows = np.flatnonzero(at[orbit] >= 0)
         chi = np.where(labels[np.ix_(rows, odd)] < 0, -1.0, 1.0).prod(axis=1)
-        sectors.append((odd, cols, _Sector(n, rows, at[orbit[rows]], scale[rows] * chi * nu[rows])))
+        sectors.append((odd, cols, _Basis(n, rows, at[orbit[rows]], scale[rows] * chi * nu[rows])))
     return axes, sectors
 
 

@@ -39,12 +39,22 @@ ROOT = os.path.dirname(os.path.dirname(HERE))
 GOLDEN = os.path.join(HERE, "cli.json")
 SEEDS = (7, 12345)
 HASHED = ("concentrate",)
-# a sphere band energy and a sphere sup estimate, which no cli-batch command prints
+# a sphere band energy and a sphere sup estimate, which no cli-batch command prints; then
+# the Gram paths no cli-batch command prints: the closed real form on a group, a dense
+# block over a set not closed under conjugation, a union of cells and a dense product
 EXTRA = [
     ["check", "--inequality", "prop", "--space", "sphere2", "--region", "cap:1.1",
      "--spectrum", "ball:5", "--trials", "2"],
     ["check", "--inequality", "supnorm", "--space", "sphere2", "--region", "band:0.4:1.9",
      "--spectrum", "ball:4", "--trials", "2"],
+    ["concentrate", "--space", "zn:N=9,d=1", "--spectrum", "ball:4", "--region", "set:{0,1,2}",
+     "--top", "3"],
+    ["concentrate", "--space", "zn:N=8,d=2", "--spectrum", "joint:[(1,0),(0,1),(1,1)]",
+     "--region", "set:{(0,0),(1,2)}", "--top", "3"],
+    ["concentrate", "--space", "torus:d=1", "--spectrum", "ball:6", "--region", "arc:0:1+arc:2:3",
+     "--top", "3"],
+    ["concentrate", "--space", "product(torus:d=1,sphere2)", "--spectrum", "ball:2",
+     "--region", "product(arc:0:1,cap:1)", "--top", "3"],
 ]
 
 

@@ -584,12 +584,22 @@ class TestErrors:
         assert named in err and "Traceback" not in err
 
     def test_config_errors_exit_1_and_are_named(self, capsys, tmp_path):
-        bad = tmp_path / "bad.cfg"
+        bad, a, b, nested = (tmp_path / f"{name}.cfg" for name in ("bad", "a", "b", "nested"))
         bad.write_text("space = zn:N=4\ntrials 5\n")
-        for argv, named in [(("--config",), "--config needs a file path"),
-                            (("--config", str(bad)), "config line without '=': 'trials 5'"),
-                            (("--config", str(tmp_path / "missing.cfg")), "cannot read config")]:
-            code, out, err = run_cli(capsys, "donoho-stark", *argv)
+        a.write_text("trials = 5\n")
+        b.write_text("trials = 7\n")
+        nested.write_text(f"trials = 5\nconfig = {b}\n")
+        lca = ("check", "--inequality", "lca", "--space", "zn:N=4,d=1")
+        # every --config but one spelled out on the command line would go unread
+        for argv, named in [
+                (("donoho-stark", "--config"), "--config needs a file path"),
+                (("donoho-stark", "--config", str(bad)), "config line without '=': 'trials 5'"),
+                (("donoho-stark", "--config", str(tmp_path / "missing.cfg")), "cannot read config"),
+                ((*lca, f"--config={a}"), f"'--config={a}' (config '{a}') is not read"),
+                ((*lca, "--conf", str(a)), f"'--conf' (config '{a}') is not read"),
+                ((*lca, "--config", str(a), "--config", str(b)), f"'--config' (config '{b}')"),
+                ((*lca, "--config", str(nested)), f"'--config' (config '{b}') is not read")]:
+            code, out, err = run_cli(capsys, *argv)
             assert (code, out) == (1, "")
             assert named in err and "Traceback" not in err
 

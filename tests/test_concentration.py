@@ -462,17 +462,17 @@ class TestTorusClosedForm:
         assert len(calls) == len(TORUS_REGIONS)
 
     def test_entries_hold_at_another_blas_thread_count(self):
-        """At slepian-large's torus sizes (torus:d=1 at ball 128, torus:d=2 at ball 8) the
-        entries, eigenvalues and eigenvectors have the same bytes on one BLAS thread and on
-        two."""
+        """At slepian-large's sizes (torus:d=1 at ball 128, torus:d=2 at ball 8, the sphere
+        cap at ball 20) the entries, eigenvalues and eigenvectors have the same bytes on one
+        BLAS thread and on two."""
         script = (
             "import hashlib\n"
-            "from specon import BoxUnion, Torus, gram_matrix, spectrum_ball\n"
-            "for d, ball, over, box in [(1, 128.0, 8, ((0.7, 3.9),)),\n"
-            "                           (2, 8.0, 4, ((0.4, 2.9), (1.3, 5.2)))]:\n"
-            "    t = Torus(d)\n"
-            "    g = gram_matrix(spectrum_ball(t, ball), BoxUnion(t, [box]),\n"
-            "                    t.build_quadrature(ball, over))\n"
+            "from specon import Sphere2, Torus, gram_matrix, parse_region, spectrum_ball\n"
+            "for space, ball, over, region in [(Torus(1), 128.0, 8, 'arc:0.7:3.9'),\n"
+            "                                  (Torus(2), 8.0, 4, 'box:(0.4,2.9)x(1.3,5.2)'),\n"
+            "                                  (Sphere2(), 20.0, 4, 'cap:1.5')]:\n"
+            "    g = gram_matrix(spectrum_ball(space, ball), parse_region(space, region),\n"
+            "                    space.build_quadrature(ball, over))\n"
             "    for a in (g.entries, g.raw_eigenvalues(), g.eigenvectors()):\n"
             "        print(hashlib.sha256(a.tobytes()).hexdigest())\n")
         out = {}
@@ -484,7 +484,7 @@ class TestTorusClosedForm:
                                   text=True, env=env, timeout=300)
             assert proc.returncode == 0, proc.stderr
             out[threads] = proc.stdout
-        assert out["1"] == out["2"] and len(out["1"].split()) == 6
+        assert out["1"] == out["2"] and len(out["1"].split()) == 9
 
 
 def _dense_masked_gram(sset, region, quad):
@@ -607,21 +607,24 @@ class TestRealForm:
 
 
 class TestGramBlocks:
-    """Every family's Region._gram_blocks returns (positions, block, form) triples, and
-    each path that integrates by quadrature checks that quadrature itself."""
+    """Every family's Region._gram_blocks returns (block, basis) pairs, and each path that
+    integrates by quadrature checks that quadrature itself."""
 
     @pytest.mark.parametrize("closed", [True, False], ids=["closed", "joint"])
     @pytest.mark.parametrize("name", list(REAL_FORM_CASES))
-    def test_blocks_are_triples_covering_every_element(self, name, closed):
+    def test_pairs_lift_to_an_orthonormal_basis_of_the_elements(self, name, closed):
         _, space, quad, ball, region = REAL_FORM_CASES[name]
         sset = _real_form_set(space, ball, closed)
-        blocks = region._gram_blocks(sset.elements, quad, region.contains_mask(quad.nodes))
-        assert all(len(block) == 3 for block in blocks)
-        assert sorted(np.concatenate([cols for cols, _, _ in blocks]).tolist()) == \
-            list(range(sset.size))
-        for cols, b, form in blocks:
-            assert b.shape == (len(cols),) * 2
-            assert form is None or b.dtype == float
+        pairs = region._gram_blocks(sset.elements, quad, region.contains_mask(quad.nodes))
+        assert all(len(pair) == 2 for pair in pairs)
+        lifted = [basis.lift(np.eye(len(block))) for block, basis in pairs]
+        u = np.concatenate(lifted, axis=1)
+        assert u.shape == (sset.size,) * 2
+        assert np.abs(u.conj().T @ u - np.eye(sset.size)).max() < 1e-13
+        for (block, _), c in zip(pairs, lifted):
+            identity = (np.count_nonzero(c, axis=0) == 1).all() and (c.sum(axis=0) == 1).all()
+            assert block.shape == (c.shape[1],) * 2
+            assert identity or block.dtype == float
 
     @pytest.mark.parametrize("region", [_WestHalf(Sphere2()), cap(Sphere2(), 1.0)],
                              ids=["dense", "rings"])
@@ -631,6 +634,18 @@ class TestGramBlocks:
         with pytest.raises(CoarseQuadratureError, match="orthonormality defect"):
             region._gram_blocks(spectrum_ball(s, 6.0).elements, coarse,
                                 region.contains_mask(coarse.nodes))
+
+    @pytest.mark.parametrize("given", ["entries", "blocks"])
+    def test_blocks_that_miss_the_spectral_set_are_refused(self, torus_setup, given):
+        t, quad, sset, region = torus_setup    # five elements, solved in two sectors
+        if given == "entries":
+            args, size = {"entries": np.eye(4, dtype=complex)}, 4
+        else:
+            blocks = gram_matrix(sset, region, quad).blocks
+            args, size = {"blocks": blocks[1:]}, len(blocks[1][0])
+        with pytest.raises(ValueError, match=re.escape(
+                f"Gram blocks of {size} functions do not cover the 5 elements of 'ball:2'")):
+            GramMatrix(sset, region, **args)
 
 
 def _reflected(labels, vec, axis, centre):
