@@ -168,8 +168,9 @@ class GramMatrix:
     @cached_property
     def _eigh(self):
         """(eigenvalues, their positions in block order, each block's eigenvectors): each
-        distinct block solved once, in real arithmetic when it is real, and the eigenvalues
-        merged by a stable sort."""
+        distinct block solved once, in real arithmetic for the real sector and ring-order
+        blocks and in complex for a block over the elements, and the eigenvalues merged by a
+        stable sort."""
         solved = {}
         for block, _ in self.blocks:
             if id(block) not in solved:

@@ -20,22 +20,24 @@ import numpy as np
 
 from .errors import CoarseQuadratureError, DescriptorError
 from .spaces import (TWO_PI, FiniteGroup, ModelSpace, ProductSpace, Sphere2, Torus, _midpoints,
-                     _identity, _RealForm, _reflection_sectors, bracketed, descriptor_errors,
+                     _identity, _reflection_sectors, bracketed, descriptor_errors,
                      descriptor_float, split_items, split_product, split_top)
 
 EXACTNESS_TOL = 1e-8
 
 
 def _masked_gram(v: np.ndarray, w: np.ndarray, k: int) -> np.ndarray:
-    """V^T diag(w) V over the first ``k`` rows of a real V (the nodes inside), as one
-    symmetric rank-k product.  CoarseQuadratureError unless the Gram over every row is the
-    identity within EXACTNESS_TOL, as a quadrature too coarse for the band leaves it."""
-    inside, rest = [(u := v[s] * np.sqrt(w[s])[:, None]).T @ u for s in (slice(k), slice(k, None))]
+    """V^H diag(w) V over the first ``k`` rows of V (the nodes inside), made exactly
+    Hermitian; a real V takes one symmetric rank-k product (conj returns V itself).
+    CoarseQuadratureError unless the Gram over every row is the identity within
+    EXACTNESS_TOL, as a quadrature too coarse for the band leaves it."""
+    inside, rest = [(u := v[s] * np.sqrt(w[s])[:, None]).conj().T @ u
+                    for s in (slice(k), slice(k, None))]
     err = float(np.abs(inside + rest - np.eye(len(inside))).max(initial=0.0))
     if err > EXACTNESS_TOL:
         raise CoarseQuadratureError(f"quadrature is not exact on the requested band "
                                     f"(orthonormality defect {err:.3g} > {EXACTNESS_TOL:g})")
-    return inside
+    return 0.5 * (inside + inside.conj().T)
 
 
 class Region:
@@ -71,22 +73,15 @@ class Region:
         """The concentration matrix as exactly Hermitian (block, basis) pairs, which add up
         to it: a block is the Gram over the orthonormal functions of its spaces._Basis, and
         the functions of all blocks are an orthonormal basis of the elements' span.  A basis
-        is the elements themselves (_identity), a real form (_RealForm) or a reflection
-        sector (_reflection_sectors); only a block over the elements themselves is complex.
-        Blocks that are one array are solved once.  Each family builds its own; this
-        default, by masked quadrature over the nodes in ``mask``, is one dense block over the
-        real basis of the elements' conjugation closure, from one basis evaluation of its
-        fixed points and representatives, and a set that is not closed comes back over its
-        elements.  A path that integrates by quadrature checks it (_masked_gram)."""
-        space, order = self.space, np.argsort(~mask, kind="stable")
-        form = _RealForm(space, space._label_array(elements))
-        v = space.basis_matrix([elements[j] for j in form.evaluated], quad.nodes[order])
-        g = _masked_gram(v.view(float)[:, form.pick] * form.scale, quad.weights[order],
-                         int(mask.sum()))
-        if form.closed:
-            return [(g, form)]
-        form.add_gram(g, dense := np.zeros((len(elements),) * 2, dtype=complex))
-        return [(dense, _identity(len(dense), np.arange(len(dense))))]
+        is some of the elements themselves (_identity) or a reflection sector
+        (_reflection_sectors).  Blocks that are one array are solved once.  Each family
+        builds its own; this default, by masked quadrature over the nodes in ``mask``, is one
+        complex block over all the elements from one basis evaluation, checked as every
+        path that integrates by quadrature is (_masked_gram)."""
+        order, n = np.argsort(~mask, kind="stable"), len(elements)
+        v = self.space.basis_matrix(elements, quad.nodes[order])
+        g = _masked_gram(v, quad.weights[order], int(mask.sum()))
+        return [(g, _identity(n, np.arange(n)))]
 
     def complement(self) -> "Region":
         raise NotImplementedError(f"complement not defined for {type(self).__name__}")
@@ -158,8 +153,8 @@ class BoxUnion(Region):
         symmetric G0_jk the product over axes a of p_a(m_ka - m_ja) (_axis_tables).  D comes
         from one basis evaluation at the cells' centres.  One cell is solved in the reflection
         sectors of its set (_reflection_sectors), each block the product over axes of the
-        even, odd or unsplit tables at its orbits.  A union of cells sums them, over the real
-        basis (_RealForm) of a set closed under conjugation."""
+        even, odd or unsplit tables at its orbits.  A union sums its cells' Grams into
+        one complex block over the elements."""
         space, labels, d = self.space, self.space._label_array(elements), self.space.dim
         cells = np.array(self._cells, dtype=float).reshape(-1, d, 2)
         half = np.diff(cells, axis=2)[:, :, 0] / 2
@@ -174,9 +169,7 @@ class BoxUnion(Region):
         for widths, phase in zip(half, phases):
             g += np.outer(phase.conj(), phase) * math.prod(
                 t[np.ix_(at, at)] for (t,), at in map(_axis_tables, labels.T, widths))
-        form, n = _RealForm(space, labels), len(labels)
-        b = form.real_gram(g) if form.closed else g
-        return [(0.5 * (b + b.conj().T), form if form.closed else _identity(n, np.arange(n)))]
+        return [(0.5 * (g + g.conj().T), _identity(len(g), np.arange(len(g))))]
 
     def complement(self):
         return BoxUnion(self.space, self._gaps)

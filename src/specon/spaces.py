@@ -19,7 +19,6 @@ factors' eigenvalues, so equal eigenvalues share one frequency.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -51,6 +50,14 @@ def _r2max(lam: float) -> int:
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if math.sqrt(mid) <= lam else (lo, mid)
     return lo
+
+
+def _check_cutoff(cutoff: float):
+    """ValueError naming a cutoff that is not finite or is negative."""
+    if not math.isfinite(cutoff):
+        raise ValueError(f"cutoff must be finite, got {cutoff}")
+    if cutoff < 0:
+        raise ValueError(f"cutoff must be nonnegative, got {cutoff}")
 
 
 def _refuse_oversized(table: str, size: int, cause: str):
@@ -105,16 +112,15 @@ def _midpoints(n: int) -> np.ndarray:
 class _Basis:
     """The orthonormal basis u of one Gram block: u_r = sum_j C[j, r] e_j over all ``size``
     elements, C nonzero in ``rows`` only, where row j holds coef_j (or one ``coef`` for all
-    rows) at r = pos_j, or, with ``pos`` and ``coef`` of two rows each, one such nonzero from
-    each.  A Gram R over u is C R C^H over the elements and an eigenvector p of R is C p."""
+    rows) at r = pos_j.  A Gram R over u is C R C^H over the elements and an eigenvector p of
+    R is C p."""
 
     def __init__(self, size, rows, pos, coef):
         self.size, self.rows, self.pos, self.coef = size, rows, pos, coef
 
     def _times(self, x: np.ndarray) -> np.ndarray:
-        """Rows ``rows`` of C x, by reduce, as sum's start 0 would turn -0.0 into 0.0."""
-        terms = zip(np.atleast_2d(self.pos), np.atleast_2d(self.coef))
-        return functools.reduce(operator.add, (c[:, None] * x[p] for p, c in terms))
+        """Rows ``rows`` of C x."""
+        return np.reshape(self.coef, (-1, 1)) * x[self.pos]
 
     def lift(self, p: np.ndarray) -> np.ndarray:
         """C p: rows over u as rows over the elements."""
@@ -130,48 +136,6 @@ class _Basis:
 def _identity(size: int, rows: np.ndarray) -> _Basis:
     """The elements ``rows`` themselves as a basis: C is 1 at (rows_r, r)."""
     return _Basis(size, rows, np.arange(len(rows)), 1.0)
-
-
-class _RealForm(_Basis):
-    """The real orthonormal basis b in which the Gram of a set closed under conjugation
-    is real symmetric.  Conjugation maps e_j to e_k = s_j conj(e_j) (ModelSpace._conjugate).
-    For each element j of ``evaluated``, in order, b holds Re e_j if j is a fixed point (a
-    real function), else sqrt(2) Re e_j and sqrt(2) Im e_j, j standing for its pair (whose
-    other element may lie outside the set).  ``pick`` and ``scale`` take b from the columns
-    of V viewed as real.  Row j of C holds alpha_j at ia_j and i beta_j at ib_j, the two
-    rows of ``pos``."""
-
-    def __init__(self, space, labels: np.ndarray):
-        conj, signs = space._conjugate(labels)
-        n = len(labels)
-        key = np.unique(np.concatenate([labels, conj]), axis=0, return_inverse=True)[1].ravel()
-        at = np.full(2 * n, -1)
-        at[key[:n]] = np.arange(n)
-        partner, j = at[key[n:]], np.arange(n)
-        fixed, rep = partner == j, (partner < 0) | (j < partner)
-        self.closed = bool((partner >= 0).all())
-        self.evaluated = np.flatnonzero(fixed | rep)
-        src = np.cumsum(fixed | rep) - 1
-        src = np.where(fixed | rep, src, src[partner])
-        keep = np.ones((len(self.evaluated), 2), dtype=bool)
-        keep[fixed[self.evaluated], 1] = False
-        rank, self.pick = np.cumsum(keep) - 1, np.flatnonzero(keep)
-        self.scale = np.where(keep[:, 1:], math.sqrt(2.0), 1.0).repeat(2, axis=1)[keep]
-        alpha = np.where(fixed, 1.0, math.sqrt(0.5) * np.where(rep, 1.0, signs))
-        beta = np.where(fixed, 0.0, math.sqrt(0.5) * np.where(rep, -1.0, signs))
-        super().__init__(n, j, rank.reshape(-1, 2)[src].T, np.array([alpha, 1j * beta]))
-
-    def real_gram(self, g: np.ndarray) -> np.ndarray:
-        """C^H G C: a Hermitian Gram over a closed set's elements as one over b.  Row a of
-        C^H h combines the two rows of h whose element has a as its ia or ib, which a
-        generic C^H would scatter with np.add.at."""
-        rows = np.argsort(self.pos.ravel(), kind="stable").reshape(-1, 2)
-        alpha, beta = self.coef.real[0], self.coef.imag[1]
-        el, co = rows % self.size, np.concatenate([alpha, -1j * beta])[rows]
-
-        def lower(h):   # C^H h
-            return co[:, :1] * h[el[:, 0]] + co[:, 1:] * h[el[:, 1]]
-        return lower(lower(g).conj().T).real
 
 
 def _reflection_sectors(labels: np.ndarray, scale: np.ndarray):
@@ -269,10 +233,7 @@ class ModelSpace:
     def _eigenvalues_upto(self, cutoff: float):
         """(canonical flat labels, integer eigenvalues) of the elements with
         frequency <= cutoff, unsorted, from one candidate table."""
-        if not math.isfinite(cutoff):
-            raise ValueError(f"cutoff must be finite, got {cutoff}")
-        if cutoff < 0:
-            raise ValueError(f"cutoff must be nonnegative, got {cutoff}")
+        _check_cutoff(cutoff)
         labels, eigs, _ = self._describe(self._candidates(cutoff))
         keep = eigs <= _r2max(cutoff)
         return labels[keep], eigs[keep]
@@ -288,7 +249,11 @@ class ModelSpace:
         return self.enumerate_basis(cutoff)[:n]
 
     def elements_by_index(self, indices) -> list[BasisElement]:
-        els = self.first_elements(max(indices) + 1)
+        """The elements at global positions ``indices``, in their order;
+        ValueError naming a negative index."""
+        if min(indices, default=0) < 0:
+            raise ValueError(f"element index {min(indices)} is negative")
+        els = self.first_elements(max(indices, default=-1) + 1)
         return [els[i] for i in indices]
 
     def count_upto(self, lam):
@@ -333,11 +298,6 @@ class ModelSpace:
     def _peak_squares(self, labels: np.ndarray) -> np.ndarray:
         """|M| sup |e_j|^2 for canonical flat labels: 1 for characters."""
         return np.ones(len(labels))
-
-    def _conjugate(self, labels: np.ndarray):
-        """(canonical labels, signs) of the conjugates of canonical flat labels: the
-        element of each returned label is its sign times conj of the given one."""
-        raise NotImplementedError
 
     def _flat(self, label) -> tuple:
         """A structured label as a flat tuple of ints."""
@@ -484,9 +444,6 @@ class Torus(ModelSpace):
     def _describe(self, labels):
         return labels, np.sum(labels * labels, axis=1), labels.astype(float)
 
-    def _conjugate(self, labels):
-        return -labels, np.ones(len(labels))
-
     def _counts(self, lams):
         return [self._lattice_count(_r2max(x), self.dim) if x >= 0 else 0 for x in lams]
 
@@ -506,8 +463,7 @@ class Torus(ModelSpace):
                          [_factor(table, rows[:, k], cols[:, k]) for k in range(self.dim)])
 
     def build_quadrature(self, cutoff, oversample=1):
-        if not math.isfinite(cutoff):
-            raise ValueError("quadrature cutoff must be finite")
+        _check_cutoff(cutoff)
         # midpoint grid: exact for e^{ikx} with |k| < n per axis, and region
         # boundaries at cell edges never collide with nodes
         n = 2 * (math.ceil(cutoff) + 1) * max(1, int(oversample))
@@ -559,11 +515,6 @@ class Sphere2(ModelSpace):
             raise ValueError(f"label {tuple(bad[0].tolist())} inconsistent with {self.kind}")
         lam = l * (l + 1)
         return labels, lam, np.stack([m, lam], axis=1).astype(float)
-
-    def _conjugate(self, labels):
-        # Y_l^{-m} = (-1)^m conj(Y_l^m)
-        m = labels[:, 1]
-        return np.stack([labels[:, 0], -m], axis=1), np.where(m % 2, -1.0, 1.0)
 
     def _counts(self, lams):
         return [(self._lmax(x) + 1) ** 2 for x in lams]
@@ -628,8 +579,7 @@ class Sphere2(ModelSpace):
         return np.sum(np.take(leg.T, rows, axis=1) ** 2, axis=1)[at]
 
     def build_quadrature(self, cutoff, oversample=1):
-        if not math.isfinite(cutoff):
-            raise ValueError("quadrature cutoff must be finite")
+        _check_cutoff(cutoff)
         lmax = self._lmax(cutoff)
         over = max(1, int(oversample))
         n_theta = (lmax + 1) * over
@@ -683,9 +633,6 @@ class FiniteGroup(ModelSpace):
         k = labels % self.order
         centered = np.where(k <= self.order // 2, k, k - self.order)
         return k, np.sum(centered * centered, axis=1), centered.astype(float)
-
-    def _conjugate(self, labels):
-        return self._describe(-labels)[0], np.ones(len(labels))
 
     def _max_eigenvalue(self):
         return self.dim * (self.order // 2) ** 2
@@ -788,12 +735,6 @@ class ProductSpace(ModelSpace):
     def _peak_squares(self, labels):
         a = self.first.dim
         return self.first._peak_squares(labels[:, :a]) * self.second._peak_squares(labels[:, a:])
-
-    def _conjugate(self, labels):
-        a = self.first.dim
-        la, sa = self.first._conjugate(labels[:, :a])
-        lb, sb = self.second._conjugate(labels[:, a:])
-        return np.hstack([la, lb]), sa * sb
 
     def _flat(self, label):
         first, second = label

@@ -40,8 +40,8 @@ GOLDEN = os.path.join(HERE, "cli.json")
 SEEDS = (7, 12345)
 HASHED = ("concentrate",)
 # a sphere band energy and a sphere sup estimate, which no cli-batch command prints; then
-# the Gram paths no cli-batch command prints: the closed real form on a group, a dense
-# block over a set not closed under conjugation, a union of cells and a dense product
+# the Gram paths no cli-batch command prints: the dense block of a group's ball and of a
+# group's joint set, a union of cells and a dense product
 EXTRA = [
     ["check", "--inequality", "prop", "--space", "sphere2", "--region", "cap:1.1",
      "--spectrum", "ball:5", "--trials", "2"],

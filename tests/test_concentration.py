@@ -39,7 +39,6 @@ from specon import (
     spectrum_ball,
     spectrum_level,
 )
-from specon.spaces import _RealForm
 
 TWO_PI = 2 * math.pi
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -328,13 +327,13 @@ TORUS_BALLS = {1: 6.0, 2: 4.0, 3: 2.0}
 
 
 def _torus_set(t, kind):
-    """The ball of TORUS_BALLS, a random set of its frequencies, or a joint set not closed
-    under conjugation."""
+    """The ball of TORUS_BALLS, a random set of its frequencies, or a joint set of a random
+    half of the ball."""
     ball = TORUS_BALLS[t.dim]
     if kind == "ball":
         return spectrum_ball(t, ball)
     if kind == "joint":
-        return _real_form_set(t, ball, closed=False)
+        return _gram_set(t, ball, joint=True)
     freqs = sorted({el.frequency for el in t.enumerate_basis(ball)})
     rng = np.random.default_rng(t.dim)
     return SpectralSet(t, rng.choice(freqs, size=int(rng.integers(1, len(freqs))),
@@ -494,8 +493,8 @@ def _dense_masked_gram(sset, region, quad):
 
 
 class _WestHalf(Region):
-    """phi < pi on the sphere: a real region that couples the orders m, so the
-    sphere's Gram takes the dense path."""
+    """phi < pi on the sphere: a region that couples the orders m, so the sphere's Gram
+    takes the dense path."""
 
     descriptor = "phi < pi"
 
@@ -506,11 +505,11 @@ class _WestHalf(Region):
         return np.asarray(points)[:, 1] < math.pi
 
 
-def _real_form_cases():
-    """(name, space, quadrature, ball radius, region) on every family and path: tori
-    take their closed form, groups the dense path, the sphere its ring path (and the
-    dense one on a region that varies along rings), and products the dense path with
-    and without signs."""
+def _gram_cases():
+    """(name, space, quadrature, ball radius, region) on every family and path: tori take
+    their closed form (sectors for one box, one block for a union), groups the dense path,
+    the sphere its ring path (and the dense one on a region that varies along rings), and
+    products the dense path."""
     t1, t2, s = Torus(1), Torus(2), Sphere2()
     g1, g2 = FiniteGroup(9, 1), FiniteGroup(8, 2)
     ts, sg = ProductSpace(Torus(1), Sphere2()), ProductSpace(Sphere2(), FiniteGroup(6, 1))
@@ -529,33 +528,31 @@ def _real_form_cases():
     ]
 
 
-REAL_FORM_CASES = {case[0]: case for case in _real_form_cases()}
+GRAM_CASES = {case[0]: case for case in _gram_cases()}
+# the cases solved in real blocks: one box's reflection sectors and the sphere's ring orders
+REAL_BLOCK_CASES = ["torus1", "sphere-rings"]
 
 
-def _real_form_set(space, ball, closed):
-    """The ball, closed under conjugation, or a joint set of about half of it that
-    leaves out the conjugate of at least one element it keeps."""
+def _gram_set(space, ball, joint):
+    """The ball, or a joint set of a random half of it."""
     sset = spectrum_ball(space, ball)
-    if closed:
+    if not joint:
         return sset
     rng = np.random.default_rng(sset.size)
-    while True:
-        keep = [el for el in sset.elements if rng.random() < 0.5]
-        joint = SpectralSet(space, [el.joint for el in keep], joint=True)
-        if not _RealForm(space, space._label_array(joint.elements)).closed:
-            return joint
+    return SpectralSet(space, [el.joint for el in sset.elements if rng.random() < 0.5],
+                       joint=True)
 
 
-class TestRealForm:
-    """A set closed under conjugation is solved over its real basis; entries stay the
-    element-basis Gram, checked against the prolate formula on tori and the masked
-    quadrature V^H diag(w 1_E) V elsewhere."""
+class TestGramPaths:
+    """Every path's entries are the element-basis Gram, checked against the prolate
+    formula on tori and the masked quadrature V^H diag(w 1_E) V elsewhere, and its
+    eigenpairs against them."""
 
-    @pytest.mark.parametrize("closed", [True, False], ids=["closed", "joint"])
-    @pytest.mark.parametrize("name", list(REAL_FORM_CASES))
-    def test_entries_and_eigenpairs(self, name, closed):
-        _, space, quad, ball, region = REAL_FORM_CASES[name]
-        sset = _real_form_set(space, ball, closed)
+    @pytest.mark.parametrize("joint", [False, True], ids=["ball", "joint"])
+    @pytest.mark.parametrize("name", list(GRAM_CASES))
+    def test_entries_and_eigenpairs(self, name, joint):
+        _, space, quad, ball, region = GRAM_CASES[name]
+        sset = _gram_set(space, ball, joint)
         g = gram_matrix(sset, region, quad)
         oracle = (_box_gram(sset, region) if isinstance(region, BoxUnion)
                   else _dense_masked_gram(sset, region, quad))
@@ -565,23 +562,21 @@ class TestRealForm:
         assert np.abs(g.entries @ vecs - raw * vecs).max() < 1e-13
         assert np.abs(vecs.conj().T @ vecs - np.eye(sset.size)).max() < 1e-13
 
-    # torus1's one arc is solved in its reflection sectors, real on every set: the even and
-    # odd sectors of a closed set, and one block about the arc's centre of a joint set
-    @pytest.mark.parametrize("name,closed,dtypes", [
-        ("torus1", True, ["float64"] * 2), ("torus2", True, ["float64"]), ("z9", True, ["float64"]),
-        ("z8^2", True, ["float64"]), ("torus x sphere", True, ["float64"]),
-        ("sphere x z6", True, ["float64"]), ("sphere-dense", True, ["float64"]),
-        ("torus1", False, ["float64"]), ("torus2", False, ["complex128"]),
-        ("z8^2", False, ["complex128"]), ("torus x sphere", False, ["complex128"]),
-    ])
-    def test_eigh_sees_real_blocks_only_on_closed_sets(self, name, closed, dtypes, monkeypatch):
-        _, space, quad, ball, region = REAL_FORM_CASES[name]
-        g = gram_matrix(_real_form_set(space, ball, closed), region, quad)
-        seen = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: seen.append(a.dtype.name) or eigh(a))
-        g.eigenvalues()
-        assert seen == dtypes
+    @pytest.mark.parametrize("joint", [False, True], ids=["ball", "joint"])
+    @pytest.mark.parametrize("name", list(GRAM_CASES))
+    def test_sectors_and_rings_are_real_and_the_rest_one_hermitian_block(self, name, joint):
+        """Reflection sectors and ring orders are real blocks; groups, products, the sphere's
+        dense path and torus unions give one complex block over the elements that equals
+        its conjugate transpose exactly."""
+        _, space, quad, ball, region = GRAM_CASES[name]
+        sset = _gram_set(space, ball, joint)
+        blocks = gram_matrix(sset, region, quad).blocks
+        if name in REAL_BLOCK_CASES:
+            assert all(block.dtype == float for block, _ in blocks)
+            return
+        [(block, basis)] = blocks
+        assert block.dtype == complex and np.array_equal(block, block.conj().T)
+        assert np.array_equal(basis.lift(np.eye(sset.size)), np.eye(sset.size))
 
     def test_hand_built_gram_is_solved_complex(self, monkeypatch):
         t = Torus(1)
@@ -594,27 +589,26 @@ class TestRealForm:
         assert np.abs(g.raw_eigenvalues() - np.linalg.eigvalsh(entries)).max() < 1e-15
         assert seen == ["complex128"]
 
-    def test_one_evaluation_of_fixed_points_and_representatives(self, monkeypatch):
-        # the nine characters of Z_9 evaluate k = 0 and one of each pair +-k
-        _, g, quad, ball, region = REAL_FORM_CASES["z9"]
+    def test_dense_path_evaluates_the_basis_once(self, monkeypatch):
+        _, g, quad, ball, region = GRAM_CASES["z9"]
         sset = spectrum_ball(g, ball)
         seen = []
         basis_matrix = FiniteGroup.basis_matrix
         monkeypatch.setattr(FiniteGroup, "basis_matrix", lambda self, els, pts:
                             seen.append(len(els)) or basis_matrix(self, els, pts))
         gram_matrix(sset, region, quad)
-        assert sset.size == 9 and seen == [5]
+        assert sset.size == 9 and seen == [9]
 
 
 class TestGramBlocks:
     """Every family's Region._gram_blocks returns (block, basis) pairs, and each path that
     integrates by quadrature checks that quadrature itself."""
 
-    @pytest.mark.parametrize("closed", [True, False], ids=["closed", "joint"])
-    @pytest.mark.parametrize("name", list(REAL_FORM_CASES))
-    def test_pairs_lift_to_an_orthonormal_basis_of_the_elements(self, name, closed):
-        _, space, quad, ball, region = REAL_FORM_CASES[name]
-        sset = _real_form_set(space, ball, closed)
+    @pytest.mark.parametrize("joint", [False, True], ids=["ball", "joint"])
+    @pytest.mark.parametrize("name", list(GRAM_CASES))
+    def test_pairs_lift_to_an_orthonormal_basis_of_the_elements(self, name, joint):
+        _, space, quad, ball, region = GRAM_CASES[name]
+        sset = _gram_set(space, ball, joint)
         pairs = region._gram_blocks(sset.elements, quad, region.contains_mask(quad.nodes))
         assert all(len(pair) == 2 for pair in pairs)
         lifted = [basis.lift(np.eye(len(block))) for block, basis in pairs]
@@ -708,7 +702,7 @@ class TestReflectionSectors:
 
     @pytest.mark.parametrize("name", ["torus1", "torus2", "z9", "sphere-rings"])
     def test_eigen_accessors_and_trace_build_no_entries(self, name):
-        _, space, quad, ball, region = REAL_FORM_CASES[name]
+        _, space, quad, ball, region = GRAM_CASES[name]
         g = gram_matrix(spectrum_ball(space, ball), region, quad)
         g.eigenvalues()
         g.top_eigenpair()

@@ -119,6 +119,15 @@ def test_first_elements_beyond_a_finite_spectrum():
         ProductSpace(FiniteGroup(4), FiniteGroup(6, 2)).first_elements(145)
 
 
+@pytest.mark.parametrize("space", [Torus(1), Sphere2(), FiniteGroup(6, 2)], ids=repr)
+def test_elements_by_index(space):
+    els = space.enumerate_basis(3.0)
+    assert space.elements_by_index([]) == []
+    assert space.elements_by_index([4, 0, 4]) == [els[4], els[0], els[4]]
+    with pytest.raises(ValueError, match="element index -1 is negative"):
+        space.elements_by_index([2, -1])
+
+
 def test_a_finite_spectrum_takes_any_cutoff():
     # 1e10 squared is past int64: every element of a product of groups is below it
     space = ProductSpace(FiniteGroup(4), FiniteGroup(6, 2))

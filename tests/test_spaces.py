@@ -391,40 +391,6 @@ class TestKernelOracles:
         assert np.abs(v - ref).max() < 1e-15
 
 
-CONJUGATION_SPACES = [
-    Torus(1), Torus(2), FiniteGroup(7, 1), FiniteGroup(8, 1), FiniteGroup(5, 2), FiniteGroup(6, 2),
-    Sphere2(), ProductSpace(Torus(1), Sphere2()), ProductSpace(Sphere2(), FiniteGroup(6, 1)),
-    ProductSpace(Sphere2(), Sphere2())]
-
-
-class TestConjugation:
-    """_conjugate against the basis itself: the element of each conjugate label is
-    its sign times the conjugate of the given element, at points off every grid."""
-
-    @pytest.mark.parametrize("space", CONJUGATION_SPACES, ids=repr)
-    def test_conjugate_elements_are_signed_conjugates(self, space):
-        rng = np.random.default_rng(11)
-        els = space.enumerate_basis(5.0)
-        rng.shuffle(els)
-        conj, signs = space._conjugate(space._label_array(els))
-        pts = space.sample_points(40, rng)
-        v = space.basis_matrix(els, pts)
-        w = space.basis_matrix(space._elements(conj, numbered=False), pts)
-        assert np.abs(w - signs * v.conj()).max() < 1e-15
-        assert set(np.abs(signs).tolist()) == {1.0}
-
-    @pytest.mark.parametrize("space", CONJUGATION_SPACES, ids=repr)
-    def test_conjugation_is_an_involution_on_canonical_labels(self, space):
-        labels = space._label_array(space.enumerate_basis(5.0))
-        conj, signs = space._conjugate(labels)
-        assert np.array_equal(space._describe(conj)[0], conj)   # canonical as returned
-        again, back = space._conjugate(conj)
-        assert np.array_equal(again, labels)
-        assert np.array_equal(signs * back, np.ones(len(labels)))
-        # eigenvalues are real: a conjugate shares its element's eigenvalue
-        assert np.array_equal(space._describe(conj)[1], space._describe(labels)[1])
-
-
 class TestDistinctCoordinateTables:
     """Each kernel tables its factors on the distinct coordinates of the points
     it is given, so a batch must not depend on what else is in it."""
@@ -651,6 +617,16 @@ class TestQuadrature:
         v = s.basis_matrix(els, q.nodes)
         gram = (v.conj().T * q.weights) @ v
         assert np.abs(gram - np.eye(81)).max() < 1e-10
+
+    @pytest.mark.parametrize("space", [Torus(1), Torus(2), ProductSpace(Torus(1), Sphere2()),
+                                       Sphere2(), ProductSpace(Sphere2(), FiniteGroup(4, 1))],
+                             ids=repr)
+    @pytest.mark.parametrize("cutoff,named", [
+        (-1.0, "cutoff must be nonnegative, got -1.0"), (-1e-300, "got -1e-300"),
+        (math.nan, "cutoff must be finite, got nan")])
+    def test_a_negative_or_unusable_cutoff_is_named(self, space, cutoff, named):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            space.build_quadrature(cutoff)
 
     def test_unit_norms(self):
         for space, cutoff in [(Torus(1), 4.0), (Sphere2(), 4.0), (FiniteGroup(6, 2), 2.0)]:
