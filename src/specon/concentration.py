@@ -44,9 +44,8 @@ class BandlimitedFunction:
         return float(np.linalg.norm(self.coefficients))
 
     def values(self, points) -> np.ndarray:
-        space = self.spectral_set.space
-        v = space.basis_matrix(self.spectral_set.elements, points)
-        return v @ self.coefficients
+        sset = self.spectral_set
+        return sset.space.synthesize(sset.elements, self.coefficients, points)
 
     def samples(self, quad: Quadrature) -> np.ndarray:
         return self.values(quad.nodes)

@@ -354,6 +354,10 @@ class ModelSpace:
         quantity of band energy, homogeneity and the sup-norm bound."""
         return np.sum(np.abs(self.basis_matrix(elements, points)) ** 2, axis=1)
 
+    def synthesize(self, elements, coefficients, points) -> np.ndarray:
+        """sum_j a_j e_j(x) over ``elements`` with ``coefficients`` a_j, at each of ``points``."""
+        return self.basis_matrix(elements, points) @ coefficients
+
     def coefficients(self, elements, quad: Quadrature, samples) -> np.ndarray:
         """<g, e_j> = sum_x w_x g(x) conj(e_j(x)) by ``quad``, for node samples
         ``g`` and each of ``elements``."""
@@ -757,18 +761,44 @@ class ProductSpace(ModelSpace):
         for space, part in zip((self.first, self.second), self._split(pts)):
             space._check_coordinates(part)
 
-    def basis_matrix(self, elements, points):
-        pts = self._check_points(points, len(elements))
-        pa, pb = self._split(pts)
-        labels = self._label_array(elements)
-        a = self.first.dim
+    def _factor_tables(self, elements, points):
+        """(va, vb, ia, ib): each factor's basis matrix on its distinct labels among
+        ``elements``, at its own coordinates of ``points``; element j is the column pair
+        (ia[j], ib[j])."""
+        pa, pb = self._split(self._check_points(points))
+        labels, a = self._label_array(elements), self.first.dim
         ua, ia = np.unique(labels[:, :a], axis=0, return_inverse=True)
         ub, ib = np.unique(labels[:, a:], axis=0, return_inverse=True)
-        va = self.first.basis_matrix(self.first._elements(ua, numbered=False), pa)
-        vb = self.second.basis_matrix(self.second._elements(ub, numbered=False), pb)
-        ia, ib = ia.ravel(), ib.ravel()
-        return _gathered((len(pts), len(elements)), [lambda b: va[b][:, ia],
-                                                     lambda b: vb[b][:, ib]])
+        return (self.first.basis_matrix(self.first._elements(ua, numbered=False), pa),
+                self.second.basis_matrix(self.second._elements(ub, numbered=False), pb),
+                ia.ravel(), ib.ravel())
+
+    def basis_matrix(self, elements, points):
+        self._check_points(points, len(elements))
+        va, vb, ia, ib = self._factor_tables(elements, points)
+        return _gathered((len(va), len(ia)), [lambda b: va[b][:, ia], lambda b: vb[b][:, ib]])
+
+    def summed_squares(self, elements, points):
+        # blocks of 2^14 cells laid out C-ordered, as basis_matrix lays out its rows, so that
+        # each row sums to the bytes of the dense row sum
+        va, vb, ia, ib = self._factor_tables(elements, points)
+        step = max(1, 2**14 // max(1, len(ia)))
+        return np.concatenate([np.zeros(0)] + [np.sum(np.abs(np.multiply(
+            va[r:r + step][:, ia], vb[r:r + step][:, ib], order="C")) ** 2, axis=1)
+            for r in range(0, len(va), step)])
+
+    def synthesize(self, elements, coefficients, points):
+        # sum over (p, q) of va[x, p] C[p, q] vb[x, q], C holding a_j at (ia[j], ib[j])
+        va, vb, ia, ib = self._factor_tables(elements, points)
+        c = np.zeros((va.shape[1], vb.shape[1]), dtype=complex)
+        np.add.at(c, (ia, ib), coefficients)
+        return np.sum((va @ c) * vb, axis=1)
+
+    def coefficients(self, elements, quad, samples):
+        # C = (conj(va) w g)^T conj(vb) holds <g, e_a e_b> for every pair of factor labels
+        va, vb, ia, ib = self._factor_tables(elements, quad.nodes)
+        wg = quad.weights * np.asarray(samples, dtype=complex)
+        return ((va.conj() * wg[:, None]).T @ vb.conj())[ia, ib]
 
     def build_quadrature(self, cutoff, oversample=1):
         qa = self.first.build_quadrature(cutoff, oversample)

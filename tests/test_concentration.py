@@ -722,15 +722,22 @@ class TestBandEnergy:
         mask = region.contains_mask(quad.nodes)
         v = space.basis_matrix(sset.elements, quad.nodes)
         dense = float(np.sum(quad.weights * mask * np.sum(np.abs(v) ** 2, axis=1)))
-        seen = []
-        basis_matrix = type(space).basis_matrix
-        monkeypatch.setattr(type(space), "basis_matrix", lambda self, els, pts:
-                            seen.append(np.array(pts)) or basis_matrix(self, els, pts))
+        seen = {}
+        for cls in {type(space), Torus, Sphere2}:
+            monkeypatch.setattr(cls, "basis_matrix", lambda self, els, pts, f=cls.basis_matrix:
+                                seen.setdefault(type(self), []).append(np.array(pts))
+                                or f(self, els, pts))
         energy = masked_band_energy(sset, region, quad)
+        inside = quad.nodes[mask]
         if isinstance(space, Sphere2):   # summed from the Legendre table, no basis matrix
-            assert seen == []
+            assert seen == {}
+        elif isinstance(space, ProductSpace):   # each factor at its own inside coordinates
+            assert list(seen) == [Torus, Sphere2] and list(map(len, seen.values())) == [1, 1]
+            assert np.array_equal(seen[Torus][0], inside[:, :1])
+            assert np.array_equal(seen[Sphere2][0], inside[:, 1:])
         else:
-            assert len(seen) == 1 and np.array_equal(seen[0], quad.nodes[mask])
+            assert list(seen) == [type(space)] and len(seen[type(space)]) == 1
+            assert np.array_equal(seen[type(space)][0], inside)
         assert 0 < mask.sum() < len(mask) and energy == pytest.approx(dense, rel=1e-13)
 
     @staticmethod

@@ -9,6 +9,7 @@ import pytest
 from scipy.special import sph_harm_y
 
 from specon import (
+    BandlimitedFunction,
     DescriptorError,
     FiniteGroup,
     ProductSpace,
@@ -19,6 +20,7 @@ from specon import (
     concentration_levels,
     parse_region,
     parse_space,
+    spectrum_ball,
 )
 import specon.spaces as spaces
 from specon.spaces import MAX_BASIS_BYTES, BasisElement, _r2max
@@ -677,6 +679,64 @@ class TestProduct:
         assert p.evaluate(el, [0.1, 0.2, 0.3]) == pytest.approx(
             (TWO_PI * 4 * math.pi) ** -0.5
         )
+
+
+class TestProductFactorTables:
+    """Synthesis, coefficients and summed squares on a product read its factors'
+    tables, never the points x elements matrix."""
+
+    @pytest.mark.parametrize("kind,cutoff", [
+        ("product(torus:d=1,sphere2)", 3.0), ("product(sphere2,torus:d=1)", 3.0),
+        ("product(product(torus:d=1,zn:N=5,d=1),sphere2)", 2.5),
+        ("product(zn:N=4,d=1,sphere2)", 3.0),
+    ])
+    def test_synthesis_and_coefficients_are_the_dense_ones(self, kind, cutoff):
+        space, rng = parse_space(kind), np.random.default_rng(8)
+        els, quad = space.enumerate_basis(cutoff), space.build_quadrature(cutoff, oversample=2)
+        pts = np.concatenate([quad.nodes, space.sample_points(50, rng)])
+        g = rng.normal(size=len(quad.weights)) + 1j * rng.normal(size=len(quad.weights))
+        for chosen in (els, els[1::3], []):
+            a = rng.normal(size=len(chosen)) + 1j * rng.normal(size=len(chosen))
+            for got, want in [
+                (space.synthesize(chosen, a, pts), space.basis_matrix(chosen, pts) @ a),
+                (space.coefficients(chosen, quad, g),
+                 (space.basis_matrix(chosen, quad.nodes).conj().T * quad.weights) @ g)]:
+                assert got.shape == want.shape
+                assert np.abs(got - want).max(initial=0) <= 1e-13 * np.abs(want).max(initial=0)
+
+    def test_group_coefficients_match_the_product_group(self):
+        # Z_8 x Z_8 as a product and as zn:N=8,d=2: both list their points in the same
+        # lexicographic order, so the same samples give the same coefficient per label
+        p, g = parse_space("product(zn:N=8,d=1,zn:N=8,d=1)"), FiniteGroup(8, 2)
+        qp, qg = p.build_quadrature(10.0), g.build_quadrature()
+        assert np.array_equal(qp.nodes, qg.nodes) and np.array_equal(qp.weights, qg.weights)
+        rng = np.random.default_rng(9)
+        samples = rng.normal(size=64) + 1j * rng.normal(size=64)
+        ep, eg = p.enumerate_basis(10.0), g.enumerate_basis(10.0)
+        want = dict(zip([el.label for el in eg], g.coefficients(eg, qg, samples)))
+        got = p.coefficients(ep, qp, samples)
+        assert len(ep) == len(eg) == 64
+        assert np.abs(got - [want[a + b] for a, b in (el.label for el in ep)]).max() < 1e-13
+
+    def test_product_holds_no_basis_matrix(self):
+        # 4,320 nodes x 177 elements: the points x elements matrix alone takes 12 MB, the
+        # factor tables 4,320 x 11 and 4,320 x 25
+        p = ProductSpace(Torus(1), Sphere2())
+        quad, sset = p.build_quadrature(5.0, oversample=2), spectrum_ball(p, 5.0)
+        rng = np.random.default_rng(10)
+        f = BandlimitedFunction(sset, rng.normal(size=sset.size))
+        g = rng.normal(size=len(quad.weights))
+        bound = len(quad.weights) * sset.size * 16
+        for run in (lambda: p.summed_squares(sset.elements, quad.nodes),
+                    lambda: f.values(quad.nodes),
+                    lambda: p.coefficients(sset.elements, quad, g)):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound
 
 
 class TestDescriptors:
